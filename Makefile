@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet lint lint-fast race bench bench-step bench-comms bench-obs bench-kernels bench-scale bench-serve scale-demo chaos soak-async obslint dash-demo
+.PHONY: build test check fmt vet lint lint-fast race bench bench-compare bench-legacy bench-step bench-comms bench-obs bench-kernels bench-scale bench-serve scale-demo chaos soak-async obslint dash-demo
 
 # Formatting checks skip testdata: it holds deliberately corrupt analyzer
 # fixtures that gofmt cannot parse.
@@ -79,6 +79,8 @@ check:
 	else t1=$$(date +%s); echo "FAIL benchkernels -smoke ($$((t1-t0))s)"; fail=1; fi; \
 	t0=$$(date +%s); if $(GO) run ./cmd/benchserve -smoke >/dev/null; then t1=$$(date +%s); echo "ok   benchserve -smoke ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL benchserve -smoke ($$((t1-t0))s)"; fail=1; fi; \
+	t0=$$(date +%s); if $(GO) run ./cmd/bench -smoke >/dev/null; then t1=$$(date +%s); echo "ok   bench -smoke ($$((t1-t0))s)"; \
+	else t1=$$(date +%s); echo "FAIL bench -smoke ($$((t1-t0))s)"; fail=1; fi; \
 	exit $$fail
 
 # Exposition lint in isolation: run a short chaos-injected round trip and
@@ -93,7 +95,20 @@ dash-demo:
 		-chaos -chaos-seed 11 -chaos-nan-rate 0.1 -chaos-latency 30ms \
 		-dash-addr localhost:8600
 
+# The repository's one benchmark (BENCHMARK.json, cmd/bench/README.md): six
+# workloads untraced then traced, every metric printed by name, correctness
+# checks on; the full result lands beside the benchmark's build outputs.
 bench:
+	@mkdir -p .bench_build
+	$(GO) run ./cmd/bench -out .bench_build/results.json
+
+# Judge one `cmd/bench -out` result against another, per (metric, workload):
+#   make bench-compare A=parent.json B=change.json
+bench-compare:
+	$(GO) run ./cmd/bench -compare $(A) $(B)
+
+# The per-main artefacts that predate cmd/bench.
+bench-legacy:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/benchstep -out BENCH_step_allocs.json
 	$(GO) run ./cmd/benchcomms -out BENCH_comms.json

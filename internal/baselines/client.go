@@ -59,6 +59,7 @@ type Client struct {
 	// globalSnapshot is the last broadcast model, anchoring FedProx's
 	// proximal term.
 	globalSnapshot *nn.Params
+	preds          predCache
 }
 
 var _ fed.Client = (*Client)(nil)
@@ -123,10 +124,14 @@ func (c *Client) Name() string { return c.name }
 func (c *Client) NumSamples() int { return len(c.g.TrainMask) }
 
 // Params implements fed.Client.
-func (c *Client) Params() *nn.Params { return c.model.Params() }
+func (c *Client) Params() *nn.Params {
+	c.preds.drop()
+	return c.model.Params()
+}
 
 // SetParams implements fed.Client; it also refreshes the proximal anchor.
 func (c *Client) SetParams(global *nn.Params) error {
+	c.preds.drop()
 	if err := c.model.Params().CopyFrom(global); err != nil {
 		return err
 	}
@@ -155,6 +160,7 @@ func (c *Client) TrainLocal(round int) (float64, error) {
 // trainStep runs one gradient step on the reused tape and recycles its
 // buffers once the optimizer has consumed the gradients.
 func (c *Client) trainStep() (float64, error) {
+	c.preds.drop()
 	tp := c.tape
 	defer tp.Release()
 	f := c.model.Forward(tp, c.in, c.rng, true)
@@ -187,22 +193,43 @@ func (c *Client) proxTerm(tp *ad.Tape, nodes []*ad.Node) *ad.Node {
 	return tp.Scale(c.opts.ProxMu/2, term)
 }
 
-// Accuracy evaluates the current model on a node mask.
-func (c *Client) Accuracy(mask []int) (int, int) {
+// predCache shares one eval-mode forward between EvalVal and EvalTest, which
+// the runtime always asks of the same weights: the first call after a weight
+// change runs predict and keeps the row argmax of its logits. A client drops
+// it wherever its weights can change — SetParams, every training step, and
+// Params, which hands out the live weights.
+type predCache struct {
+	valid bool
+	pred  []int
+}
+
+func (p *predCache) drop() { p.valid = false }
+
+// accuracy counts the mask nodes whose kept prediction matches labels;
+// predict is the client's dropout-free forward reduced to a class per node.
+func (p *predCache) accuracy(mask, labels []int, predict func() []int) (int, int) {
 	if len(mask) == 0 {
 		return 0, 0
 	}
-	tp := c.tape
-	defer tp.Release()
-	f := c.model.Forward(tp, c.in, c.rng, false)
-	pred := mat.ArgmaxRows(f.Logits.Value)
+	if !p.valid {
+		p.pred, p.valid = predict(), true
+	}
 	correct := 0
 	for _, i := range mask {
-		if pred[i] == c.g.Labels[i] {
+		if p.pred[i] == labels[i] {
 			correct++
 		}
 	}
 	return correct, len(mask)
+}
+
+// Accuracy evaluates the current model on a node mask.
+func (c *Client) Accuracy(mask []int) (int, int) {
+	return c.preds.accuracy(mask, c.g.Labels, func() []int {
+		tp := c.tape
+		defer tp.Release()
+		return mat.ArgmaxRows(c.model.Forward(tp, c.in, c.rng, false).Logits.Value)
+	})
 }
 
 // EvalVal implements fed.Client.

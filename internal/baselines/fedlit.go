@@ -38,6 +38,7 @@ type FedLITClient struct {
 	types  int
 	hidden int
 	tape   *ad.Tape
+	preds  predCache
 }
 
 var _ fed.Client = (*FedLITClient)(nil)
@@ -189,10 +190,16 @@ func (c *FedLITClient) Name() string { return c.name }
 func (c *FedLITClient) NumSamples() int { return len(c.g.TrainMask) }
 
 // Params implements fed.Client.
-func (c *FedLITClient) Params() *nn.Params { return c.params }
+func (c *FedLITClient) Params() *nn.Params {
+	c.preds.drop()
+	return c.params
+}
 
 // SetParams implements fed.Client.
-func (c *FedLITClient) SetParams(global *nn.Params) error { return c.params.CopyFrom(global) }
+func (c *FedLITClient) SetParams(global *nn.Params) error {
+	c.preds.drop()
+	return c.params.CopyFrom(global)
+}
 
 // forward records the two relational type-mixing layers. Parameter layout:
 // nodes[0] = W0_self, nodes[1..types] = W0 per type, nodes[types+1] =
@@ -234,6 +241,7 @@ func (c *FedLITClient) TrainLocal(round int) (float64, error) {
 
 // trainStep performs one gradient step on the reused tape.
 func (c *FedLITClient) trainStep() (float64, error) {
+	c.preds.drop()
 	tp := c.tape
 	defer tp.Release()
 	logits, nodes := c.forward(tp, true)
@@ -250,20 +258,12 @@ func (c *FedLITClient) trainStep() (float64, error) {
 
 // Accuracy evaluates the current model on a node mask.
 func (c *FedLITClient) Accuracy(mask []int) (int, int) {
-	if len(mask) == 0 {
-		return 0, 0
-	}
-	tp := c.tape
-	defer tp.Release()
-	logits, _ := c.forward(tp, false)
-	pred := mat.ArgmaxRows(logits.Value)
-	correct := 0
-	for _, i := range mask {
-		if pred[i] == c.g.Labels[i] {
-			correct++
-		}
-	}
-	return correct, len(mask)
+	return c.preds.accuracy(mask, c.g.Labels, func() []int {
+		tp := c.tape
+		defer tp.Release()
+		logits, _ := c.forward(tp, false)
+		return mat.ArgmaxRows(logits.Value)
+	})
 }
 
 // EvalVal implements fed.Client.

@@ -41,6 +41,7 @@ type FedSageClient struct {
 	opts   Options
 	hidden int
 	tape   *ad.Tape
+	preds  predCache
 	labels []int // g.Labels zero-padded to the augmented node count
 }
 
@@ -185,10 +186,16 @@ func (c *FedSageClient) Name() string { return c.name }
 func (c *FedSageClient) NumSamples() int { return len(c.g.TrainMask) }
 
 // Params implements fed.Client.
-func (c *FedSageClient) Params() *nn.Params { return c.params }
+func (c *FedSageClient) Params() *nn.Params {
+	c.preds.drop()
+	return c.params
+}
 
 // SetParams implements fed.Client.
-func (c *FedSageClient) SetParams(global *nn.Params) error { return c.params.CopyFrom(global) }
+func (c *FedSageClient) SetParams(global *nn.Params) error {
+	c.preds.drop()
+	return c.params.CopyFrom(global)
+}
 
 // NumGenerated reports how many neighbour nodes were synthesised.
 func (c *FedSageClient) NumGenerated() int { return c.augFeatures.Rows() - c.numOrig }
@@ -226,6 +233,7 @@ func (c *FedSageClient) TrainLocal(round int) (float64, error) {
 
 // trainStep performs one gradient step on the reused tape.
 func (c *FedSageClient) trainStep() (float64, error) {
+	c.preds.drop()
 	tp := c.tape
 	defer tp.Release()
 	logits, nodes := c.forward(tp, true)
@@ -242,20 +250,12 @@ func (c *FedSageClient) trainStep() (float64, error) {
 
 // Accuracy evaluates on a mask over original nodes.
 func (c *FedSageClient) Accuracy(mask []int) (int, int) {
-	if len(mask) == 0 {
-		return 0, 0
-	}
-	tp := c.tape
-	defer tp.Release()
-	logits, _ := c.forward(tp, false)
-	pred := mat.ArgmaxRows(logits.Value)
-	correct := 0
-	for _, i := range mask {
-		if pred[i] == c.g.Labels[i] {
-			correct++
-		}
-	}
-	return correct, len(mask)
+	return c.preds.accuracy(mask, c.g.Labels, func() []int {
+		tp := c.tape
+		defer tp.Release()
+		logits, _ := c.forward(tp, false)
+		return mat.ArgmaxRows(logits.Value)
+	})
 }
 
 // EvalVal implements fed.Client.

@@ -31,6 +31,7 @@ type ScaffoldClient struct {
 	ci          *nn.Params // client control variate
 	cGlobal     *nn.Params // server control variate
 	roundAnchor *nn.Params // weights at round start
+	preds       predCache
 }
 
 var (
@@ -67,10 +68,14 @@ func (s *ScaffoldClient) Name() string { return s.name }
 func (s *ScaffoldClient) NumSamples() int { return len(s.g.TrainMask) }
 
 // Params implements fed.Client.
-func (s *ScaffoldClient) Params() *nn.Params { return s.mlp.Params() }
+func (s *ScaffoldClient) Params() *nn.Params {
+	s.preds.drop()
+	return s.mlp.Params()
+}
 
 // SetParams implements fed.Client, snapshotting the round anchor.
 func (s *ScaffoldClient) SetParams(global *nn.Params) error {
+	s.preds.drop()
 	if err := s.mlp.Params().CopyFrom(global); err != nil {
 		return err
 	}
@@ -110,6 +115,7 @@ func (s *ScaffoldClient) TrainLocal(round int) (float64, error) {
 
 // trainStep performs one variance-reduced step on the reused tape.
 func (s *ScaffoldClient) trainStep(params *nn.Params) (float64, error) {
+	s.preds.drop()
 	tp := s.tape
 	defer tp.Release()
 	f := s.mlp.Forward(tp, s.in, s.rng, true)
@@ -148,20 +154,11 @@ func (s *ScaffoldClient) DownloadAux(global *nn.Params) error {
 
 // Accuracy evaluates the current model on a node mask.
 func (s *ScaffoldClient) Accuracy(mask []int) (int, int) {
-	if len(mask) == 0 {
-		return 0, 0
-	}
-	tp := s.tape
-	defer tp.Release()
-	f := s.mlp.Forward(tp, s.in, s.rng, false)
-	pred := mat.ArgmaxRows(f.Logits.Value)
-	correct := 0
-	for _, i := range mask {
-		if pred[i] == s.g.Labels[i] {
-			correct++
-		}
-	}
-	return correct, len(mask)
+	return s.preds.accuracy(mask, s.g.Labels, func() []int {
+		tp := s.tape
+		defer tp.Release()
+		return mat.ArgmaxRows(s.mlp.Forward(tp, s.in, s.rng, false).Logits.Value)
+	})
 }
 
 // EvalVal implements fed.Client.

@@ -122,6 +122,8 @@ type Client struct {
 	// forward pass records on it and Releases its buffers back to the mat
 	// pool once the results have been consumed.
 	tape *ad.Tape
+	// ev is the eval pass over the current weights (see evalPass).
+	ev evalPass
 
 	globalMeans   []*mat.Dense
 	globalCentral [][]*mat.Dense
@@ -195,23 +197,69 @@ func (c *Client) Name() string { return c.name }
 // NumSamples implements fed.Client: the number of labelled training nodes.
 func (c *Client) NumSamples() int { return len(c.g.TrainMask) }
 
-// Params implements fed.Client.
-func (c *Client) Params() *nn.Params { return c.model.Params() }
+// Params implements fed.Client. The caller may write through the returned
+// handle, so the eval pass is dropped.
+func (c *Client) Params() *nn.Params {
+	c.ev.valid = false
+	return c.model.Params()
+}
 
 // SetParams implements fed.Client.
 func (c *Client) SetParams(global *nn.Params) error {
+	c.ev.valid = false
 	return c.model.Params().CopyFrom(global)
 }
 
 // Graph exposes the client's local graph (read-only use).
 func (c *Client) Graph() *graph.Graph { return c.g }
 
-// Model exposes the underlying OrthoGCN (for ablation tooling).
-func (c *Client) Model() *nn.OrthoGCN { return c.model }
+// Model exposes the underlying OrthoGCN (for ablation tooling). Like Params,
+// it hands out the live weights and so drops the eval pass.
+func (c *Client) Model() *nn.OrthoGCN {
+	c.ev.valid = false
+	return c.model
+}
 
 // forward runs the model on the local graph.
 func (c *Client) forward(tp *ad.Tape, train bool) *nn.Forward {
 	return c.model.Forward(tp, nn.Input{S: c.s, X: c.g.Features}, c.rng, train)
+}
+
+// evalPass is what one dropout-free forward leaves behind for EvalVal,
+// EvalTest, LocalMeans and CentralAroundGlobal: Algorithm 1 asks all four of
+// the same broadcast weights, so the first of them runs the forward and the
+// others read it. It is per parameter version: valid is cleared by SetParams,
+// by every optimiser step, and whenever Params or Model hands out the live
+// weights — a handle kept across a later eval call is the one write it cannot
+// see. hidden are client-owned copies, since Release recycles the tape's.
+type evalPass struct {
+	valid  bool
+	hidden []*mat.Dense // Z^1..Z^{L-1} over all local nodes
+	pred   []int        // row argmax of the logits
+}
+
+// eval returns the eval pass for the current weights, running it if a weight
+// change dropped the last one.
+func (c *Client) eval() *evalPass {
+	ev := &c.ev
+	if ev.valid {
+		return ev
+	}
+	tp := c.tape
+	defer tp.Release()
+	f := c.forward(tp, false)
+	if ev.hidden == nil {
+		ev.hidden = make([]*mat.Dense, len(f.Hidden))
+		for l, h := range f.Hidden {
+			ev.hidden[l] = mat.New(h.Value.Dims())
+		}
+	}
+	for l, h := range f.Hidden {
+		ev.hidden[l].CopyFrom(h.Value)
+	}
+	ev.pred = mat.ArgmaxRows(f.Logits.Value)
+	ev.valid = true
+	return ev
 }
 
 // Losses captures the three components of eq. 12 from the last TrainLocal
@@ -244,6 +292,7 @@ func (c *Client) TrainLocal(round int) (float64, error) {
 // scalars are copied out and the optimizer consumes the gradients before the
 // deferred Release recycles every tape buffer for the next step.
 func (c *Client) trainStep() error {
+	c.ev.valid = false
 	tp := c.tape
 	defer tp.Release()
 	f := c.forward(tp, true)
@@ -314,14 +363,12 @@ func (c *Client) cmdLoss(tp *ad.Tape, f *nn.Forward) (*ad.Node, error) {
 // hidden embedding even when unlabelled, and the richer statistic stabilises
 // the global estimate at the paper's 1% label rate).
 func (c *Client) LocalMeans() ([]*mat.Dense, int, error) {
-	tp := c.tape
-	defer tp.Release()
-	f := c.forward(tp, false)
-	means := make([]*mat.Dense, len(f.Hidden))
+	hidden := c.eval().hidden
+	means := make([]*mat.Dense, len(hidden))
 	obs := 0.0
-	for l, h := range f.Hidden {
-		means[l] = mat.MeanRows(h.Value)
-		if m := mat.Max(h.Value); m > obs {
+	for l, h := range hidden {
+		means[l] = mat.MeanRows(h)
+		if m := mat.Max(h); m > obs {
 			obs = m
 		}
 	}
@@ -331,15 +378,13 @@ func (c *Client) LocalMeans() ([]*mat.Dense, int, error) {
 
 // CentralAroundGlobal implements fed.MomentClient: Algorithm 1 lines 12-15.
 func (c *Client) CentralAroundGlobal(globalMeans []*mat.Dense) ([][]*mat.Dense, int, error) {
-	tp := c.tape
-	defer tp.Release()
-	f := c.forward(tp, false)
-	if len(globalMeans) != len(f.Hidden) {
-		return nil, 0, fmt.Errorf("core: %s got %d global means for %d layers", c.name, len(globalMeans), len(f.Hidden))
+	hidden := c.eval().hidden
+	if len(globalMeans) != len(hidden) {
+		return nil, 0, fmt.Errorf("core: %s got %d global means for %d layers", c.name, len(globalMeans), len(hidden))
 	}
-	moms := make([][]*mat.Dense, len(f.Hidden))
-	for l, h := range f.Hidden {
-		moms[l] = moments.CentralAround(h.Value, globalMeans[l], c.cfg.MaxOrder)
+	moms := make([][]*mat.Dense, len(hidden))
+	for l, h := range hidden {
+		moms[l] = moments.CentralAround(h, globalMeans[l], c.cfg.MaxOrder)
 	}
 	return moms, c.g.NumNodes(), nil
 }
@@ -355,10 +400,7 @@ func (c *Client) Accuracy(mask []int) (correct, total int) {
 	if len(mask) == 0 {
 		return 0, 0
 	}
-	tp := c.tape
-	defer tp.Release()
-	f := c.forward(tp, false)
-	pred := mat.ArgmaxRows(f.Logits.Value)
+	pred := c.eval().pred
 	for _, i := range mask {
 		if pred[i] == c.g.Labels[i] {
 			correct++

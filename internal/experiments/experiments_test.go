@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"fedomd/internal/core"
 	"fedomd/internal/dataset"
+	"fedomd/internal/fed"
+	"fedomd/internal/partition"
+	"fedomd/internal/telemetry"
 )
 
 func smokeRunner() *Runner { return NewRunner(SmokeScale(), 1) }
@@ -215,5 +220,102 @@ func TestDefaultResolutionMatchesPaper(t *testing.T) {
 	}
 	if defaultResolution(dataset.Cora) != 1.0 {
 		t.Fatal("citation datasets should use the default resolution")
+	}
+}
+
+// tapeSpy counts the tape ops recorded inside EvalTest.
+type tapeSpy struct {
+	fed.Client
+	evalTestOps int64
+}
+
+func (s *tapeSpy) EvalTest() (int, int) {
+	before := telemetry.GlobalCounters()["ad/tape_ops"]
+	defer func() { s.evalTestOps = telemetry.GlobalCounters()["ad/tape_ops"] - before }()
+	return s.Client.EvalTest()
+}
+
+func table3Parties(t *testing.T, r *Runner, m int) []partition.Party {
+	t.Helper()
+	g, err := r.loadGraph(dataset.Cora, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parties, err := r.parties(g, m, 1.0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parties
+}
+
+// Table 3's inference column must time a forward, also for clients that keep
+// their predictions per parameter version and were evaluated before.
+func TestTable3InferenceIsAColdPass(t *testing.T) {
+	r := smokeRunner()
+	parties := table3Parties(t, r, 2)
+	for _, model := range ModelNames() {
+		clients, _, err := r.buildClients(model, parties, 3, buildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[0].EvalTest()
+		spy := &tapeSpy{Client: clients[0]}
+		clients[0] = spy
+		if _, _, _, err := timeRound(clients); err != nil {
+			t.Fatal(err)
+		}
+		if spy.evalTestOps == 0 {
+			t.Fatalf("%s: the timed EvalTest recorded no forward", model)
+		}
+	}
+}
+
+// Table 3's upload column must be what one round of fed.Run books per party,
+// at any configured moment order.
+func TestTable3UploadMatchesRuntimeBytes(t *testing.T) {
+	r := smokeRunner()
+	parties := table3Parties(t, r, 2)
+	fleets := map[string]func() []fed.Client{}
+	for _, model := range ModelNames() {
+		if model == ModelLocGCN {
+			continue // trains without federation: nothing is booked
+		}
+		fleets[model] = func() []fed.Client {
+			clients, _, err := r.buildClients(model, parties, 3, buildOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return clients
+		}
+	}
+	fleets["FedOMD order 3"] = func() []fed.Client {
+		cfg := core.DefaultConfig()
+		cfg.Hidden, cfg.MaxOrder = 8, 3
+		var clients []fed.Client
+		for i, p := range parties {
+			c, err := core.NewClient(fmt.Sprintf("p%d", i), p.Graph, cfg, int64(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clients = append(clients, c)
+		}
+		return clients
+	}
+	for name, build := range fleets {
+		want := int64(0)
+		for _, c := range build() {
+			n, err := uploadBytes(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += int64(n)
+		}
+		res, err := fed.Run(fed.Config{Rounds: 1}, build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.History[0].BytesUp; got != want {
+			t.Fatalf("%s: fed.Run booked %d bytes up, Table 3 says %d", name, got, want)
+		}
 	}
 }

@@ -51,43 +51,13 @@ func (r *Runner) Table3(w io.Writer, ds string, m int) error {
 		if err != nil {
 			return err
 		}
-		// Client time: one local training round on the first party.
-		t0 := time.Now()
-		if _, err := clients[0].TrainLocal(0); err != nil {
+		clientTime, serverTime, inferTime, err := timeRound(clients)
+		if err != nil {
 			return err
 		}
-		clientTime := time.Since(t0)
-
-		// Server time: one FedAvg aggregation over all parties.
-		sets := make([]*nn.Params, len(clients))
-		weights := make([]float64, len(clients))
-		for i, c := range clients {
-			sets[i] = c.Params()
-			weights[i] = 1
-		}
-		t0 = time.Now()
-		if _, err := nn.Average(sets, weights); err != nil {
+		upload, err := uploadBytes(clients[0])
+		if err != nil {
 			return err
-		}
-		serverTime := time.Since(t0)
-
-		// Inference time: one evaluation pass.
-		t0 = time.Now()
-		clients[0].EvalTest()
-		inferTime := time.Since(t0)
-
-		upload := clients[0].Params().Bytes()
-		if model == ModelFedOMD {
-			if mc, ok := clients[0].(fed.MomentClient); ok {
-				means, _, err := mc.LocalMeans()
-				if err != nil {
-					return err
-				}
-				for _, mean := range means {
-					// mean + 4 central-moment vectors per layer.
-					upload += 8 * mean.Cols() * 5
-				}
-			}
 		}
 		tbl.AddRow(model,
 			clientTime.Round(time.Microsecond).String(),
@@ -96,6 +66,66 @@ func (r *Runner) Table3(w io.Writer, ds string, m int) error {
 			fmt.Sprint(upload))
 	}
 	return tbl.Render(w)
+}
+
+// timeRound measures Table 3's three wall-clock columns on a freshly built
+// fleet. The inference column is a cold evaluation pass: it is timed right
+// after TrainLocal and Params(), either of which drops any predictions a
+// client keeps per parameter version, so EvalTest pays for its forward.
+func timeRound(clients []fed.Client) (clientTime, serverTime, inferTime time.Duration, err error) {
+	// Client time: one local training round on the first party.
+	t0 := time.Now()
+	if _, err := clients[0].TrainLocal(0); err != nil {
+		return 0, 0, 0, err
+	}
+	clientTime = time.Since(t0)
+
+	// Server time: one FedAvg aggregation over all parties.
+	sets := make([]*nn.Params, len(clients))
+	weights := make([]float64, len(clients))
+	for i, c := range clients {
+		sets[i] = c.Params()
+		weights[i] = 1
+	}
+	t0 = time.Now()
+	if _, err := nn.Average(sets, weights); err != nil {
+		return 0, 0, 0, err
+	}
+	serverTime = time.Since(t0)
+
+	// Inference time: one evaluation pass.
+	t0 = time.Now()
+	clients[0].EvalTest()
+	inferTime = time.Since(t0)
+	return clientTime, serverTime, inferTime, nil
+}
+
+// uploadBytes is what one party uploads per round as fed.Run books it: the
+// weights, an aux client's auxiliary state (SCAFFOLD's control variate), and
+// for a moment client Algorithm 1's two statistics trips — every mean and
+// central-moment vector and one count word per trip.
+func uploadBytes(c fed.Client) (int, error) {
+	upload := c.Params().Bytes()
+	if ac, ok := c.(fed.AuxClient); ok {
+		upload += ac.UploadAux().Bytes()
+	}
+	mc, ok := c.(fed.MomentClient)
+	if !ok {
+		return upload, nil
+	}
+	means, _, err := mc.LocalMeans()
+	if err != nil {
+		return 0, err
+	}
+	moms, _, err := mc.CentralAroundGlobal(means)
+	if err != nil {
+		return 0, err
+	}
+	upload += 2 * 8
+	for l, mean := range means {
+		upload += 8 * mean.Cols() * (1 + len(moms[l]))
+	}
+	return upload, nil
 }
 
 // Table4 regenerates the headline comparison: accuracy (mean ± std over

@@ -52,12 +52,46 @@ func Compute(z *mat.Dense, maxOrder int) (Stats, error) {
 
 // CentralAround computes E((z − mean)^j) column-wise for j = 2..maxOrder
 // around an externally supplied mean — Algorithm 1 line 13, where clients
-// centre on the *global* mean received from the server.
+// centre on the *global* mean received from the server. maxOrder < 2 yields
+// no moments.
+//
+// One pass over z: each element's running product feeds one accumulator row
+// per order, so no n×d temporary is built. The products multiply left to
+// right and the rows add in order, which makes the result bit-identical to
+// the composed MeanRows(PowElem(SubRowVec(z, mean), j)).
 func CentralAround(z, mean *mat.Dense, maxOrder int) []*mat.Dense {
-	centered := mat.SubRowVec(z, mean)
-	out := make([]*mat.Dense, 0, maxOrder-1)
-	for j := 2; j <= maxOrder; j++ {
-		out = append(out, mat.MeanRows(mat.PowElem(centered, j)))
+	if mean.Rows() != 1 || mean.Cols() != z.Cols() {
+		panic(fmt.Sprintf("moments: CentralAround wants 1x%d mean, got %dx%d", z.Cols(), mean.Rows(), mean.Cols()))
+	}
+	if maxOrder < 2 {
+		return []*mat.Dense{}
+	}
+	out := make([]*mat.Dense, maxOrder-1)
+	acc := make([][]float64, len(out))
+	for k := range out {
+		out[k] = mat.New(1, z.Cols())
+		acc[k] = out[k].Data()
+	}
+	mu := mean.Data()
+	for i := 0; i < z.Rows(); i++ {
+		for j, x := range z.Row(i) {
+			c := x - mu[j]
+			p := c
+			for _, a := range acc {
+				// The conversion rounds the product before it is added, so
+				// no platform fuses the pair into one multiply-add.
+				p = float64(p * c)
+				a[j] += p
+			}
+		}
+	}
+	if z.Rows() > 0 {
+		inv := 1 / float64(z.Rows())
+		for _, a := range acc {
+			for j := range a {
+				a[j] *= inv
+			}
+		}
 	}
 	return out
 }
