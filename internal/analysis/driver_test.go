@@ -270,7 +270,7 @@ func TestWholeTreeClean(t *testing.T) {
 	// The codec and serving layers must be in the sweep: the codec encoder
 	// and the micro-batcher are exactly the kind of pool-handling,
 	// telemetry-emitting code the analyzers exist for.
-	for _, want := range []string{"internal/codec", "cmd/benchcomms", "internal/serve", "cmd/benchserve"} {
+	for _, want := range []string{"internal/codec", "cmd/fedomdserve", "internal/serve", "cmd/bench"} {
 		found := false
 		for _, dir := range dirs {
 			if strings.HasSuffix(filepath.ToSlash(dir), want) {

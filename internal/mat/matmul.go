@@ -265,8 +265,7 @@ func zeroRows(out *Dense, lo, hi int) {
 func SIMDEnabled() bool { return useAVX }
 
 // MatMulSerial is the seed single-goroutine ikj reference kernel, kept
-// exported as the baseline the blocked kernels are benchmarked and tested
-// against (cmd/benchkernels reports blocked-vs-seed GFLOP/s from it).
+// exported as the baseline the blocked kernels are tested against.
 func MatMulSerial(a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("mat: MatMulSerial inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))

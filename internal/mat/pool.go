@@ -39,10 +39,7 @@ var (
 	poolPuts   = telemetry.NewCounter("mat/pool_puts")
 )
 
-var (
-	poolingOff atomic.Bool
-	pools      [maxPoolBits + 1]sync.Pool
-)
+var pools [maxPoolBits + 1]sync.Pool
 
 // Debug double-put detection. A buffer put twice sits in the pool twice, so
 // two later GetDense calls hand the same storage to unrelated code — the
@@ -71,14 +68,6 @@ func SetDebug(on bool) {
 // DebugEnabled reports whether double-put detection is active.
 func DebugEnabled() bool { return debugOn.Load() }
 
-// SetPooling toggles the buffer pool globally. With pooling off, GetDense
-// degrades to New and PutDense to a no-op — the ablation path the allocation
-// benchmarks compare against. Pooling is on by default.
-func SetPooling(on bool) { poolingOff.Store(!on) }
-
-// PoolingEnabled reports whether GetDense draws from the pool.
-func PoolingEnabled() bool { return !poolingOff.Load() }
-
 // poolBucket returns the bucket index for n floats, or -1 if n is unpoolable.
 func poolBucket(n int) int {
 	if n <= 0 {
@@ -100,7 +89,7 @@ func poolBucket(n int) int {
 func GetDense(r, c int) *Dense {
 	n := r * c
 	b := poolBucket(n)
-	if b < 0 || poolingOff.Load() {
+	if b < 0 {
 		return New(r, c)
 	}
 	if v := pools[b].Get(); v != nil {
@@ -128,7 +117,7 @@ func GetDense(r, c int) *Dense {
 // allocated by GetDense, in practice) are silently dropped for the GC, so
 // PutDense is safe to call on any matrix the caller owns. nil is ignored.
 func PutDense(m *Dense) {
-	if m == nil || poolingOff.Load() {
+	if m == nil {
 		return
 	}
 	n := cap(m.data)

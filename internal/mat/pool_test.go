@@ -64,21 +64,6 @@ func TestPutDenseDropsForeignBuffers(t *testing.T) {
 	}
 }
 
-func TestSetPoolingOffBypassesPool(t *testing.T) {
-	SetPooling(false)
-	defer SetPooling(true)
-	if PoolingEnabled() {
-		t.Fatal("PoolingEnabled after SetPooling(false)")
-	}
-	h0, m0, p0 := PoolStats()
-	d := GetDense(8, 8)
-	PutDense(d)
-	h1, m1, p1 := PoolStats()
-	if h1 != h0 || m1 != m0 || p1 != p0 {
-		t.Fatal("pool counters moved while pooling disabled")
-	}
-}
-
 // TestPoolConcurrent exercises concurrent Get/Put traffic; run with -race it
 // proves vended buffers are never shared between goroutines.
 func TestPoolConcurrent(t *testing.T) {
