@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet lint race bench bench-compare handover scale-demo chaos soak-async obslint dash-demo
+.PHONY: build test check fmt vet lint race bench bench-compare handover scale-demo chaos soak-async
 
 # Formatting checks skip testdata: it holds deliberately corrupt analyzer
 # fixtures that gofmt cannot parse.
@@ -42,12 +42,10 @@ soak-async:
 
 # The gate a PR must pass: formatting, go vet, fedomdvet, the full test
 # suite under the race detector (-count=1 so a cached pass can't mask a
-# race), obslint and the benchmark smoke run, then the hand-over check.
-# CI-friendly: every stage runs even if an earlier one fails, each reports
-# its own status and wall time, and the target exits non-zero if any stage
-# failed. The hand-over check runs in a shell of its own, after the stages
-# pass: the stage script's command line names go run and fedomdvet, so
-# pgrep would find it.
+# race) and the benchmark smoke run, then the hand-over check. CI-friendly:
+# every stage runs even if an earlier one fails, each reports its own status
+# and wall time, and the target exits non-zero if any stage failed. The
+# hand-over check runs after the stages pass, once their processes are gone.
 check:
 	@fail=0; t0=$$(date +%s); \
 	out=$$($(FMT_FILES) | xargs gofmt -l); t1=$$(date +%s); if [ -n "$$out" ]; then \
@@ -59,9 +57,7 @@ check:
 	else t1=$$(date +%s); echo "FAIL fedomdvet ($$((t1-t0))s)"; fail=1; fi; \
 	t0=$$(date +%s); if $(GO) test -race -count=1 ./...; then t1=$$(date +%s); echo "ok   go test -race ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL go test -race ($$((t1-t0))s)"; fail=1; fi; \
-	t0=$$(date +%s); if $(GO) run ./cmd/obslint; then t1=$$(date +%s); echo "ok   obslint ($$((t1-t0))s)"; \
-	else t1=$$(date +%s); echo "FAIL obslint ($$((t1-t0))s)"; fail=1; fi; \
-	t0=$$(date +%s); if $(GO) run ./cmd/bench -smoke >/dev/null; then t1=$$(date +%s); echo "ok   bench -smoke ($$((t1-t0))s)"; \
+	t0=$$(date +%s); if bash cmd/bench/run.sh -smoke >/dev/null; then t1=$$(date +%s); echo "ok   bench -smoke ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL bench -smoke ($$((t1-t0))s)"; fail=1; fi; \
 	exit $$fail
 	@t0=$$(date +%s); if $(MAKE) --no-print-directory handover; then t1=$$(date +%s); echo "ok   handover ($$((t1-t0))s)"; \
@@ -70,34 +66,28 @@ check:
 # Hand-over check: fail if a process from building, testing, benchmarking or
 # running this repository is still alive. Prints nothing when none is. Each
 # alternative brackets its first letter so the pattern cannot match the
-# shell that runs pgrep.
+# shell that runs pgrep, and the processes this check runs under (make, the
+# shell that called it) are skipped, so a caller whose own command line
+# names go test or the benchmark does not list itself.
 handover:
-	@out=$$(pgrep -af '[f]edomd|[b]ench|[g]o (run|test|build)'); \
+	@self=" "; p=$$$$; while [ "$${p:-0}" -gt 1 ]; do self="$$self$$p "; \
+		p=$$(ps -o ppid= -p "$$p" | tr -d ' '); done; \
+	out=$$(pgrep -af '[f]edomd|[b]ench|[g]o (run|test|build)' | while read -r pid cmd; do \
+		case "$$self" in *" $$pid "*) ;; *) echo "$$pid $$cmd" ;; esac; done); \
 	if [ -n "$$out" ]; then echo "processes still running:"; echo "$$out"; exit 1; fi
-
-# Exposition lint in isolation: run a short chaos-injected round trip and
-# validate the resulting Prometheus text exposition.
-obslint:
-	$(GO) run ./cmd/obslint
-
-# Serve the live run dashboard on a longer seeded run for eyeballing:
-# http://localhost:8600/ (SSE round feed) and /metrics on the same mux.
-dash-demo:
-	$(GO) run ./cmd/fedomd -divisor 8 -rounds 20 -policy drop-round \
-		-chaos -chaos-seed 11 -chaos-nan-rate 0.1 -chaos-latency 30ms \
-		-dash-addr localhost:8600
 
 # The repository's one benchmark (BENCHMARK.json, cmd/bench/README.md): six
 # workloads untraced then traced, every metric printed by name, correctness
 # checks on; the full result lands beside the benchmark's build outputs.
+# Every bench target goes through run.sh, the contract's own command, so the
+# benchmark is built one way only.
 bench:
-	@mkdir -p .bench_build
-	$(GO) run ./cmd/bench -out .bench_build/results.json
+	bash cmd/bench/run.sh -out .bench_build/results.json
 
 # Judge one `cmd/bench -out` result against another, per (metric, workload):
 #   make bench-compare A=parent.json B=change.json
 bench-compare:
-	$(GO) run ./cmd/bench -compare $(A) $(B)
+	bash cmd/bench/run.sh -compare $(A) $(B)
 
 # The pinned million-node pipeline: stream a 10⁶-node SBM, Louvain-partition
 # it into 8 parties, train one full FedOMD round, report stage times and

@@ -11,7 +11,6 @@
 //	fedomd -report                  # per-phase timing table + comms totals
 //	fedomd -trace out.jsonl         # distributed trace: spans + events, JSONL
 //	fedomd -debug-addr :6060        # live pprof + expvar + /metrics (Prometheus)
-//	fedomd -dash-addr :8080         # live run dashboard (SSE) + /metrics
 //
 // Robustness:
 //
@@ -40,16 +39,17 @@ import (
 	"fedomd"
 )
 
-// servers collects every listener the process opens so one place shuts them
-// all down gracefully — at normal exit and on SIGINT.
-var servers []*fedomd.HTTPServer
-
-func shutdownServers() {
-	for _, s := range servers {
-		if err := s.ShutdownTimeout(3 * time.Second); err != nil {
-			fmt.Fprintln(os.Stderr, "fedomd: server shutdown:", err)
-		}
-	}
+// debugHandler is the -debug-addr surface: /debug/pprof and /debug/vars
+// (registered on the default mux by the net/http/pprof and expvar imports),
+// with the live telemetry counters and build info published to expvar, plus
+// /metrics rendered from the aggregator.
+func debugHandler(agg *fedomd.TelemetryAggregator, build *fedomd.BuildInfo) http.Handler {
+	fedomd.PublishTelemetryExpvar(agg)
+	build.PublishExpvar()
+	mux := http.NewServeMux()
+	mux.Handle("/debug/", http.DefaultServeMux)
+	mux.Handle("/metrics", fedomd.MetricsHandler(agg, build))
+	return mux
 }
 
 func main() {
@@ -98,7 +98,6 @@ func main() {
 	report := flag.Bool("report", false, "print a per-phase timing and comms report after the run")
 	trace := flag.String("trace", "", "write machine-readable JSONL telemetry events and trace spans to this file")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. :6060) for live profiling")
-	dashAddr := flag.String("dash-addr", "", "serve the live run dashboard and /metrics on this address (e.g. :8080)")
 	flag.Parse()
 
 	if *list {
@@ -112,12 +111,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Telemetry sinks: an in-memory aggregator for -report, -debug-addr and
-	// -dash-addr (/metrics renders from it), a JSONL writer for -trace. With
-	// none requested the runtime sees the zero-cost no-op recorder.
+	// Telemetry sinks: an in-memory aggregator for -report and -debug-addr
+	// (/metrics renders from it), a JSONL writer for -trace. With none
+	// requested the runtime sees the zero-cost no-op recorder.
 	var sinks []fedomd.Recorder
 	var agg *fedomd.TelemetryAggregator
-	if *report || *debugAddr != "" || *dashAddr != "" {
+	if *report || *debugAddr != "" {
 		agg = fedomd.NewTelemetryAggregator()
 		sinks = append(sinks, agg)
 	}
@@ -133,7 +132,7 @@ func main() {
 	recorder := fedomd.MultiRecorder(sinks...)
 
 	// The observability plane: build info for exposition, a Tracer over the
-	// JSONL stream, the health rule engine, and (optionally) the dashboard.
+	// JSONL stream, and the health rule engine.
 	codecLabel := *codecName
 	if codecLabel == "" {
 		codecLabel = "raw"
@@ -141,26 +140,8 @@ func main() {
 	build := fedomd.CollectBuildInfo(codecLabel, *policy)
 	tracer := fedomd.NewTracer(traceFile) // nil (inert) without -trace
 	var health *fedomd.Health
-	observers := []fedomd.RoundObserver{}
-	if *report || *trace != "" || *debugAddr != "" || *dashAddr != "" {
+	if *report || *trace != "" || *debugAddr != "" {
 		health = fedomd.NewHealthMonitor(fedomd.HealthConfig{}, tracer, recorder)
-		observers = append(observers, health)
-	}
-	var dash *fedomd.Dashboard
-	if *dashAddr != "" {
-		// Health first: the dashboard attributes freshly raised events to
-		// the round it is fed, so it must observe after the rule engine.
-		dash = fedomd.NewDashboard(health)
-		observers = append(observers, dash)
-		mux := http.NewServeMux()
-		mux.Handle("/", dash.Handler())
-		mux.Handle("/metrics", fedomd.MetricsHandler(agg, &build))
-		srv, err := fedomd.StartHTTPServer(*dashAddr, mux)
-		if err != nil {
-			fail(fmt.Errorf("dashboard server: %w", err))
-		}
-		servers = append(servers, srv)
-		fmt.Printf("dashboard on http://%s/ (/metrics for Prometheus)\n", srv.Addr())
 	}
 
 	runID := fedomd.NewRunID()
@@ -177,29 +158,24 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		// expvar's import (via the facade) registers /debug/vars and the
-		// pprof import /debug/pprof on the default mux; publish the live
-		// telemetry counters and build info there, add /metrics, and serve.
-		fedomd.PublishTelemetryExpvar(agg)
-		build.PublishExpvar()
-		http.Handle("/metrics", fedomd.MetricsHandler(agg, &build))
-		srv, err := fedomd.StartHTTPServer(*debugAddr, http.DefaultServeMux)
+		srv, err := fedomd.StartHTTPServer(*debugAddr, debugHandler(agg, &build))
 		if err != nil {
 			fail(fmt.Errorf("debug server: %w", err))
 		}
-		servers = append(servers, srv)
 		fmt.Printf("debug server on %s (/debug/pprof, /debug/vars, /metrics)\n", srv.Addr())
-	}
-
-	if len(servers) > 0 {
-		// Drain both listeners at exit, and on SIGINT before dying, so
-		// in-flight scrapes finish and the ports release immediately.
-		defer shutdownServers()
+		// Drain the listener at exit, and on SIGINT before dying, so
+		// in-flight scrapes finish and the port releases immediately.
+		shutdown := func() {
+			if err := srv.ShutdownTimeout(3 * time.Second); err != nil {
+				fmt.Fprintln(os.Stderr, "fedomd: debug server shutdown:", err)
+			}
+		}
+		defer shutdown()
 		sigc := make(chan os.Signal, 1)
 		signal.Notify(sigc, os.Interrupt)
 		go func() {
 			<-sigc
-			shutdownServers()
+			shutdown()
 			os.Exit(130)
 		}()
 	}
@@ -254,8 +230,8 @@ func main() {
 		// process can regenerate the graph the snapshot's node IDs index.
 		Spec: &fedomd.ModelSpec{Dataset: *ds, Divisor: *divisor, DataSeed: *seed},
 	}
-	if len(observers) > 0 {
-		opts.Observer = fedomd.MultiObserver(observers...)
+	if health != nil {
+		opts.Observer = health
 	}
 	if *codecName != "" {
 		fmt.Printf("codec: %s\n", *codecName)

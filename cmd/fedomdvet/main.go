@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,7 +44,7 @@ type jsonDiag struct {
 	Message  string `json:"message"`
 }
 
-func run(stdout, stderr *os.File, fs *flag.FlagSet, args []string) int {
+func run(stdout, stderr io.Writer, fs *flag.FlagSet, args []string) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as JSON objects, one per line")
@@ -94,7 +95,7 @@ func run(stdout, stderr *os.File, fs *flag.FlagSet, args []string) int {
 		fmt.Fprintln(stderr, "fedomdvet:", err)
 		return 2
 	}
-	loader, err := analysis.NewLoader(root)
+	loader, err := analysis.SharedLoader(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "fedomdvet:", err)
 		return 2

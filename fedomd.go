@@ -79,7 +79,7 @@ type (
 	// SpanContext identifies a span (trace ID + span ID) for parenting.
 	SpanContext = obs.SpanContext
 	// RoundObserver receives one RoundObservation after every completed
-	// round (see RunOptions.Observer); Health and Dashboard implement it.
+	// round (see RunOptions.Observer); Health implements it.
 	RoundObserver = obs.RoundObserver
 	// RoundObservation is the per-round digest handed to observers.
 	RoundObservation = obs.RoundObservation
@@ -90,12 +90,10 @@ type (
 	HealthConfig = obs.HealthConfig
 	// HealthEvent is one warn/critical finding from the health monitors.
 	HealthEvent = obs.HealthEvent
-	// Dashboard serves the live run dashboard (SSE-fed single page).
-	Dashboard = obs.Dashboard
 	// BuildInfo captures version/toolchain/run metadata for exposition.
 	BuildInfo = obs.BuildInfo
 	// HTTPServer is a bound HTTP server with graceful Shutdown — the shared
-	// lifecycle for the debug, dashboard, and serving listeners.
+	// lifecycle for the debug and serving listeners.
 	HTTPServer = obs.HTTPServer
 )
 
@@ -154,12 +152,8 @@ func NewHealthMonitor(cfg HealthConfig, tr *Tracer, rec Recorder) *Health {
 	return obs.NewHealth(cfg, tr, rec)
 }
 
-// NewDashboard returns the live-run dashboard observer; serve its Handler and
-// register it (after the health monitor) via MultiObserver.
-func NewDashboard(h *Health) *Dashboard { return obs.NewDashboard(h) }
-
 // MultiObserver fans round observations out to several observers in order
-// (put Health before Dashboard so the page sees fresh events).
+// (e.g. the health monitor plus an observer of your own).
 func MultiObserver(os ...RoundObserver) RoundObserver { return obs.MultiRoundObserver(os) }
 
 // CollectBuildInfo captures the binary's module version and toolchain plus
@@ -288,8 +282,7 @@ type RunOptions struct {
 	// runs). Nil disables tracing for free.
 	Tracer *Tracer
 	// Observer receives a RoundObservation after every completed round —
-	// typically MultiObserver(NewHealthMonitor(...), NewDashboard(...)).
-	// Nil disables observation.
+	// typically NewHealthMonitor(...). Nil disables observation.
 	Observer RoundObserver
 	// RunID tags the run's Result, trace spans, and JSONL header; empty
 	// means a fresh NewRunID is generated.

@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"encoding/json"
 	"go/build"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -134,121 +132,6 @@ func TestExpandPatterns(t *testing.T) {
 	}
 	if !sawMat {
 		t.Errorf("wildcard expansion missed internal/mat: %v", dirs)
-	}
-}
-
-// runVet executes the command from the module root and returns combined
-// output plus the exit code.
-func runVet(t *testing.T, root string, cmd *exec.Cmd) (string, int) {
-	t.Helper()
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		return string(out), 0
-	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("%v: %v\n%s", cmd.Args, err, out)
-	}
-	return string(out), ee.ExitCode()
-}
-
-// govet runs the fedomdvet binary built once per test (go run would flatten
-// the binary's exit code 2 to its own 1, hiding the load-failure status).
-func govet(t *testing.T, root, bin string, args ...string) (string, int) {
-	t.Helper()
-	return runVet(t, root, exec.Command(bin, args...))
-}
-
-// TestExitCodes shells out to the real tool — once through `go run` to pin
-// the Makefile's invocation, then through the built binary — and pins the
-// three exit statuses: 0 clean, 1 diagnostics, 2 load failure.
-func TestExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping build-and-exec round trips in -short mode")
-	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The clean case through go run, exactly as `make lint` invokes it.
-	out, code := runVet(t, root, exec.Command("go", "run", "./cmd/fedomdvet", "./internal/telemetry"))
-	if code != 0 {
-		t.Errorf("clean package: got exit %d, output:\n%s", code, out)
-	}
-
-	bin := filepath.Join(t.TempDir(), "fedomdvet")
-	if bout, bcode := runVet(t, root, exec.Command("go", "build", "-o", bin, "./cmd/fedomdvet")); bcode != 0 {
-		t.Fatalf("building fedomdvet: exit %d\n%s", bcode, bout)
-	}
-
-	out, code = govet(t, root, bin, "./internal/analysis/testdata/src/intoalias")
-	if code != 1 {
-		t.Errorf("fixture with violations: got exit %d, want 1, output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "(intoalias)") {
-		t.Errorf("diagnostic output missing analyzer tag:\n%s", out)
-	}
-	if strings.Contains(out, "panic") {
-		t.Errorf("output mentions a panic:\n%s", out)
-	}
-
-	out, code = govet(t, root, bin, "./internal/analysis/testdata/broken")
-	if code != 2 {
-		t.Errorf("corrupt package: got exit %d, want 2, output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "parsing") || strings.Contains(out, "panic") {
-		t.Errorf("corrupt package output not a clean diagnostic:\n%s", out)
-	}
-
-	// -json: every line is one parseable object with the stable field set.
-	out, code = govet(t, root, bin, "-json", "./internal/analysis/testdata/src/intoalias")
-	if code != 1 {
-		t.Errorf("-json run: got exit %d, want 1, output:\n%s", code, out)
-	}
-	sawJSON := false
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if !strings.HasPrefix(line, "{") {
-			continue // stderr noise from CombinedOutput
-		}
-		var d struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			t.Fatalf("-json emitted unparseable line %q: %v", line, err)
-		}
-		if d.File == "" || d.Line == 0 || d.Col == 0 || d.Analyzer != "intoalias" || d.Message == "" {
-			t.Fatalf("-json diagnostic incomplete: %+v", d)
-		}
-		sawJSON = true
-	}
-	if !sawJSON {
-		t.Errorf("-json run produced no JSON diagnostics:\n%s", out)
-	}
-
-	// -only restricts the suite: the intoalias fixture is clean under a
-	// disjoint analyzer, and unknown names are a usage error.
-	out, code = govet(t, root, bin, "-only", "poolpair,spanend", "./internal/analysis/testdata/src/intoalias")
-	if code != 0 {
-		t.Errorf("-only with disjoint analyzers: got exit %d, want 0, output:\n%s", code, out)
-	}
-	out, code = govet(t, root, bin, "-only", "nosuch", "./internal/telemetry")
-	if code != 2 || !strings.Contains(out, "unknown analyzer") {
-		t.Errorf("-only nosuch: got exit %d, output:\n%s", code, out)
-	}
-
-	// -timing writes one summary line naming every analyzer that ran.
-	out, code = govet(t, root, bin, "-timing", "-only", "tapelease", "./internal/telemetry")
-	if code != 0 {
-		t.Errorf("-timing run: got exit %d, want 0, output:\n%s", code, out)
-	}
-	if !strings.Contains(out, "fedomdvet timing:") || !strings.Contains(out, "tapelease") {
-		t.Errorf("-timing output missing the summary line:\n%s", out)
 	}
 }
 

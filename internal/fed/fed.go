@@ -137,7 +137,7 @@ type Config struct {
 	// train/upload spans. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 	// Observer receives one obs.RoundObservation per finished round — the
-	// feed for health monitors and the live dashboard. Nil disables it.
+	// feed for health monitors. Nil disables it.
 	Observer obs.RoundObserver
 
 	// CheckpointEvery snapshots the server state every N completed rounds

@@ -18,8 +18,8 @@ type PartyObservation struct {
 }
 
 // RoundObservation is the per-round feed for RoundObservers: the fields of
-// fed.RoundStats that health rules and the dashboard consume, flattened here
-// so obs does not import fed (fed imports obs).
+// fed.RoundStats that health rules consume, flattened here so obs does not
+// import fed (fed imports obs).
 type RoundObservation struct {
 	Round       int
 	TrainLoss   float64

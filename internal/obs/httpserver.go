@@ -1,7 +1,7 @@
 package obs
 
 // httpserver.go is the one HTTP server lifecycle every listener in the tree
-// shares — the debug/pprof endpoint, the dashboard, and the serving plane.
+// shares — the debug/pprof endpoint and the serving plane.
 // It exists because `go http.ListenAndServe(...)` leaks its listener for the
 // life of the process: soaks and tests that start servers repeatedly run out
 // of ports, and SIGINT kills in-flight requests mid-body. StartHTTPServer

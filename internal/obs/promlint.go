@@ -18,7 +18,7 @@ import (
 // equal to _count. It returns one message per problem (empty means clean).
 //
 // This is the shared checker behind the golden-format tests and the
-// `make check` exposition-lint stage (cmd/obslint).
+// end-to-end exposition tests of the root package and cmd/fedomd.
 func LintExposition(r io.Reader) []string {
 	var probs []string
 	addf := func(format string, args ...any) {

@@ -2,8 +2,8 @@
 // internal/telemetry: distributed tracing (a stdlib-only span model whose
 // context propagates through the gob transport so party-side work links
 // causally to the coordinator's round), Prometheus text-format exposition of
-// the telemetry Aggregator, a run-health rule engine watching per-round
-// statistics, and an embedded SSE-fed live dashboard.
+// the telemetry Aggregator, and a run-health rule engine watching per-round
+// statistics.
 //
 // Everything is nil-tolerant: a nil *Tracer (or nil *Span) is inert and
 // costs no clock reads, so instrumented paths stay free when tracing is off
