@@ -19,7 +19,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: the full eight-analyzer suite (see
+# Project-specific static analysis: the full seven-analyzer suite (see
 # DESIGN.md §8, §13). Non-zero exit on any diagnostic; -timing shows where
 # the lint wall time goes.
 lint:
@@ -63,16 +63,17 @@ check:
 	@t0=$$(date +%s); if $(MAKE) --no-print-directory handover; then t1=$$(date +%s); echo "ok   handover ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL handover ($$((t1-t0))s)"; exit 1; fi
 
-# Hand-over check: fail if a process from building, testing, benchmarking or
-# running this repository is still alive. Prints nothing when none is. Each
-# alternative brackets its first letter so the pattern cannot match the
+# Hand-over check: fail if a process from building, vetting, testing,
+# benchmarking or running this repository is still alive, including a
+# <pkg>.test binary orphaned by a killed go test. Prints nothing when none is.
+# Each alternative brackets one character so the pattern cannot match the
 # shell that runs pgrep, and the processes this check runs under (make, the
 # shell that called it) are skipped, so a caller whose own command line
 # names go test or the benchmark does not list itself.
 handover:
 	@self=" "; p=$$$$; while [ "$${p:-0}" -gt 1 ]; do self="$$self$$p "; \
 		p=$$(ps -o ppid= -p "$$p" | tr -d ' '); done; \
-	out=$$(pgrep -af '[f]edomd|[b]ench|[g]o (run|test|build)' | while read -r pid cmd; do \
+	out=$$(pgrep -af '[f]edomd|[b]ench|[g]o (run|test|build|vet)|[.]test( |$$)' | while read -r pid cmd; do \
 		case "$$self" in *" $$pid "*) ;; *) echo "$$pid $$cmd" ;; esac; done); \
 	if [ -n "$$out" ]; then echo "processes still running:"; echo "$$out"; exit 1; fi
 

@@ -1,6 +1,6 @@
 // Command fedomdvet runs the project-specific static analyzers over the
-// module: the cfg-dataflow checks poolpair, tapelease, spanend, shardalias
-// and residualstate, and the syntactic checks intoalias, telemetrykey and
+// module: the cfg-dataflow checks poolpair, tapelease, spanend and
+// residualstate, and the syntactic checks intoalias, telemetrykey and
 // parforcapture (see internal/analysis and DESIGN.md §8, §13). Output follows
 // go vet's file:line:col: message convention.
 //

@@ -65,17 +65,6 @@ func (t *Tape) Sub(a, b *Node) *Node {
 	return out
 }
 
-// Mul records the Hadamard product c = a ⊙ b.
-func (t *Tape) Mul(a, b *Node) *Node {
-	out := t.op(a.Value.Dims())
-	mat.MulElemInto(out.Value, a.Value, b.Value)
-	out.backward = func() {
-		mat.MulElemAddInto(a.grad(), out.Grad, b.Value)
-		mat.MulElemAddInto(b.grad(), out.Grad, a.Value)
-	}
-	return out
-}
-
 // Scale records c = s·a for a constant scalar s.
 func (t *Tape) Scale(s float64, a *Node) *Node {
 	out := t.op(a.Value.Dims())
@@ -191,23 +180,6 @@ func (t *Tape) PowElem(a *Node, p int) *Node {
 	return out
 }
 
-// SelectRows records c = a[idx, :] (row gather). Gradient scatters back
-// directly into the grad buffer.
-func (t *Tape) SelectRows(a *Node, idx []int) *Node {
-	out := t.op(len(idx), a.Value.Cols())
-	a.Value.SelectRowsInto(out.Value, idx)
-	out.backward = func() {
-		g := a.grad()
-		for i, r := range idx {
-			dst := g.Row(r)
-			for j, v := range out.Grad.Row(i) {
-				dst[j] += v
-			}
-		}
-	}
-	return out
-}
-
 // L2Norm records the scalar ‖a‖₂ over all elements (Frobenius norm for
 // matrices). At a = 0 the subgradient 0 is used.
 func (t *Tape) L2Norm(a *Node) *Node {
@@ -232,9 +204,6 @@ func (t *Tape) SumSquares(a *Node) *Node {
 	}
 	return out
 }
-
-// AddScalar records c = a + b for 1×1 nodes (loss composition).
-func (t *Tape) AddScalar(a, b *Node) *Node { return t.Add(a, b) }
 
 // OrthoPenalty records the orthogonality reconstruction loss of eq. 6,
 //
@@ -319,31 +288,6 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Node, labels []int, maskIdx []int) *N
 				grow[j] += p * scale
 			}
 			grow[labels[r]] -= scale
-		}
-	}
-	return out
-}
-
-// Softmax computes row-wise softmax of m outside the tape (inference only).
-func Softmax(m *mat.Dense) *mat.Dense {
-	out := mat.New(m.Rows(), m.Cols())
-	for i := 0; i < m.Rows(); i++ {
-		row := m.Row(i)
-		orow := out.Row(i)
-		maxv := math.Inf(-1)
-		for _, x := range row {
-			if x > maxv {
-				maxv = x
-			}
-		}
-		var sum float64
-		for j, x := range row {
-			e := math.Exp(x - maxv)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
 		}
 	}
 	return out

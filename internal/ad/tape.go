@@ -51,9 +51,6 @@ type Node struct {
 	tape     *Tape
 }
 
-// IsParam reports whether the node was created with Tape.Param.
-func (n *Node) IsParam() bool { return n.param }
-
 // grad returns n.Grad, allocating a zeroed pool buffer on first use. The
 // fused backward kernels accumulate directly into this buffer instead of
 // materialising a temporary and adding it.
@@ -62,12 +59,6 @@ func (n *Node) grad() *mat.Dense {
 		n.Grad = n.tape.newOwned(n.Value.Rows(), n.Value.Cols())
 	}
 	return n.Grad
-}
-
-// accumGrad adds g into n.Grad, allocating on first use. Retained for ops
-// whose upstream gradient is already materialised (pure pass-through adds).
-func (n *Node) accumGrad(g *mat.Dense) {
-	n.grad().AddInPlace(g)
 }
 
 // Tape records nodes in creation order. The forward pass is eager: calling
@@ -86,9 +77,6 @@ type Tape struct {
 
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
-
-// Len returns the number of recorded nodes.
-func (t *Tape) Len() int { return len(t.nodes) }
 
 // newOwned draws a zeroed pool buffer and registers it for Release.
 func (t *Tape) newOwned(r, c int) *mat.Dense {
@@ -180,13 +168,4 @@ func (t *Tape) Backward(loss *Node) error {
 		n.backward()
 	}
 	return nil
-}
-
-// ZeroGrads clears gradients on every node of the tape (useful when a tape is
-// reused for gradient checking). The detached buffers stay registered with
-// the tape and are recycled by the next Release.
-func (t *Tape) ZeroGrads() {
-	for _, n := range t.nodes {
-		n.Grad = nil
-	}
 }

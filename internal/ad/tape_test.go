@@ -83,3 +83,15 @@ func TestSoftmaxCEValidation(t *testing.T) {
 		}()
 	}
 }
+
+// ZeroGrads clears gradients on every node of the tape (useful when a tape is
+// reused for gradient checking). The detached buffers stay registered with
+// the tape and are recycled by the next Release.
+func (t *Tape) ZeroGrads() {
+	for _, n := range t.nodes {
+		n.Grad = nil
+	}
+}
+
+// Len returns the number of recorded nodes.
+func (t *Tape) Len() int { return len(t.nodes) }

@@ -9,13 +9,13 @@
 //
 // The package defines the Analyzer/Pass plumbing, a suppression layer
 // (//fedomdvet:ignore reason), the module loader (load.go), the control-flow
-// graph and dataflow fixpoint engine (cfg/), and the eight project-specific
+// graph and dataflow fixpoint engine (cfg/), and the seven project-specific
 // analyzers: the path-sensitive ownership checks poolpair.go, tapelease.go,
-// spanend.go, shardalias.go and residualstate.go run as lattices over the
-// cfg engine; intoalias.go, telemetrykey.go and parforcapture.go are
-// syntactic/taint checks. cmd/fedomdvet is the command-line front end; the
-// fixture harness in harness.go drives the analyzers over testdata packages
-// with // want "…" expectations.
+// spanend.go and residualstate.go run as lattices over the cfg engine;
+// intoalias.go, telemetrykey.go and parforcapture.go are syntactic/taint
+// checks. cmd/fedomdvet is the command-line front end; the fixture harness in
+// harness.go drives the analyzers over testdata packages with // want "…"
+// expectations.
 package analysis
 
 import (
@@ -79,7 +79,7 @@ func (d Diagnostic) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		PoolPair, TapeLease, IntoAlias, TelemetryKey,
-		ParForCapture, SpanEnd, ShardAlias, ResidualState,
+		ParForCapture, SpanEnd, ResidualState,
 	}
 }
 
@@ -114,19 +114,13 @@ type ignore struct {
 	ownLine bool
 }
 
-// Run executes every analyzer over pkg and returns the surviving
+// RunTimed executes every analyzer over pkg and returns the surviving
 // diagnostics, sorted by position: suppressed findings are removed, and each
 // //fedomdvet:ignore directive missing a reason is itself reported. A
 // directive at the end of a code line covers that line; a directive alone on
-// its line covers the next line.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkg, analyzers)
-	return diags
-}
-
-// RunTimed is Run, additionally reporting how long each analyzer spent on the
-// package (keyed by analyzer name) so the driver can show where lint time
-// goes. Suppression time is not attributed to any analyzer.
+// its line covers the next line. It also reports how long each analyzer spent
+// on the package (keyed by analyzer name) so the driver can show where lint
+// time goes. Suppression time is not attributed to any analyzer.
 func RunTimed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, map[string]time.Duration) {
 	var diags []Diagnostic
 	timings := make(map[string]time.Duration, len(analyzers))

@@ -131,14 +131,16 @@ func TestSpanEndFixture(t *testing.T) {
 	runFixture(t, "spanend", []*Analyzer{SpanEnd})
 }
 
-func TestShardAliasFixture(t *testing.T) {
-	runFixture(t, "shardalias", []*Analyzer{ShardAlias})
-}
-
 func TestResidualStateFixture(t *testing.T) {
 	runFixture(t, "residualstate", []*Analyzer{ResidualState})
 }
 
 func TestIgnoreDirectives(t *testing.T) {
 	runFixture(t, "ignore", All())
+}
+
+// Run is RunTimed without the timings.
+func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+	diags, _ := RunTimed(pkg, analyzers)
+	return diags
 }

@@ -31,7 +31,6 @@ var noAliasKernels = map[string]kernelSpec{
 	// matmul.go: out is always the first argument, both inputs are read
 	// concurrently with the write.
 	pathMat + ".MatMulInto":      {dst: 0, srcs: []int{1, 2}},
-	pathMat + ".MatMulAddInto":   {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".MatMulT1Into":    {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".MatMulT1AddInto": {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".MatMulT2Into":    {dst: 0, srcs: []int{1, 2}},
@@ -56,7 +55,6 @@ var noAliasKernels = map[string]kernelSpec{
 	pathMat + ".Dense.SelectRowsInto": {dst: 0, srcs: []int{recvIdx}},
 	// sparse SpMM kernels: out must not alias the dense operand.
 	pathSparse + ".CSR.MulDenseInto":     {dst: 0, srcs: []int{1}},
-	pathSparse + ".CSR.MulDenseAddInto":  {dst: 0, srcs: []int{1}},
 	pathSparse + ".CSR.TMulDenseInto":    {dst: 0, srcs: []int{1}},
 	pathSparse + ".CSR.TMulDenseAddInto": {dst: 0, srcs: []int{1}},
 }

@@ -31,15 +31,15 @@ type Package struct {
 // standard library: module-internal imports resolve against the module tree,
 // everything else (the standard library) through go/importer's source
 // importer. Loaded packages are cached, so analyzing the whole tree
-// type-checks each dependency once. LoadDir and Load are safe for concurrent
-// use; concurrent loads serialise on one cache.
+// type-checks each dependency once. LoadDir is safe for concurrent use;
+// concurrent loads serialise on one cache.
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
 	// Build selects the build context used to filter constrained files
 	// (GOOS/GOARCH suffixes, //go:build lines). Nil means build.Default — the
 	// host context, matching what `go build` compiles here. Set it before the
-	// first Load to analyze another platform's file set.
+	// first LoadDir to analyze another platform's file set.
 	Build *build.Context
 
 	mu      sync.Mutex
@@ -116,18 +116,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.load(path, abs)
-}
-
-// Load loads a package by import path; module-internal paths resolve against
-// the module tree.
-func (l *Loader) Load(path string) (*Package, error) {
-	dir, ok := l.dirFor(path)
-	if !ok {
-		return nil, fmt.Errorf("analysis: %s is not a module-internal import path", path)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.load(path, dir)
 }
 
 // sharedLoaders memoises one Loader per module root for the whole process, so

@@ -30,8 +30,7 @@ func sliceKernels(dst, src []float64) {
 func sparseKernels(s *sparse.CSR, out, x *mat.Dense) {
 	s.MulDenseInto(out, out) // want `out is both destination and source of MulDenseInto`
 	s.MulDenseInto(out, x)
-	s.MulDenseAddInto(out, out) // want `out is both destination and source of MulDenseAddInto`
-	s.MulDenseAddInto(out, x)
+	s.TMulDenseAddInto(out, out) // want `out is both destination and source of TMulDenseAddInto`
 	s.TMulDenseAddInto(out, x)
 }
 

@@ -323,3 +323,6 @@ func TestKMeansBasics(t *testing.T) {
 		t.Fatal("empty input broken")
 	}
 }
+
+// NumGenerated reports how many neighbour nodes were synthesised.
+func (c *FedSageClient) NumGenerated() int { return c.augFeatures.Rows() - c.numOrig }

@@ -197,9 +197,6 @@ func (c *FedSageClient) SetParams(global *nn.Params) error {
 	return c.params.CopyFrom(global)
 }
 
-// NumGenerated reports how many neighbour nodes were synthesised.
-func (c *FedSageClient) NumGenerated() int { return c.augFeatures.Rows() - c.numOrig }
-
 // forward records the two GraphSAGE layers on the augmented graph.
 func (c *FedSageClient) forward(tp *ad.Tape, train bool) (*ad.Node, []*ad.Node) {
 	nodes := make([]*ad.Node, c.params.Len())

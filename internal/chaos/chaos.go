@@ -1,10 +1,10 @@
 // Package chaos provides seeded, deterministic fault injectors for the
 // federated runtime: client wrappers that error transiently, crash
 // permanently at a chosen round, stall with fixed or heavy-tailed latency,
-// or poison their uploads with NaNs — and connection/listener wrappers that
-// delay or sever links mid-RPC (see conn.go). Every fault schedule derives
-// from explicit seeds, so a chaotic run is exactly repeatable and can sit in
-// a test suite.
+// or poison their uploads with NaNs. The package's tests add
+// connection/listener wrappers that delay or sever links mid-RPC (see
+// conn_test.go). Every fault schedule derives from explicit seeds, so a
+// chaotic run is exactly repeatable and can sit in a test suite.
 package chaos
 
 import (

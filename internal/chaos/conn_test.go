@@ -1,6 +1,6 @@
 package chaos
 
-// conn.go injects faults at the transport layer: a net.Conn wrapper that
+// conn_test.go injects faults at the transport layer: a net.Conn wrapper that
 // delays reads/writes or severs the link mid-RPC, and a listener wrapper
 // that hands out severing connections for the first K accepts — the shape
 // of fault the coordinator's retry/reconnect path has to survive.

@@ -132,10 +132,6 @@ func (o Options) Validate() error {
 // Enabled reports whether the options select any codec at all.
 func (o Options) Enabled() bool { return o.Kind != Raw }
 
-// Lossy reports whether decode can differ from the encoder's input — the
-// tiers that carry error-feedback residuals.
-func (o Options) Lossy() bool { return o.Kind == Float32 || o.Kind == Quant || o.TopK > 0 }
-
 // Name returns the tier name used in reports and metric keys: raw, delta,
 // float32, q8, q4, with a "_top<percent>" suffix when sparsifying.
 func (o Options) Name() string {

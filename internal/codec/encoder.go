@@ -37,9 +37,6 @@ func NewEncoder(opts Options) *Encoder {
 	return &Encoder{opts: opts, residual: make(map[string][]float64)}
 }
 
-// Options returns the codec configuration the encoder was built with.
-func (e *Encoder) Options() Options { return e.opts }
-
 // Reset drops all error-feedback residuals (e.g. when the peer's reference
 // state is lost and the next blob must be absolute). Safe on a nil receiver,
 // so desync handlers can clear unconditionally before the codec layer is

@@ -194,13 +194,6 @@ func TestEvalPassDroppedByEveryWeightChange(t *testing.T) {
 		{"Params handle", true, func(t *testing.T, c *Client) {
 			c.Params().Get("w_in").ScaleInPlace(-0.5)
 		}},
-		{"Model HardOrthogonalize", true, func(t *testing.T, c *Client) {
-			m := c.Model()
-			m.Params().Get("w_ortho1").ScaleInPlace(3)
-			if err := m.HardOrthogonalize(); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"Model spectral bound off", false, func(t *testing.T, c *Client) {
 			m := c.Model()
 			m.SetSpectralBound(false)

@@ -19,7 +19,6 @@ import (
 	"fedomd/internal/mat"
 	"fedomd/internal/moments"
 	"fedomd/internal/nn"
-	"fedomd/internal/partition"
 	"fedomd/internal/sparse"
 )
 
@@ -165,32 +164,6 @@ func NewClient(name string, g *graph.Graph, cfg Config, seed int64) (*Client, er
 	}, nil
 }
 
-// NewClients partitions a global graph into m parties with the Louvain cut
-// at the given resolution and builds one FedOMD client per party, mirroring
-// the paper's experimental setup (§5.1). Seeds are split from the base seed.
-func NewClients(g *graph.Graph, m int, resolution float64, cfg Config, seed int64) ([]*Client, []partition.Party, error) {
-	rng := rand.New(rand.NewSource(seed))
-	parties, err := partition.LouvainParties(g, m, resolution, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	clients := make([]*Client, 0, len(parties))
-	for i, p := range parties {
-		if p.Graph.NumNodes() == 0 {
-			continue
-		}
-		c, err := NewClient(fmt.Sprintf("party-%d", i), p.Graph, cfg, seed+int64(i)+1)
-		if err != nil {
-			return nil, nil, err
-		}
-		clients = append(clients, c)
-	}
-	if len(clients) == 0 {
-		return nil, nil, fmt.Errorf("core: partition produced no non-empty parties")
-	}
-	return clients, parties, nil
-}
-
 // Name implements fed.Client.
 func (c *Client) Name() string { return c.name }
 
@@ -208,16 +181,6 @@ func (c *Client) Params() *nn.Params {
 func (c *Client) SetParams(global *nn.Params) error {
 	c.ev.valid = false
 	return c.model.Params().CopyFrom(global)
-}
-
-// Graph exposes the client's local graph (read-only use).
-func (c *Client) Graph() *graph.Graph { return c.g }
-
-// Model exposes the underlying OrthoGCN (for ablation tooling). Like Params,
-// it hands out the live weights and so drops the eval pass.
-func (c *Client) Model() *nn.OrthoGCN {
-	c.ev.valid = false
-	return c.model
 }
 
 // forward runs the model on the local graph.
@@ -267,9 +230,6 @@ func (c *Client) eval() *evalPass {
 type Losses struct {
 	CE, Ortho, CMD, Total float64
 }
-
-// LastLosses returns the loss decomposition of the most recent local step.
-func (c *Client) LastLosses() Losses { return c.last }
 
 // TrainLocal implements fed.Client: LocalEpochs full-batch steps of the
 // combined objective. A party without labelled nodes performs no step and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"fedomd/internal/fed"
 	"fedomd/internal/graph"
 	"fedomd/internal/mat"
+	"fedomd/internal/nn"
+	"fedomd/internal/partition"
 )
 
 func tinyCfg() dataset.Config {
@@ -256,4 +259,43 @@ func TestDeterministicRuns(t *testing.T) {
 	if run() != run() {
 		t.Fatal("same seeds produced different training trajectories")
 	}
+}
+
+// Graph exposes the client's local graph (read-only use).
+func (c *Client) Graph() *graph.Graph { return c.g }
+
+// Model exposes the underlying OrthoGCN (for ablation tooling). Like Params,
+// it hands out the live weights and so drops the eval pass.
+func (c *Client) Model() *nn.OrthoGCN {
+	c.ev.valid = false
+	return c.model
+}
+
+// LastLosses returns the loss decomposition of the most recent local step.
+func (c *Client) LastLosses() Losses { return c.last }
+
+// NewClients partitions a global graph into m parties with the Louvain cut
+// at the given resolution and builds one FedOMD client per party, mirroring
+// the paper's experimental setup (§5.1). Seeds are split from the base seed.
+func NewClients(g *graph.Graph, m int, resolution float64, cfg Config, seed int64) ([]*Client, []partition.Party, error) {
+	rng := rand.New(rand.NewSource(seed))
+	parties, err := partition.LouvainParties(g, m, resolution, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	clients := make([]*Client, 0, len(parties))
+	for i, p := range parties {
+		if p.Graph.NumNodes() == 0 {
+			continue
+		}
+		c, err := NewClient(fmt.Sprintf("party-%d", i), p.Graph, cfg, seed+int64(i)+1)
+		if err != nil {
+			return nil, nil, err
+		}
+		clients = append(clients, c)
+	}
+	if len(clients) == 0 {
+		return nil, nil, fmt.Errorf("core: partition produced no non-empty parties")
+	}
+	return clients, parties, nil
 }

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"fedomd/internal/core"
 	"fedomd/internal/dataset"
 	"fedomd/internal/fed"
+	"fedomd/internal/mat"
+	"fedomd/internal/nn"
 	"fedomd/internal/partition"
 	"fedomd/internal/telemetry"
 )
@@ -270,6 +273,43 @@ func TestTable3InferenceIsAColdPass(t *testing.T) {
 	}
 }
 
+// sleepyClient is a party whose TrainLocal takes a known time.
+type sleepyClient struct {
+	params *nn.Params
+	train  time.Duration
+}
+
+func (c *sleepyClient) Name() string                 { return "sleepy" }
+func (c *sleepyClient) NumSamples() int              { return 1 }
+func (c *sleepyClient) Params() *nn.Params           { return c.params }
+func (c *sleepyClient) SetParams(g *nn.Params) error { return c.params.CopyFrom(g) }
+func (c *sleepyClient) EvalVal() (int, int)          { return 0, 0 }
+func (c *sleepyClient) EvalTest() (int, int)         { return 0, 0 }
+
+func (c *sleepyClient) TrainLocal(int) (float64, error) {
+	time.Sleep(c.train)
+	return 0, nil
+}
+
+// Table 3's client column must time the slowest party, the one a synchronous
+// round waits for, even when the first party trains in no time.
+func TestTable3ClientTimeIsTheSlowestParty(t *testing.T) {
+	const slow = 20 * time.Millisecond
+	var clients []fed.Client
+	for _, d := range []time.Duration{0, slow} {
+		p := nn.NewParams()
+		p.Add("w", mat.New(2, 2))
+		clients = append(clients, &sleepyClient{params: p, train: d})
+	}
+	clientTime, _, _, err := timeRound(clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clientTime < slow {
+		t.Fatalf("client time %v, want at least the slow party's %v", clientTime, slow)
+	}
+}
+
 // Table 3's upload column must be what one round of fed.Run books per party,
 // at any configured moment order.
 func TestTable3UploadMatchesRuntimeBytes(t *testing.T) {
@@ -318,4 +358,11 @@ func TestTable3UploadMatchesRuntimeBytes(t *testing.T) {
 			t.Fatalf("%s: fed.Run booked %d bytes up, Table 3 says %d", name, got, want)
 		}
 	}
+}
+
+// WithJobs sets the cell-level concurrency bound and returns the runner for
+// chaining.
+func (r *Runner) WithJobs(jobs int) *Runner {
+	r.Jobs = jobs
+	return r
 }

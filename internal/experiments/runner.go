@@ -124,19 +124,6 @@ func (r *Runner) WithRecorder(rec telemetry.Recorder) *Runner {
 	return r
 }
 
-// WithJobs sets the cell-level concurrency bound and returns the runner for
-// chaining.
-func (r *Runner) WithJobs(jobs int) *Runner {
-	r.Jobs = jobs
-	return r
-}
-
-// WithTracer sets the trace sink and returns the runner for chaining.
-func (r *Runner) WithTracer(tr *obs.Tracer) *Runner {
-	r.Tracer = tr
-	return r
-}
-
 func (r *Runner) jobs() int {
 	if r.Jobs > 0 {
 		return r.Jobs

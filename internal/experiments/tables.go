@@ -73,12 +73,16 @@ func (r *Runner) Table3(w io.Writer, ds string, m int) error {
 // after TrainLocal and Params(), either of which drops any predictions a
 // client keeps per parameter version, so EvalTest pays for its forward.
 func timeRound(clients []fed.Client) (clientTime, serverTime, inferTime time.Duration, err error) {
-	// Client time: one local training round on the first party.
-	t0 := time.Now()
-	if _, err := clients[0].TrainLocal(0); err != nil {
-		return 0, 0, 0, err
+	// Client time: one local training round on every party, reporting the
+	// slowest, the party a synchronous round waits for. A party without
+	// labelled nodes returns at once, so one party alone may not train.
+	for _, c := range clients {
+		t0 := time.Now()
+		if _, err := c.TrainLocal(0); err != nil {
+			return 0, 0, 0, err
+		}
+		clientTime = max(clientTime, time.Since(t0))
 	}
-	clientTime = time.Since(t0)
 
 	// Server time: one FedAvg aggregation over all parties.
 	sets := make([]*nn.Params, len(clients))
@@ -87,7 +91,7 @@ func timeRound(clients []fed.Client) (clientTime, serverTime, inferTime time.Dur
 		sets[i] = c.Params()
 		weights[i] = 1
 	}
-	t0 = time.Now()
+	t0 := time.Now()
 	if _, err := nn.Average(sets, weights); err != nil {
 		return 0, 0, 0, err
 	}

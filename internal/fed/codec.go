@@ -59,8 +59,8 @@ type codecState struct {
 	// parameter set (globals are immutable once aggregated, so pointer
 	// identity is a sound key).
 	memo map[*nn.Params]int64
-	// rawTotal and encTotal accumulate uplink traffic over the run for
-	// Ratio() and the per-tier gauge.
+	// rawTotal and encTotal accumulate uplink traffic over the run for the
+	// per-tier gauge.
 	rawTotal, encTotal int64
 }
 
@@ -172,15 +172,4 @@ func (cs *codecState) upload(i int, p *nn.Params) (*nn.Params, int64, error) {
 	}
 	cs.accountUp(int64(p.Bytes()), int64(len(blob)))
 	return dec, int64(len(blob)), nil
-}
-
-// Ratio returns the run-wide upload compression ratio raw/encoded (0 before
-// any traffic).
-func (cs *codecState) Ratio() float64 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.encTotal == 0 {
-		return 0
-	}
-	return float64(cs.rawTotal) / float64(cs.encTotal)
 }

@@ -320,15 +320,9 @@ func ServeClientOpts(addr string, c Client, opts ServeOptions) error {
 	return ServeClientConnOpts(conn, c, opts)
 }
 
-// ServeClientConn serves the client over an established connection (exported
-// so tests and in-process demos can use net.Pipe or loopback listeners).
-func ServeClientConn(conn net.Conn, c Client) error {
-	return ServeClientConnOpts(conn, c, ServeOptions{})
-}
-
-// ServeClientConnOpts is ServeClientConn with explicit transport options:
-// per-request read/write deadlines and a Recorder for per-op handling time
-// and payload sizes.
+// ServeClientConnOpts serves the client over an established connection with
+// explicit transport options: per-request read/write deadlines and a
+// Recorder for per-op handling time and payload sizes.
 func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 	rec := telemetry.Or(opts.Recorder)
 	tracer := opts.Tracer
@@ -854,14 +848,9 @@ func (r *remoteAuxClient) DownloadAux(global *nn.Params) error {
 	return err
 }
 
-// AcceptClients waits for n parties to connect and complete their handshake,
-// returning proxy Clients in connection order.
-func AcceptClients(ln net.Listener, n int) ([]Client, error) {
-	return AcceptClientsOpts(ln, n, TransportOptions{})
-}
-
-// AcceptClientsOpts is AcceptClients with explicit transport options: the
-// returned proxies apply the per-request deadlines and record RPC telemetry.
+// AcceptClientsOpts waits for n parties to connect and complete their
+// handshake, returning proxy Clients in connection order. The proxies apply
+// the per-request deadlines of opts and record RPC telemetry.
 func AcceptClientsOpts(ln net.Listener, n int, opts TransportOptions) ([]Client, error) {
 	clients := make([]Client, 0, n)
 	for len(clients) < n {

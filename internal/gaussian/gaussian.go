@@ -1,16 +1,14 @@
 // Package gaussian implements the distributional machinery of paper §4.3:
-// fitting a multivariate Gaussian N(μ, Σ) to hidden features (eq. 4), the
-// covariance factorisation Σ = QQᵀ with Q = UΛ^{1/2} (eq. 5), orthogonal
-// feature projection through the eigenbasis U, the Gaussian mixture model
-// P(y|θ) = Σ αᵢ P(y|θᵢ) the server's global distribution forms (eq. 3), and
-// sampling/log-density evaluation for both.
+// fitting a multivariate Gaussian N(μ, Σ) to hidden features (eq. 4), its
+// eigendecomposition Σ = UΛUᵀ (the basis of eq. 5's factor Q = UΛ^{1/2}),
+// orthogonal feature projection through the eigenbasis U, and log-density
+// evaluation.
 package gaussian
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"fedomd/internal/mat"
 )
@@ -20,8 +18,7 @@ type Gaussian struct {
 	Mean *mat.Dense // 1×d
 	Cov  *mat.Dense // d×d, symmetric PSD
 
-	// Cached factorisation, built lazily by ensureFactors.
-	factor   *mat.Dense // Q with Σ = QQᵀ (Q = UΛ^{1/2})
+	// Cached eigendecomposition, built lazily by ensureFactors.
 	basis    *mat.Dense // U, eigenvectors of Σ in columns
 	eigvals  []float64  // Λ diagonal, descending
 	logDet   float64    // log det Σ (pseudo, over positive eigenvalues)
@@ -57,44 +54,17 @@ func (g *Gaussian) ensureFactors() error {
 	if err != nil {
 		return err
 	}
-	d := g.Dim()
-	q := mat.New(d, d)
 	logDet := 0.0
-	for j := 0; j < d; j++ {
-		l := vals[j]
-		if l < 0 {
-			l = 0
-		}
+	for _, l := range vals {
 		if l > 0 {
 			logDet += math.Log(l)
 		}
-		s := math.Sqrt(l)
-		for i := 0; i < d; i++ {
-			q.Set(i, j, u.At(i, j)*s)
-		}
 	}
-	g.factor = q
 	g.basis = u
 	g.eigvals = vals
 	g.logDet = logDet
 	g.factored = true
 	return nil
-}
-
-// Factor returns Q with Σ = QQᵀ (eq. 5's covariance factor).
-func (g *Gaussian) Factor() (*mat.Dense, error) {
-	if err := g.ensureFactors(); err != nil {
-		return nil, err
-	}
-	return g.factor.Clone(), nil
-}
-
-// Basis returns the orthogonal eigenbasis U of Σ.
-func (g *Gaussian) Basis() (*mat.Dense, error) {
-	if err := g.ensureFactors(); err != nil {
-		return nil, err
-	}
-	return g.basis.Clone(), nil
 }
 
 // Project orthogonally projects feature rows into the eigenbasis of Σ —
@@ -139,132 +109,4 @@ func (g *Gaussian) LogDensity(x *mat.Dense) ([]float64, error) {
 		out[i] = norm - 0.5*quad
 	}
 	return out, nil
-}
-
-// Sample draws n rows from the distribution: x = μ + Q·z with z ~ N(0, I).
-func (g *Gaussian) Sample(rng *rand.Rand, n int) (*mat.Dense, error) {
-	if err := g.ensureFactors(); err != nil {
-		return nil, err
-	}
-	d := g.Dim()
-	z := mat.RandGaussian(rng, n, d, 0, 1)
-	x := mat.MatMulT2(z, g.factor) // z·Qᵀ
-	return mat.AddRowVec(x, g.Mean), nil
-}
-
-// Mixture is the Gaussian mixture model of eq. 3: the server's view of the
-// global feature distribution, one component per client weighted by its
-// sample share.
-type Mixture struct {
-	Weights    []float64
-	Components []*Gaussian
-}
-
-// NewMixture validates and assembles a mixture; weights are normalised to
-// sum to 1.
-func NewMixture(components []*Gaussian, weights []float64) (*Mixture, error) {
-	if len(components) == 0 || len(components) != len(weights) {
-		return nil, fmt.Errorf("gaussian: %d components with %d weights", len(components), len(weights))
-	}
-	d := components[0].Dim()
-	var total float64
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("gaussian: negative weight %v", w)
-		}
-		if components[i].Dim() != d {
-			return nil, fmt.Errorf("gaussian: component %d has dim %d, want %d", i, components[i].Dim(), d)
-		}
-		total += w
-	}
-	if total == 0 {
-		return nil, errors.New("gaussian: weights sum to zero")
-	}
-	norm := make([]float64, len(weights))
-	for i, w := range weights {
-		norm[i] = w / total
-	}
-	return &Mixture{Weights: norm, Components: components}, nil
-}
-
-// FitMixture fits one Gaussian per client sample block and weights each by
-// its sample count — exactly how the federated server's global distribution
-// arises from the parties (eq. 3 with αᵢ = nᵢ/Σn).
-func FitMixture(clients []*mat.Dense, eps float64) (*Mixture, error) {
-	comps := make([]*Gaussian, len(clients))
-	weights := make([]float64, len(clients))
-	for i, x := range clients {
-		g, err := Fit(x, eps)
-		if err != nil {
-			return nil, fmt.Errorf("gaussian: client %d: %w", i, err)
-		}
-		comps[i] = g
-		weights[i] = float64(x.Rows())
-	}
-	return NewMixture(comps, weights)
-}
-
-// LogDensity evaluates the mixture log-density at each row of x with a
-// numerically stable log-sum-exp over components.
-func (m *Mixture) LogDensity(x *mat.Dense) ([]float64, error) {
-	perComp := make([][]float64, len(m.Components))
-	for c, g := range m.Components {
-		ld, err := g.LogDensity(x)
-		if err != nil {
-			return nil, err
-		}
-		perComp[c] = ld
-	}
-	out := make([]float64, x.Rows())
-	for i := range out {
-		maxv := math.Inf(-1)
-		for c := range m.Components {
-			if v := perComp[c][i] + math.Log(m.Weights[c]); v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for c := range m.Components {
-			sum += math.Exp(perComp[c][i] + math.Log(m.Weights[c]) - maxv)
-		}
-		out[i] = maxv + math.Log(sum)
-	}
-	return out, nil
-}
-
-// Sample draws n rows, picking a component per row by weight.
-func (m *Mixture) Sample(rng *rand.Rand, n int) (*mat.Dense, error) {
-	d := m.Components[0].Dim()
-	out := mat.New(n, d)
-	for i := 0; i < n; i++ {
-		c := m.pick(rng)
-		row, err := m.Components[c].Sample(rng, 1)
-		if err != nil {
-			return nil, err
-		}
-		copy(out.Row(i), row.Row(0))
-	}
-	return out, nil
-}
-
-func (m *Mixture) pick(rng *rand.Rand) int {
-	r := rng.Float64()
-	var acc float64
-	for c, w := range m.Weights {
-		acc += w
-		if r < acc {
-			return c
-		}
-	}
-	return len(m.Weights) - 1
-}
-
-// Mean returns the mixture mean Σ αᵢ μᵢ, which equals the federated global
-// mean of eq. 10.
-func (m *Mixture) Mean() *mat.Dense {
-	out := mat.New(1, m.Components[0].Dim())
-	for c, g := range m.Components {
-		out.AXPY(m.Weights[c], g.Mean)
-	}
-	return out
 }

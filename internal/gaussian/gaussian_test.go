@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"fedomd/internal/mat"
-	"fedomd/internal/moments"
 )
 
 func sampleData(seed int64, n, d int, mean, std float64) *mat.Dense {
@@ -150,82 +149,6 @@ func TestSampleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMixtureValidation(t *testing.T) {
-	g, _ := Fit(sampleData(8, 50, 2, 0, 1), 0)
-	if _, err := NewMixture(nil, nil); err == nil {
-		t.Fatal("empty mixture accepted")
-	}
-	if _, err := NewMixture([]*Gaussian{g}, []float64{-1}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if _, err := NewMixture([]*Gaussian{g}, []float64{0}); err == nil {
-		t.Fatal("zero weights accepted")
-	}
-	h, _ := Fit(sampleData(9, 50, 3, 0, 1), 0)
-	if _, err := NewMixture([]*Gaussian{g, h}, []float64{1, 1}); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-}
-
-func TestMixtureMeanMatchesFederatedAggregate(t *testing.T) {
-	// The GMM mean (eq. 3 composed with eq. 4) must equal the federated
-	// global mean of eq. 10 — the two views of the "global distribution".
-	a := sampleData(10, 40, 3, 0, 1)
-	b := sampleData(11, 120, 3, 2, 0.5)
-	m, err := FitMixture([]*mat.Dense{a, b}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fedMean, err := moments.AggregateMeans(
-		[]*mat.Dense{mat.MeanRows(a), mat.MeanRows(b)}, []int{a.Rows(), b.Rows()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Mean().EqualApprox(fedMean, 1e-12) {
-		t.Fatalf("mixture mean %v != federated mean %v", m.Mean(), fedMean)
-	}
-}
-
-func TestMixtureDensityBetweenComponents(t *testing.T) {
-	a := sampleData(12, 400, 1, -5, 0.5)
-	b := sampleData(13, 400, 1, +5, 0.5)
-	m, err := FitMixture([]*mat.Dense{a, b}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, _ := mat.NewFromRows([][]float64{{-5}, {0}, {5}})
-	ld, err := m.LogDensity(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(ld[0] > ld[1] && ld[2] > ld[1]) {
-		t.Fatalf("mixture density shape wrong: %v", ld)
-	}
-}
-
-func TestMixtureSampleProportions(t *testing.T) {
-	a := sampleData(14, 300, 1, -10, 0.1)
-	b := sampleData(15, 100, 1, +10, 0.1)
-	m, err := FitMixture([]*mat.Dense{a, b}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := m.Sample(rand.New(rand.NewSource(16)), 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neg := 0
-	for i := 0; i < y.Rows(); i++ {
-		if y.At(i, 0) < 0 {
-			neg++
-		}
-	}
-	frac := float64(neg) / float64(y.Rows())
-	if math.Abs(frac-0.75) > 0.05 {
-		t.Fatalf("component proportions off: %v negative, want ~0.75", frac)
-	}
-}
-
 func TestDegenerateCovarianceWithRidge(t *testing.T) {
 	// Constant data: covariance is zero; the ridge keeps everything finite.
 	x := mat.New(50, 3)
@@ -275,4 +198,41 @@ func TestProjectIsometryProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Factor returns Q with Σ = QQᵀ (eq. 5's covariance factor, Q = UΛ^{1/2}).
+func (g *Gaussian) Factor() (*mat.Dense, error) {
+	if err := g.ensureFactors(); err != nil {
+		return nil, err
+	}
+	d := g.Dim()
+	q := mat.New(d, d)
+	for j, l := range g.eigvals {
+		s := math.Sqrt(math.Max(l, 0))
+		for i := 0; i < d; i++ {
+			q.Set(i, j, g.basis.At(i, j)*s)
+		}
+	}
+	return q, nil
+}
+
+// Basis returns the orthogonal eigenbasis U of Σ.
+func (g *Gaussian) Basis() (*mat.Dense, error) {
+	if err := g.ensureFactors(); err != nil {
+		return nil, err
+	}
+	return g.basis.Clone(), nil
+}
+
+// Sample draws n rows from the distribution: x = μ + Q·z with z ~ N(0, I).
+func (g *Gaussian) Sample(rng *rand.Rand, n int) (*mat.Dense, error) {
+	q, err := g.Factor()
+	if err != nil {
+		return nil, err
+	}
+	z := mat.RandGaussian(rng, n, g.Dim(), 0, 1)
+	x := mat.MatMulT2(z, q) // z·Qᵀ
+	out := mat.New(n, g.Dim())
+	mat.AddRowVecInto(out, x, g.Mean)
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -319,4 +320,58 @@ func TestDeterministicUnderSeed(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("same seed produced different matrices")
 	}
+}
+
+// MulElem returns the Hadamard (element-wise) product a ⊙ b.
+func MulElem(a, b *Dense) *Dense {
+	a.mustSameShape(b, "MulElem")
+	out := New(a.rows, a.cols)
+	for i, v := range a.data {
+		out.data[i] = v * b.data[i]
+	}
+	return out
+}
+
+// SumRows returns the 1×c column-wise sum of a.
+func SumRows(a *Dense) *Dense {
+	out := New(1, a.cols)
+	for i := 0; i < a.rows; i++ {
+		row := a.Row(i)
+		for j, v := range row {
+			out.data[j] += v
+		}
+	}
+	return out
+}
+
+// Dot returns the Frobenius inner product <a, b> = Σ a_ij b_ij.
+func Dot(a, b *Dense) float64 {
+	a.mustSameShape(b, "Dot")
+	var s float64
+	for i, v := range a.data {
+		s += v * b.data[i]
+	}
+	return s
+}
+
+// He returns an r×c matrix with He-normal entries N(0, 2/r), the ReLU-aware
+// initialisation the paper cites [15].
+func He(rng *rand.Rand, r, c int) *Dense {
+	return RandGaussian(rng, r, c, 0, math.Sqrt(2/float64(r)))
+}
+
+// AddRowVec returns a + v broadcast over rows, where v is 1×c.
+func AddRowVec(a, v *Dense) *Dense {
+	if v.rows != 1 || v.cols != a.cols {
+		panic(fmt.Sprintf("mat: AddRowVec wants 1x%d vector, got %dx%d", a.cols, v.rows, v.cols))
+	}
+	out := New(a.rows, a.cols)
+	for i := 0; i < a.rows; i++ {
+		row := a.Row(i)
+		o := out.Row(i)
+		for j, x := range row {
+			o[j] = x + v.data[j]
+		}
+	}
+	return out
 }

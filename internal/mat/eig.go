@@ -112,29 +112,6 @@ func offDiagNorm(w *Dense) float64 {
 	return math.Sqrt(s)
 }
 
-// CovFactor computes the covariance factor Q = U Λ^{1/2} of a symmetric
-// positive-semidefinite matrix Σ, so that Σ = Q Qᵀ (§4.3, eq. 5). Negative
-// eigenvalues arising from floating-point noise are clamped to zero.
-func CovFactor(sigma *Dense) (*Dense, error) {
-	vals, u, err := EigSym(sigma)
-	if err != nil {
-		return nil, err
-	}
-	n := sigma.rows
-	q := New(n, n)
-	for j := 0; j < n; j++ {
-		l := vals[j]
-		if l < 0 {
-			l = 0
-		}
-		sq := math.Sqrt(l)
-		for i := 0; i < n; i++ {
-			q.Set(i, j, u.At(i, j)*sq)
-		}
-	}
-	return q, nil
-}
-
 // Covariance returns the d×d sample covariance of the rows of x (rows are
 // observations, columns are features), normalised by n rather than n-1 to
 // match the moment definitions of eq. 10/11.

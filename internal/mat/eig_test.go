@@ -155,3 +155,36 @@ func TestCovFactorPSDProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// CovFactor computes the covariance factor Q = U Λ^{1/2} of a symmetric
+// positive-semidefinite matrix Σ, so that Σ = Q Qᵀ (§4.3, eq. 5). Negative
+// eigenvalues arising from floating-point noise are clamped to zero.
+func CovFactor(sigma *Dense) (*Dense, error) {
+	vals, u, err := EigSym(sigma)
+	if err != nil {
+		return nil, err
+	}
+	n := sigma.rows
+	q := New(n, n)
+	for j := 0; j < n; j++ {
+		l := vals[j]
+		if l < 0 {
+			l = 0
+		}
+		sq := math.Sqrt(l)
+		for i := 0; i < n; i++ {
+			q.Set(i, j, u.At(i, j)*sq)
+		}
+	}
+	return q, nil
+}
+
+// SpectralNormalize returns W/‖W‖_F, the paper's Q̃ = Q/‖Q‖_F bounding step.
+// A zero matrix is returned unchanged.
+func SpectralNormalize(w *Dense) *Dense {
+	n := FrobNorm(w)
+	if n == 0 {
+		return w.Clone()
+	}
+	return Scale(1/n, w)
+}

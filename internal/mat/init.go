@@ -30,9 +30,3 @@ func Xavier(rng *rand.Rand, r, c int) *Dense {
 	bound := math.Sqrt(6 / float64(r+c))
 	return RandUniform(rng, r, c, -bound, bound)
 }
-
-// He returns an r×c matrix with He-normal entries N(0, 2/r), the ReLU-aware
-// initialisation the paper cites [15].
-func He(rng *rand.Rand, r, c int) *Dense {
-	return RandGaussian(rng, r, c, 0, math.Sqrt(2/float64(r)))
-}

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -180,4 +181,14 @@ func TestSelectRowsInto(t *testing.T) {
 	out := dirty(len(idx), 3)
 	a.SelectRowsInto(out, idx)
 	wantClose(t, out, a.SelectRows(idx), "SelectRowsInto")
+}
+
+// MatMulAddInto computes out += a·b (fused accumulation, no temporary).
+// Shape rules match MatMulInto.
+func MatMulAddInto(out, a, b *Dense) {
+	if a.cols != b.rows {
+		panic(fmt.Sprintf("mat: MatMulAddInto inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	mustOutShape(out, a.rows, b.cols, "MatMulAddInto")
+	matMulDispatch(out, a, b, true)
 }

@@ -87,16 +87,6 @@ func MatMulInto(out, a, b *Dense) {
 	matMulDispatch(out, a, b, false)
 }
 
-// MatMulAddInto computes out += a·b (fused accumulation, no temporary).
-// Shape rules match MatMulInto.
-func MatMulAddInto(out, a, b *Dense) {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: MatMulAddInto inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	mustOutShape(out, a.rows, b.cols, "MatMulAddInto")
-	matMulDispatch(out, a, b, true)
-}
-
 func matMulDispatch(out, a, b *Dense, accum bool) {
 	work := a.rows * a.cols * b.cols
 	if work < parallelThreshold {

@@ -25,16 +25,6 @@ func Sub(a, b *Dense) *Dense {
 	return out
 }
 
-// MulElem returns the Hadamard (element-wise) product a ⊙ b.
-func MulElem(a, b *Dense) *Dense {
-	a.mustSameShape(b, "MulElem")
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = v * b.data[i]
-	}
-	return out
-}
-
 // Scale returns s * a.
 func Scale(s float64, a *Dense) *Dense {
 	out := New(a.rows, a.cols)
@@ -86,22 +76,6 @@ func Apply(a *Dense, f func(float64) float64) *Dense {
 	return out
 }
 
-// AddRowVec returns a + v broadcast over rows, where v is 1×c.
-func AddRowVec(a, v *Dense) *Dense {
-	if v.rows != 1 || v.cols != a.cols {
-		panic(fmt.Sprintf("mat: AddRowVec wants 1x%d vector, got %dx%d", a.cols, v.rows, v.cols))
-	}
-	out := New(a.rows, a.cols)
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		o := out.Row(i)
-		for j, x := range row {
-			o[j] = x + v.data[j]
-		}
-	}
-	return out
-}
-
 // SubRowVec returns a - v broadcast over rows, where v is 1×c.
 func SubRowVec(a, v *Dense) *Dense {
 	if v.rows != 1 || v.cols != a.cols {
@@ -133,18 +107,6 @@ func MeanRows(a *Dense) *Dense {
 	inv := 1 / float64(a.rows)
 	for j := range out.data {
 		out.data[j] *= inv
-	}
-	return out
-}
-
-// SumRows returns the 1×c column-wise sum of a.
-func SumRows(a *Dense) *Dense {
-	out := New(1, a.cols)
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			out.data[j] += v
-		}
 	}
 	return out
 }
@@ -194,16 +156,6 @@ func FrobNormSq(a *Dense) float64 {
 	var s float64
 	for _, v := range a.data {
 		s += v * v
-	}
-	return s
-}
-
-// Dot returns the Frobenius inner product <a, b> = Σ a_ij b_ij.
-func Dot(a, b *Dense) float64 {
-	a.mustSameShape(b, "Dot")
-	var s float64
-	for i, v := range a.data {
-		s += v * b.data[i]
 	}
 	return s
 }

@@ -94,13 +94,3 @@ func OrthoError(w *Dense) float64 {
 	}
 	return FrobNorm(g)
 }
-
-// SpectralNormalize returns W/‖W‖_F, the paper's Q̃ = Q/‖Q‖_F bounding step.
-// A zero matrix is returned unchanged.
-func SpectralNormalize(w *Dense) *Dense {
-	n := FrobNorm(w)
-	if n == 0 {
-		return w.Clone()
-	}
-	return Scale(1/n, w)
-}

@@ -65,9 +65,6 @@ func SetDebug(on bool) {
 	clear(debugPuts)
 }
 
-// DebugEnabled reports whether double-put detection is active.
-func DebugEnabled() bool { return debugOn.Load() }
-
 // poolBucket returns the bucket index for n floats, or -1 if n is unpoolable.
 func poolBucket(n int) int {
 	if n <= 0 {

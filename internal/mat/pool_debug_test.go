@@ -51,3 +51,6 @@ func TestDebugOffNoPanic(t *testing.T) {
 	for pools[poolBucket(64)].Get() != nil {
 	}
 }
+
+// DebugEnabled reports whether double-put detection is active.
+func DebugEnabled() bool { return debugOn.Load() }

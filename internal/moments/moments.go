@@ -27,9 +27,6 @@ type Stats struct {
 	Central []*mat.Dense
 }
 
-// MaxOrder returns the highest moment order stored.
-func (s Stats) MaxOrder() int { return len(s.Central) + 1 }
-
 // Bytes returns the wire size of the summary (Table 3's negligible-cost
 // claim is checked against this).
 func (s Stats) Bytes() int {

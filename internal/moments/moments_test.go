@@ -278,3 +278,6 @@ func TestAggregationInvariantToClientSplitProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MaxOrder returns the highest moment order stored.
+func (s Stats) MaxOrder() int { return len(s.Central) + 1 }

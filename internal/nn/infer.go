@@ -159,9 +159,6 @@ func (f *Inferencer) Classes() int { return f.classes }
 // SelectRowsInto copy cost in floats.
 func (f *Inferencer) TableDim() int { return f.table.Cols() }
 
-// HeadLayers returns the dense head depth (matmuls per query batch).
-func (f *Inferencer) HeadLayers() int { return len(f.layers) }
-
 // InferInto writes the logits of the idx'd nodes into out, which must be
 // len(idx)×Classes(). Scratch comes from the mat pool and is returned before
 // InferInto does, so the steady state allocates nothing (pinned by

@@ -237,9 +237,6 @@ func (m *OrthoGCN) Params() *Params { return m.params }
 // NeedsGraph implements Model.
 func (m *OrthoGCN) NeedsGraph() bool { return true }
 
-// HiddenLayers returns the number of hidden representations the model emits.
-func (m *OrthoGCN) HiddenLayers() int { return m.hiddenLayers }
-
 // Forward implements Model. Hidden gets exactly hiddenLayers entries:
 // Z^1 (after the input GCNConv) and one per OrthoConv.
 func (m *OrthoGCN) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *Forward {
@@ -279,22 +276,4 @@ func (m *OrthoGCN) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *F
 	// eq. 9).
 	logits := tp.SpMM(in.S, tp.MatMul(z, nodes[len(nodes)-1]))
 	return &Forward{Logits: logits, Hidden: hidden, ParamNodes: nodes, OrthoNodes: orthoNodes}
-}
-
-// HardOrthogonalize projects every OrthoConv weight onto the orthogonal
-// manifold with the Newton–Schulz iteration — the alternative to the soft
-// penalty, exposed for the design-choice ablation bench.
-func (m *OrthoGCN) HardOrthogonalize() error {
-	for _, name := range m.params.Names() {
-		if len(name) < 7 || name[:7] != "w_ortho" {
-			continue
-		}
-		w := m.params.Get(name)
-		q, err := mat.NewtonSchulz(w, 30)
-		if err != nil {
-			return fmt.Errorf("nn: orthogonalising %s: %w", name, err)
-		}
-		w.CopyFrom(q)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,26 +216,6 @@ func TestOrthoGCNStructure(t *testing.T) {
 	}
 }
 
-func TestHardOrthogonalize(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m, err := NewOrthoGCN(rng, 3, 8, 2, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.HardOrthogonalize(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range m.Params().Names() {
-		if len(name) >= 7 && name[:7] == "w_ortho" {
-			if d := mat.OrthoError(m.Params().Get(name)); d > 1e-6 {
-				t.Fatalf("%s defect %v after hard orthogonalisation", name, d)
-			}
-		}
-	}
-	// Non-ortho weights untouched by the projection guarantee: w_in stays
-	// generally non-orthogonal (it is rectangular anyway).
-}
-
 // trainStep does one full-batch step and returns the loss.
 func trainStep(t *testing.T, m Model, in Input, labels []int, mask []int, opt Optimizer, rng *rand.Rand) float64 {
 	t.Helper()
@@ -350,4 +331,45 @@ func TestForwardDeterministicInEval(t *testing.T) {
 	if !out().Equal(out()) {
 		t.Fatal("eval forward not deterministic")
 	}
+}
+
+// Optimizer applies one update step given the parameter tape nodes (whose
+// Grad fields were populated by Backward).
+type Optimizer interface {
+	// Step updates params in place using the gradients on nodes, which must
+	// align with the params registration order.
+	Step(params *Params, nodes []*ad.Node) error
+}
+
+// SGD is stochastic gradient descent with decoupled weight decay.
+type SGD struct {
+	LR          float64
+	WeightDecay float64
+}
+
+// Step implements Optimizer.
+func (o *SGD) Step(params *Params, nodes []*ad.Node) error {
+	if len(nodes) != params.Len() {
+		return fmt.Errorf("nn: SGD got %d grads for %d params", len(nodes), params.Len())
+	}
+	for i := 0; i < params.Len(); i++ {
+		w := params.At(i)
+		if o.WeightDecay != 0 {
+			w.ScaleInPlace(1 - o.LR*o.WeightDecay)
+		}
+		if g := nodes[i].Grad; g != nil {
+			w.AXPY(-o.LR, g)
+		}
+	}
+	return nil
+}
+
+// HiddenLayers returns the number of hidden representations the model emits.
+func (m *OrthoGCN) HiddenLayers() int { return m.hiddenLayers }
+
+// Reset clears Adam's moment state (used when a client receives fresh global
+// weights and should not carry stale momentum across rounds).
+func (o *Adam) Reset() {
+	o.t = 0
+	o.m, o.v = nil, nil
 }

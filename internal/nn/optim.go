@@ -8,37 +8,6 @@ import (
 	"fedomd/internal/mat"
 )
 
-// Optimizer applies one update step given the parameter tape nodes (whose
-// Grad fields were populated by Backward).
-type Optimizer interface {
-	// Step updates params in place using the gradients on nodes, which must
-	// align with the params registration order.
-	Step(params *Params, nodes []*ad.Node) error
-}
-
-// SGD is stochastic gradient descent with decoupled weight decay.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params *Params, nodes []*ad.Node) error {
-	if len(nodes) != params.Len() {
-		return fmt.Errorf("nn: SGD got %d grads for %d params", len(nodes), params.Len())
-	}
-	for i := 0; i < params.Len(); i++ {
-		w := params.At(i)
-		if o.WeightDecay != 0 {
-			w.ScaleInPlace(1 - o.LR*o.WeightDecay)
-		}
-		if g := nodes[i].Grad; g != nil {
-			w.AXPY(-o.LR, g)
-		}
-	}
-	return nil
-}
-
 // Adam is the Adam optimiser (Kingma & Ba) with decoupled weight decay,
 // the configuration the GCN literature trains with.
 type Adam struct {
@@ -59,7 +28,8 @@ func NewAdam(lr, weightDecay float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay}
 }
 
-// Step implements Optimizer.
+// Step updates params in place using the gradients on nodes, which must
+// align with the params registration order.
 func (o *Adam) Step(params *Params, nodes []*ad.Node) error {
 	if len(nodes) != params.Len() {
 		return fmt.Errorf("nn: Adam got %d grads for %d params", len(nodes), params.Len())
@@ -100,11 +70,4 @@ func (o *Adam) Step(params *Params, nodes []*ad.Node) error {
 		}
 	}
 	return nil
-}
-
-// Reset clears Adam's moment state (used when a client receives fresh global
-// weights and should not carry stale momentum across rounds).
-func (o *Adam) Reset() {
-	o.t = 0
-	o.m, o.v = nil, nil
 }

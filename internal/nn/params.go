@@ -1,6 +1,6 @@
 // Package nn builds the neural models the paper evaluates — MLP, GCN, and
 // the OrthoGCN of Table 1 — on top of the ad autodiff engine, together with
-// the SGD/Adam optimisers and the parameter-set plumbing federated
+// the Adam optimiser and the parameter-set plumbing federated
 // aggregation needs (cloning, averaging, byte-level size accounting).
 package nn
 

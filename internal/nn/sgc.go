@@ -48,9 +48,6 @@ func (m *SGC) Params() *Params { return m.params }
 // propagation, so the forward pass itself needs no operator.
 func (m *SGC) NeedsGraph() bool { return false }
 
-// Hops returns the propagation depth K.
-func (m *SGC) Hops() int { return m.hops }
-
 // Forward implements Model. Input is ignored beyond construction: SGC's
 // whole point is that propagation happened ahead of time.
 func (m *SGC) Forward(tp *ad.Tape, _ Input, _ *rand.Rand, _ bool) *Forward {

@@ -85,3 +85,6 @@ func TestSGCLogitsShape(t *testing.T) {
 		t.Fatal("logits identically zero")
 	}
 }
+
+// Hops returns the propagation depth K.
+func (m *SGC) Hops() int { return m.hops }

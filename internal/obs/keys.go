@@ -60,7 +60,6 @@ const (
 	AttrValue     = "value"
 	AttrThreshold = "threshold"
 	AttrTier      = "tier"
-	AttrBytesRaw  = "bytes_raw"
 	AttrBytesEnc  = "bytes_encoded"
 	AttrTensors   = "tensors"
 	AttrKind      = "kind"

@@ -131,9 +131,6 @@ func randomID() uint64 {
 // Result correlation.
 func NewRunID() string { return fmt.Sprintf("%016x", randomID()) }
 
-// Enabled reports whether spans are consumed at all.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // nextID mints a process-unique nonzero span ID. The increment is odd, so
 // the sequence walks the full 2^64 ring regardless of seed.
 func (t *Tracer) nextID() uint64 {

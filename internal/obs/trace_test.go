@@ -203,3 +203,6 @@ func TestSpanIDUniqueness(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// Enabled reports whether spans are consumed at all.
+func (t *Tracer) Enabled() bool { return t != nil }

@@ -113,18 +113,3 @@ func (c *logitCache) Reset() {
 		sh.mu.Unlock()
 	}
 }
-
-// Len reports the total number of cached rows (tests and healthz).
-func (c *logitCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.order.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}

@@ -11,6 +11,7 @@ import (
 	"fedomd/internal/graph"
 	"fedomd/internal/mat"
 	"fedomd/internal/nn"
+	"fedomd/internal/obs"
 	"fedomd/internal/sparse"
 	"fedomd/internal/telemetry"
 )
@@ -349,4 +350,30 @@ func TestBuildInferencerSpecs(t *testing.T) {
 	if _, err := BuildInferencer(&fed.ModelSpec{Model: "unknown"}, om.Params(), g); err == nil {
 		t.Fatal("unknown model kind accepted")
 	}
+}
+
+// Healthy reports whether no critical health rule fires — the /healthz
+// verdict.
+func (s *Service) Healthy() bool {
+	for _, e := range s.Health() {
+		if e.Level == obs.LevelCritical {
+			return false
+		}
+	}
+	return true
+}
+
+// Len reports the total number of cached rows (tests and healthz).
+func (c *logitCache) Len() int {
+	if c == nil {
+		return 0
+	}
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += sh.order.Len()
+		sh.mu.Unlock()
+	}
+	return n
 }

@@ -421,17 +421,6 @@ func (s *Service) Health() []obs.HealthEvent {
 	return events
 }
 
-// Healthy reports whether no critical health rule fires — the /healthz
-// verdict.
-func (s *Service) Healthy() bool {
-	for _, e := range s.Health() {
-		if e.Level == obs.LevelCritical {
-			return false
-		}
-	}
-	return true
-}
-
 func argmax(row []float64) int {
 	best := 0
 	for j, v := range row {

@@ -1,14 +1,6 @@
 // Package sparse implements compressed sparse row (CSR) matrices and the
 // kernels graph convolutions need: parallel sparse×dense multiplication and
 // the symmetric GCN normalisation D^{-1/2}(A+I)D^{-1/2}.
-//
-// A CSR value may be a *shard*: a row-range view created by Shard(lo, hi)
-// that shares colIdx/vals with its parent and keeps absolute offsets in its
-// rowPtr window (rowPtr[0] is the parent offset of the shard's first entry,
-// not necessarily 0). Every method indexes colIdx/vals through rowPtr, so
-// shards and whole matrices run the same code; anything that walks "all
-// entries" must walk the [rowPtr[0], rowPtr[rows]) window, never the full
-// backing arrays.
 package sparse
 
 import (
@@ -29,13 +21,12 @@ var (
 	spmmFlops = telemetry.NewCounter("sparse/spmm_flops")
 )
 
-// CSR is a compressed-sparse-row matrix of float64, or a row-range shard of
-// one (see the package comment for the shard invariants).
+// CSR is a compressed-sparse-row matrix of float64.
 type CSR struct {
 	rows, cols int
-	rowPtr     []int     // len rows+1; absolute offsets into colIdx/vals
-	colIdx     []int     // shared with parent for shards
-	vals       []float64 // shared with parent for shards
+	rowPtr     []int // len rows+1; rowPtr[0] == 0, rowPtr[rows] == nnz
+	colIdx     []int
+	vals       []float64
 }
 
 // Coord is a single (row, col, value) entry used when assembling a CSR
@@ -148,50 +139,14 @@ func NewCSRFromParts(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
 }
 
-// Identity returns the n×n identity in CSR form.
-func Identity(n int) *CSR {
-	m := &CSR{rows: n, cols: n, rowPtr: make([]int, n+1), colIdx: make([]int, n), vals: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		m.rowPtr[i+1] = i + 1
-		m.colIdx[i] = i
-		m.vals[i] = 1
-	}
-	return m
-}
-
-// Shard returns a view of rows [lo, hi) sharing the backing colIdx/vals
-// arrays with m — no copying, so per-client subgraph operators and SpMM
-// tiles can be carved out of a million-node matrix for free. The shard's
-// column space is unchanged. Mutating kernels (RowSumNormalize etc.) copy
-// before writing; the view itself never writes through to the parent.
-func (m *CSR) Shard(lo, hi int) *CSR {
-	if lo < 0 || hi > m.rows || lo > hi {
-		panic(fmt.Sprintf("sparse: Shard range [%d,%d) out of bounds for %d rows", lo, hi, m.rows))
-	}
-	return &CSR{rows: hi - lo, cols: m.cols, rowPtr: m.rowPtr[lo : hi+1], colIdx: m.colIdx, vals: m.vals}
-}
-
-// ScaleVals multiplies every stored value of m by alpha in place — the cheap
-// way to apply a global edge-weight factor (e.g. a damping or temperature
-// term) without rebuilding the matrix. Because Shard views share the parent's
-// vals array, calling ScaleVals on a shard writes the parent's window, and
-// calling it on the parent silently rescales every outstanding shard; the
-// shardalias vet check rejects both. Scale before carving shards, or rebuild.
-func (m *CSR) ScaleVals(alpha float64) {
-	for k := m.rowPtr[0]; k < m.rowPtr[m.rows]; k++ {
-		m.vals[k] *= alpha
-	}
-}
-
 // Rows returns the number of rows.
 func (m *CSR) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *CSR) Cols() int { return m.cols }
 
-// NNZ returns the number of stored entries (of the shard window, for a
-// shard view).
-func (m *CSR) NNZ() int { return m.rowPtr[m.rows] - m.rowPtr[0] }
+// NNZ returns the number of stored entries.
+func (m *CSR) NNZ() int { return m.rowPtr[m.rows] }
 
 // At returns the element at (i, j); zero if not stored. O(log row-nnz).
 func (m *CSR) At(i, j int) float64 {
@@ -244,17 +199,6 @@ func (m *CSR) MulDense(x *mat.Dense) *mat.Dense {
 // pooled buffer). out must be m.Rows()×x.Cols() and must not alias x. The
 // zeroing of out is folded into the kernel's first column pass.
 func (m *CSR) MulDenseInto(out, x *mat.Dense) {
-	m.mulDenseDispatch(out, x, false)
-}
-
-// MulDenseAddInto computes out += m·x — fused accumulation for callers that
-// combine propagation with an existing buffer. Shape rules match
-// MulDenseInto.
-func (m *CSR) MulDenseAddInto(out, x *mat.Dense) {
-	m.mulDenseDispatch(out, x, true)
-}
-
-func (m *CSR) mulDenseDispatch(out, x *mat.Dense, accum bool) {
 	if m.cols != x.Rows() {
 		panic(fmt.Sprintf("sparse: MulDense dimension mismatch %dx%d · %dx%d", m.rows, m.cols, x.Rows(), x.Cols()))
 	}
@@ -265,7 +209,7 @@ func (m *CSR) mulDenseDispatch(out, x *mat.Dense, accum bool) {
 	spmmFlops.Add(2 * int64(m.NNZ()) * int64(x.Cols()))
 	work := m.NNZ() * x.Cols()
 	if work < spmmSerialWork {
-		m.mulDenseRange(out, x, 0, m.rows, accum)
+		m.mulDenseRange(out, x, 0, m.rows)
 		return
 	}
 	// Grain: enough rows that one chunk covers ~spmmSerialWork multiply-adds
@@ -277,13 +221,13 @@ func (m *CSR) mulDenseDispatch(out, x *mat.Dense, accum bool) {
 		grain = 1
 	}
 	mat.ParallelFor(m.rows, grain, func(lo, hi int) {
-		m.mulDenseRange(out, x, lo, hi, accum)
+		m.mulDenseRange(out, x, lo, hi)
 	})
 }
 
-// mulDenseRange computes rows [lo, hi) of out (+)= m·x, column-blocked so
-// the randomly gathered rows of x stay within a cache-sized window.
-func (m *CSR) mulDenseRange(out, x *mat.Dense, lo, hi int, accum bool) {
+// mulDenseRange computes rows [lo, hi) of out = m·x, column-blocked so the
+// randomly gathered rows of x stay within a cache-sized window.
+func (m *CSR) mulDenseRange(out, x *mat.Dense, lo, hi int) {
 	c := x.Cols()
 	xd := x.Data()
 	od := out.Data()
@@ -294,10 +238,8 @@ func (m *CSR) mulDenseRange(out, x *mat.Dense, lo, hi int, accum bool) {
 		}
 		for i := lo; i < hi; i++ {
 			orow := od[i*c+j0 : i*c+j1]
-			if !accum {
-				for j := range orow {
-					orow[j] = 0
-				}
+			for j := range orow {
+				orow[j] = 0
 			}
 			for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 				col := m.colIdx[k]
@@ -329,13 +271,6 @@ func (m *CSR) tMulStripes(c int) int {
 		return tmulMaxStripes
 	}
 	return s
-}
-
-// TMulDense returns mᵀ·x without materialising the transpose.
-func (m *CSR) TMulDense(x *mat.Dense) *mat.Dense {
-	out := mat.New(m.cols, x.Cols())
-	m.tMulDenseAccum(out, x)
-	return out
 }
 
 // TMulDenseInto computes out = mᵀ·x into caller-owned storage. out must be
@@ -377,10 +312,10 @@ func (m *CSR) tMulDenseAccum(out, x *mat.Dense) {
 
 	// Equal-nnz stripe boundaries in row space, derived from rowPtr alone.
 	bounds := make([]int, s+1)
-	base, nnz := m.rowPtr[0], m.NNZ()
+	nnz := m.NNZ()
 	bounds[s] = m.rows
 	for st := 1; st < s; st++ {
-		target := base + nnz*st/s
+		target := nnz * st / s
 		bounds[st] = sort.SearchInts(m.rowPtr[:m.rows+1], target)
 		if bounds[st] > m.rows {
 			bounds[st] = m.rows
@@ -431,48 +366,6 @@ func (m *CSR) tMulRange(out, x *mat.Dense, lo, hi int) {
 			mat.AXPYRow(od[col*c:(col+1)*c], m.vals[k], xrow)
 		}
 	}
-}
-
-// Transpose returns mᵀ as a new CSR matrix, built directly with one
-// counting pass over the shard window (O(nnz + cols), no coordinate
-// round-trip or re-sort).
-func (m *CSR) Transpose() *CSR {
-	nnz := m.NNZ()
-	t := &CSR{rows: m.cols, cols: m.rows, rowPtr: make([]int, m.cols+1), colIdx: make([]int, nnz), vals: make([]float64, nnz)}
-	lo, hi := m.rowPtr[0], m.rowPtr[m.rows]
-	for k := lo; k < hi; k++ {
-		t.rowPtr[m.colIdx[k]+1]++
-	}
-	for c := 0; c < m.cols; c++ {
-		t.rowPtr[c+1] += t.rowPtr[c]
-	}
-	cursor := make([]int, m.cols)
-	copy(cursor, t.rowPtr[:m.cols])
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			c := m.colIdx[k]
-			pos := cursor[c]
-			cursor[c]++
-			t.colIdx[pos] = i
-			t.vals[pos] = m.vals[k]
-		}
-	}
-	return t
-}
-
-// IsSymmetric reports whether m equals its transpose within tol.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			if math.Abs(m.vals[k]-m.At(m.colIdx[k], i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // GCNNormalize builds the renormalised propagation operator of Kipf & Welling
@@ -533,19 +426,14 @@ func GCNNormalize(a *CSR) (*CSR, error) {
 
 // RowSumNormalize returns D^{-1}A (mean aggregation, used by the
 // GraphSAGE-style convolution in the FedSage+ baseline). Zero-degree rows are
-// left as zero rows. Works on shard views: only the shard window is copied,
-// and the result is a compact zero-based matrix.
+// left as zero rows.
 func RowSumNormalize(a *CSR) *CSR {
-	base := a.rowPtr[0]
 	out := &CSR{
 		rows:   a.rows,
 		cols:   a.cols,
-		rowPtr: make([]int, a.rows+1),
-		colIdx: append([]int(nil), a.colIdx[base:a.rowPtr[a.rows]]...),
-		vals:   append([]float64(nil), a.vals[base:a.rowPtr[a.rows]]...),
-	}
-	for i := 0; i <= a.rows; i++ {
-		out.rowPtr[i] = a.rowPtr[i] - base
+		rowPtr: append([]int(nil), a.rowPtr...),
+		colIdx: append([]int(nil), a.colIdx...),
+		vals:   append([]float64(nil), a.vals...),
 	}
 	for i := 0; i < a.rows; i++ {
 		var d float64

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -256,4 +257,193 @@ func TestGCNRowStochasticOnRegularGraph(t *testing.T) {
 			t.Fatalf("row %d sums to %v on a regular graph", i, sum)
 		}
 	}
+}
+
+func randCSR(t *testing.T, rows, cols, nnz int, rng *rand.Rand) *CSR {
+	t.Helper()
+	entries := make([]Coord, 0, nnz)
+	for len(entries) < nnz {
+		entries = append(entries, Coord{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: rng.NormFloat64()})
+	}
+	m, err := NewCSR(rows, cols, entries)
+	if err != nil {
+		t.Fatalf("NewCSR: %v", err)
+	}
+	return m
+}
+
+func randX(rows, cols int, rng *rand.Rand) *mat.Dense {
+	x := mat.New(rows, cols)
+	d := x.Data()
+	for i := range d {
+		d[i] = rng.NormFloat64()
+	}
+	return x
+}
+
+// TestSpMMBitIdenticalAcrossWorkerCounts extends the kernel determinism
+// contract to the sparse kernels, including the stripe-parallel transposed
+// SpMM (forced past its serial threshold).
+func TestSpMMBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	defer mat.SetWorkers(0)
+	rng := rand.New(rand.NewSource(3))
+	rows, cols, c := 700, 650, 48 // nnz*c clears both parallel thresholds
+	m := randCSR(t, rows, cols, 40000, rng)
+	x := randX(cols, c, rng)
+	xt := randX(rows, c, rng)
+
+	mat.SetWorkers(1)
+	refMul := m.MulDense(x)
+	refT := m.TMulDense(xt)
+	refAdd := mat.New(cols, c)
+	m.TMulDenseAddInto(refAdd, xt)
+	m.TMulDenseAddInto(refAdd, xt)
+
+	ncpu := runtime.NumCPU()
+	for _, w := range []int{2, ncpu, ncpu + 3} {
+		mat.SetWorkers(w)
+		gotMul := m.MulDense(x)
+		gotT := m.TMulDense(xt)
+		gotAdd := mat.New(cols, c)
+		m.TMulDenseAddInto(gotAdd, xt)
+		m.TMulDenseAddInto(gotAdd, xt)
+		for i, v := range refMul.Data() {
+			if gotMul.Data()[i] != v {
+				t.Fatalf("MulDense workers=%d: element %d differs", w, i)
+			}
+		}
+		for i, v := range refT.Data() {
+			if gotT.Data()[i] != v {
+				t.Fatalf("TMulDense workers=%d: element %d differs", w, i)
+			}
+		}
+		for i, v := range refAdd.Data() {
+			if gotAdd.Data()[i] != v {
+				t.Fatalf("TMulDenseAddInto workers=%d: element %d differs", w, i)
+			}
+		}
+	}
+}
+
+// TestNewCSRCountingSortMatchesSpec pins the linear assembly against the
+// documented semantics: (row, col)-sorted, duplicates summed in input order.
+func TestNewCSRCountingSortMatchesSpec(t *testing.T) {
+	entries := []Coord{
+		{Row: 2, Col: 3, Val: 1},
+		{Row: 0, Col: 1, Val: 2},
+		{Row: 2, Col: 3, Val: 0.5}, // duplicate, summed
+		{Row: 2, Col: 0, Val: -1},
+		{Row: 0, Col: 4, Val: 3},
+		{Row: 0, Col: 1, Val: 1}, // duplicate, summed
+	}
+	m, err := NewCSR(3, 5, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NNZ() != 4 {
+		t.Fatalf("NNZ = %d, want 4 after duplicate merge", m.NNZ())
+	}
+	if got := m.At(0, 1); got != 3 {
+		t.Fatalf("At(0,1) = %g, want 3", got)
+	}
+	if got := m.At(2, 3); got != 1.5 {
+		t.Fatalf("At(2,3) = %g, want 1.5", got)
+	}
+	// Sorted columns within each row (At's binary search relies on it).
+	for i := 0; i < m.Rows(); i++ {
+		last := -1
+		m.RowEntries(i, func(col int, _ float64) {
+			if col <= last {
+				t.Fatalf("row %d columns not strictly ascending", i)
+			}
+			last = col
+		})
+	}
+	// Randomised cross-check against a dense accumulation.
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 10; trial++ {
+		rows, cols := 3+rng.Intn(40), 3+rng.Intn(40)
+		n := rng.Intn(5 * rows)
+		es := make([]Coord, n)
+		dense := make([]float64, rows*cols)
+		for i := range es {
+			r, cc, v := rng.Intn(rows), rng.Intn(cols), rng.NormFloat64()
+			es[i] = Coord{Row: r, Col: cc, Val: v}
+			dense[r*cols+cc] += v
+		}
+		m, err := NewCSR(rows, cols, es)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rows; r++ {
+			for cc := 0; cc < cols; cc++ {
+				want := dense[r*cols+cc]
+				got := m.At(r, cc)
+				d := got - want
+				if d < -1e-12 || d > 1e-12 {
+					t.Fatalf("At(%d,%d) = %g, want %g", r, cc, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Identity returns the n×n identity in CSR form.
+func Identity(n int) *CSR {
+	m := &CSR{rows: n, cols: n, rowPtr: make([]int, n+1), colIdx: make([]int, n), vals: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		m.rowPtr[i+1] = i + 1
+		m.colIdx[i] = i
+		m.vals[i] = 1
+	}
+	return m
+}
+
+// Transpose returns mᵀ as a new CSR matrix, built directly with one
+// counting pass over the stored entries (O(nnz + cols), no coordinate
+// round-trip or re-sort).
+func (m *CSR) Transpose() *CSR {
+	nnz := m.NNZ()
+	t := &CSR{rows: m.cols, cols: m.rows, rowPtr: make([]int, m.cols+1), colIdx: make([]int, nnz), vals: make([]float64, nnz)}
+	lo, hi := m.rowPtr[0], m.rowPtr[m.rows]
+	for k := lo; k < hi; k++ {
+		t.rowPtr[m.colIdx[k]+1]++
+	}
+	for c := 0; c < m.cols; c++ {
+		t.rowPtr[c+1] += t.rowPtr[c]
+	}
+	cursor := make([]int, m.cols)
+	copy(cursor, t.rowPtr[:m.cols])
+	for i := 0; i < m.rows; i++ {
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			c := m.colIdx[k]
+			pos := cursor[c]
+			cursor[c]++
+			t.colIdx[pos] = i
+			t.vals[pos] = m.vals[k]
+		}
+	}
+	return t
+}
+
+// IsSymmetric reports whether m equals its transpose within tol.
+func (m *CSR) IsSymmetric(tol float64) bool {
+	if m.rows != m.cols {
+		return false
+	}
+	for i := 0; i < m.rows; i++ {
+		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
+			if math.Abs(m.vals[k]-m.At(m.colIdx[k], i)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TMulDense returns mᵀ·x without materialising the transpose.
+func (m *CSR) TMulDense(x *mat.Dense) *mat.Dense {
+	out := mat.New(m.cols, x.Cols())
+	m.tMulDenseAccum(out, x)
+	return out
 }

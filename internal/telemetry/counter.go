@@ -21,9 +21,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
 var (
 	registryMu sync.Mutex
 	registry   []*Counter
