@@ -13,7 +13,9 @@ import (
 // buffers via the fused *AddInto / AXPY kernels in mat and sparse — no
 // backward op materialises a full-size temporary. grad() hands out a zeroed
 // pool buffer on first touch, so "accumulate" and "initialise" are the same
-// write.
+// write. A closure runs only when its output requires a gradient, so a
+// one-input op's input always does; two-input ops skip the input that does
+// not (a Const, or a value computed from constants alone).
 
 // MatMul records c = a·b.
 // Gradients: ∂L/∂a = ∂L/∂c · bᵀ, ∂L/∂b = aᵀ · ∂L/∂c.
@@ -22,11 +24,15 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 		panic(fmt.Sprintf("ad: MatMul inner dimension mismatch %dx%d · %dx%d",
 			a.Value.Rows(), a.Value.Cols(), b.Value.Rows(), b.Value.Cols()))
 	}
-	out := t.op(a.Value.Rows(), b.Value.Cols())
+	out := t.op(a.Value.Rows(), b.Value.Cols(), a, b)
 	mat.MatMulInto(out.Value, a.Value, b.Value)
 	out.backward = func() {
-		mat.MatMulT2AddInto(a.grad(), out.Grad, b.Value)
-		mat.MatMulT1AddInto(b.grad(), a.Value, out.Grad)
+		if a.requiresGrad {
+			mat.MatMulT2AddInto(a.grad(), out.Grad, b.Value)
+		}
+		if b.requiresGrad {
+			mat.MatMulT1AddInto(b.grad(), a.Value, out.Grad)
+		}
 	}
 	return out
 }
@@ -34,7 +40,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 // SpMM records c = S·x for a constant sparse operator S (the graph
 // propagation matrix). Gradient: ∂L/∂x = Sᵀ·∂L/∂c.
 func (t *Tape) SpMM(s *sparse.CSR, x *Node) *Node {
-	out := t.op(s.Rows(), x.Value.Cols())
+	out := t.op(s.Rows(), x.Value.Cols(), x)
 	s.MulDenseInto(out.Value, x.Value)
 	out.backward = func() {
 		s.TMulDenseAddInto(x.grad(), out.Grad)
@@ -44,11 +50,16 @@ func (t *Tape) SpMM(s *sparse.CSR, x *Node) *Node {
 
 // Add records c = a + b element-wise.
 func (t *Tape) Add(a, b *Node) *Node {
-	out := t.op(a.Value.Dims())
+	r, c := a.Value.Dims()
+	out := t.op(r, c, a, b)
 	mat.AddInto(out.Value, a.Value, b.Value)
 	out.backward = func() {
-		a.grad().AddInPlace(out.Grad)
-		b.grad().AddInPlace(out.Grad)
+		if a.requiresGrad {
+			a.grad().AddInPlace(out.Grad)
+		}
+		if b.requiresGrad {
+			b.grad().AddInPlace(out.Grad)
+		}
 	}
 	return out
 }
@@ -56,18 +67,24 @@ func (t *Tape) Add(a, b *Node) *Node {
 // Sub records c = a − b element-wise. The backward pass subtracts the
 // upstream gradient in place — no negated temporary.
 func (t *Tape) Sub(a, b *Node) *Node {
-	out := t.op(a.Value.Dims())
+	r, c := a.Value.Dims()
+	out := t.op(r, c, a, b)
 	mat.SubInto(out.Value, a.Value, b.Value)
 	out.backward = func() {
-		a.grad().AddInPlace(out.Grad)
-		b.grad().SubInPlace(out.Grad)
+		if a.requiresGrad {
+			a.grad().AddInPlace(out.Grad)
+		}
+		if b.requiresGrad {
+			b.grad().SubInPlace(out.Grad)
+		}
 	}
 	return out
 }
 
 // Scale records c = s·a for a constant scalar s.
 func (t *Tape) Scale(s float64, a *Node) *Node {
-	out := t.op(a.Value.Dims())
+	r, c := a.Value.Dims()
+	out := t.op(r, c, a)
 	mat.ScaleInto(out.Value, s, a.Value)
 	out.backward = func() {
 		a.grad().AXPY(s, out.Grad)
@@ -78,11 +95,16 @@ func (t *Tape) Scale(s float64, a *Node) *Node {
 // AddRowVec records c = a + v with v a 1×cols bias broadcast over rows.
 // Gradient to v is the column-wise sum of the upstream gradient.
 func (t *Tape) AddRowVec(a, v *Node) *Node {
-	out := t.op(a.Value.Dims())
+	r, c := a.Value.Dims()
+	out := t.op(r, c, a, v)
 	mat.AddRowVecInto(out.Value, a.Value, v.Value)
 	out.backward = func() {
-		a.grad().AddInPlace(out.Grad)
-		mat.SumRowsAXPY(v.grad(), 1, out.Grad)
+		if a.requiresGrad {
+			a.grad().AddInPlace(out.Grad)
+		}
+		if v.requiresGrad {
+			mat.SumRowsAXPY(v.grad(), 1, out.Grad)
+		}
 	}
 	return out
 }
@@ -90,11 +112,16 @@ func (t *Tape) AddRowVec(a, v *Node) *Node {
 // SubRowVec records c = a − v with v a 1×cols row vector broadcast over
 // rows. The v gradient is the negated column sum, accumulated directly.
 func (t *Tape) SubRowVec(a, v *Node) *Node {
-	out := t.op(a.Value.Dims())
+	r, c := a.Value.Dims()
+	out := t.op(r, c, a, v)
 	mat.SubRowVecInto(out.Value, a.Value, v.Value)
 	out.backward = func() {
-		a.grad().AddInPlace(out.Grad)
-		mat.SumRowsAXPY(v.grad(), -1, out.Grad)
+		if a.requiresGrad {
+			a.grad().AddInPlace(out.Grad)
+		}
+		if v.requiresGrad {
+			mat.SumRowsAXPY(v.grad(), -1, out.Grad)
+		}
 	}
 	return out
 }
@@ -103,7 +130,8 @@ func (t *Tape) SubRowVec(a, v *Node) *Node {
 // accumulation: upstream gradient flows into the grad buffer only where the
 // input was positive, with no mask-sized temporary.
 func (t *Tape) ReLU(a *Node) *Node {
-	out := t.op(a.Value.Dims())
+	r, c := a.Value.Dims()
+	out := t.op(r, c, a)
 	mat.ApplyInto(out.Value, a.Value, func(x float64) float64 {
 		if x > 0 {
 			return x
@@ -136,7 +164,8 @@ func (t *Tape) Dropout(a *Node, p float64, rng *rand.Rand, train bool) *Node {
 			md[i] = 1 / keep
 		}
 	}
-	out := t.op(a.Value.Dims())
+	r, c := a.Value.Dims()
+	out := t.op(r, c, a)
 	mat.MulElemInto(out.Value, a.Value, mask)
 	out.backward = func() {
 		mat.MulElemAddInto(a.grad(), out.Grad, mask)
@@ -146,7 +175,7 @@ func (t *Tape) Dropout(a *Node, p float64, rng *rand.Rand, train bool) *Node {
 
 // MeanRows records the 1×cols column-wise mean of a.
 func (t *Tape) MeanRows(a *Node) *Node {
-	out := t.op(1, a.Value.Cols())
+	out := t.op(1, a.Value.Cols(), a)
 	mat.MeanRowsInto(out.Value, a.Value)
 	out.backward = func() {
 		n := a.Value.Rows()
@@ -164,7 +193,8 @@ func (t *Tape) PowElem(a *Node, p int) *Node {
 	if p < 0 {
 		panic(fmt.Sprintf("ad: PowElem power must be >= 0, got %d", p))
 	}
-	out := t.op(a.Value.Dims())
+	r, c := a.Value.Dims()
+	out := t.op(r, c, a)
 	mat.PowElemInto(out.Value, a.Value, p)
 	out.backward = func() {
 		if p == 0 {
@@ -184,7 +214,7 @@ func (t *Tape) PowElem(a *Node, p int) *Node {
 // matrices). At a = 0 the subgradient 0 is used.
 func (t *Tape) L2Norm(a *Node) *Node {
 	norm := mat.FrobNorm(a.Value)
-	out := t.op(1, 1)
+	out := t.op(1, 1, a)
 	out.Value.Set(0, 0, norm)
 	out.backward = func() {
 		if norm == 0 {
@@ -197,7 +227,7 @@ func (t *Tape) L2Norm(a *Node) *Node {
 
 // SumSquares records the scalar Σ a_ij² = ‖a‖²_F.
 func (t *Tape) SumSquares(a *Node) *Node {
-	out := t.op(1, 1)
+	out := t.op(1, 1, a)
 	out.Value.Set(0, 0, mat.FrobNormSq(a.Value))
 	out.backward = func() {
 		a.grad().AXPY(2*out.Grad.At(0, 0), a.Value)
@@ -217,7 +247,7 @@ func (t *Tape) OrthoPenalty(w *Node) *Node {
 		g.Set(i, i, g.At(i, i)-1)
 	}
 	f := mat.FrobNorm(g)
-	out := t.op(1, 1)
+	out := t.op(1, 1, w)
 	out.Value.Set(0, 0, f)
 	out.backward = func() {
 		if f == 0 {
@@ -276,7 +306,7 @@ func (t *Tape) SoftmaxCrossEntropy(logits *Node, labels []int, maskIdx []int) *N
 		loss -= math.Log(math.Max(prow[y], 1e-300))
 	}
 	loss /= float64(len(maskIdx))
-	out := t.op(1, 1)
+	out := t.op(1, 1, logits)
 	out.Value.Set(0, 0, loss)
 	out.backward = func() {
 		scale := out.Grad.At(0, 0) / float64(len(maskIdx))

@@ -4,6 +4,13 @@
 // constructors in ops.go and call Tape.Backward on the scalar loss node to
 // populate parameter gradients.
 //
+// Only what depends on a parameter is differentiated, as with PyTorch's
+// requires_grad: a Param node requires a gradient, a Const does not, and an
+// op's output does when any of its inputs does. Backward fills Grad on
+// exactly those nodes the loss depends on — a constant input such as the
+// pre-propagated features S̃X never gets a gradient buffer, and no backward
+// kernel runs on its behalf.
+//
 // Tapes are reusable arenas. A fresh tape works like before — record, then
 // Backward — but a long-lived training loop should keep one tape per client
 // and call Release after each optimizer step: the node storage is recycled
@@ -42,13 +49,17 @@ type Node struct {
 	// Release; leaf (Const/Param) values stay caller-owned.
 	Value *mat.Dense
 	// Grad is ∂loss/∂Value, allocated lazily during the backward pass from
-	// the tape's buffer pool. It remains nil for nodes the loss does not
-	// depend on, and is only valid until the tape is Released.
+	// the tape's buffer pool. Only nodes with a Param upstream (or Params
+	// themselves) get one; it remains nil for constants, for everything
+	// computed from constants alone and for nodes the loss does not depend
+	// on, and is only valid until the tape is Released.
 	Grad *mat.Dense
 
 	backward func() // nil for leaves and constants
-	param    bool
-	tape     *Tape
+	// requiresGrad marks a Param or an op output with a Param upstream:
+	// backward closures write only into inputs that carry it.
+	requiresGrad bool
+	tape         *Tape
 }
 
 // grad returns n.Grad, allocating a zeroed pool buffer on first use. The
@@ -99,12 +110,18 @@ func (t *Tape) node(v *mat.Dense) *Node {
 	return n
 }
 
-// op vends a node whose value is a fresh tape-owned r×c pool buffer.
-func (t *Tape) op(r, c int) *Node {
-	return t.node(t.newOwned(r, c))
+// op vends a node whose value is a fresh tape-owned r×c pool buffer. The
+// node requires a gradient when any of its inputs does.
+func (t *Tape) op(r, c int, in ...*Node) *Node {
+	n := t.node(t.newOwned(r, c))
+	for _, x := range in {
+		n.requiresGrad = n.requiresGrad || x.requiresGrad
+	}
+	return n
 }
 
-// Const records a constant: no gradient flows into it.
+// Const records a constant: no gradient flows into it, and ops whose inputs
+// are all constant record no backward work.
 func (t *Tape) Const(v *mat.Dense) *Node {
 	return t.node(v)
 }
@@ -113,7 +130,7 @@ func (t *Tape) Const(v *mat.Dense) *Node {
 // Backward; the caller owns applying the update.
 func (t *Tape) Param(v *mat.Dense) *Node {
 	n := t.node(v)
-	n.param = true
+	n.requiresGrad = true
 	return n
 }
 
@@ -141,7 +158,8 @@ func (t *Tape) Release() {
 
 // Backward runs reverse-mode differentiation from the scalar node loss,
 // which must be 1×1 and recorded on this tape. After it returns, every node
-// the loss depends on carries its gradient.
+// the loss depends on that has a Param upstream carries its gradient; a loss
+// computed from constants alone fills none.
 func (t *Tape) Backward(loss *Node) error {
 	if loss.Value.Rows() != 1 || loss.Value.Cols() != 1 {
 		return fmt.Errorf("ad: Backward needs a scalar loss, got %dx%d", loss.Value.Rows(), loss.Value.Cols())
@@ -157,6 +175,9 @@ func (t *Tape) Backward(loss *Node) error {
 		return fmt.Errorf("ad: loss node not recorded on this tape")
 	}
 	backwardCount.Add(1)
+	if !loss.requiresGrad {
+		return nil
+	}
 	seed := loss.grad()
 	seed.Zero()
 	seed.Set(0, 0, 1)

@@ -6,29 +6,6 @@ import (
 	"fedomd/internal/mat"
 )
 
-func TestZeroGrads(t *testing.T) {
-	tp := NewTape()
-	p := tp.Param(mat.Eye(2))
-	loss := tp.SumSquares(p)
-	if err := tp.Backward(loss); err != nil {
-		t.Fatal(err)
-	}
-	if p.Grad == nil {
-		t.Fatal("no gradient before reset")
-	}
-	tp.ZeroGrads()
-	if p.Grad != nil || loss.Grad != nil {
-		t.Fatal("ZeroGrads left gradients behind")
-	}
-	// Backward works again after a reset.
-	if err := tp.Backward(loss); err != nil {
-		t.Fatal(err)
-	}
-	if p.Grad == nil {
-		t.Fatal("no gradient after reset+backward")
-	}
-}
-
 func TestTapeLenGrows(t *testing.T) {
 	tp := NewTape()
 	if tp.Len() != 0 {
@@ -81,15 +58,6 @@ func TestSoftmaxCEValidation(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-// ZeroGrads clears gradients on every node of the tape (useful when a tape is
-// reused for gradient checking). The detached buffers stay registered with
-// the tape and are recycled by the next Release.
-func (t *Tape) ZeroGrads() {
-	for _, n := range t.nodes {
-		n.Grad = nil
 	}
 }
 

@@ -13,14 +13,19 @@ import (
 // non-test code uses but that stay, each with the reason it stays. Keys are
 // "pkg.Name" or "pkg.Type.Method", with pkg the import path below internal/.
 var deadExportAllow = map[string]string{
+	"analysis.Diagnostic.String":      "implements a stdlib interface (fmt.Stringer)",
 	"analysis.loaderImporter.Import":  "implements a stdlib interface (go/types.Importer)",
+	"analysis/cfg.ScopeExit.End":      "implements a stdlib interface (go/ast.Node)",
 	"fed.ServeClient":                 "test helper used by other packages' tests (chaos retry tests)",
 	"graph.Graph.FeatureMeanByClass":  "test helper used by other packages' tests (dataset class signal)",
+	"graph.Stats.String":              "implements a stdlib interface (fmt.Stringer)",
 	"mat.Add":                         "test helper used by other packages' tests (sparse)",
 	"mat.Apply":                       "test helper used by other packages' tests (ad, core, moments, nn)",
+	"mat.Dense.Equal":                 "test helper used by other packages' tests (codec, fed, graph, nn)",
 	"mat.Dense.EqualApprox":           "test helper used by other packages' tests",
 	"mat.Dense.Fill":                  "test helper used by other packages' tests (gaussian, nn, serve)",
 	"mat.Dense.SliceRows":             "test helper used by other packages' tests (gaussian, moments)",
+	"mat.Dense.String":                "implements a stdlib interface (fmt.Stringer)",
 	"mat.Dense.T":                     "test helper used by other packages' tests (sparse)",
 	"mat.MatMulSerial":                "reference oracle the tests compare against",
 	"mat.Min":                         "test helper used by other packages' tests (ad, nn)",
@@ -33,14 +38,19 @@ var deadExportAllow = map[string]string{
 	"moments.CMD":                     "reference oracle the tests compare against (scalar CMD of eq. 9)",
 	"moments.PooledReference":         "reference oracle the tests compare against",
 	"nn.Params.L2Distance":            "test helper used by other packages' tests (baselines, core, fed)",
+	"obs.HealthEvent.String":          "implements a stdlib interface (fmt.Stringer)",
+	"obs.buildVar.String":             "implements a stdlib interface (expvar.Var)",
+	"sparse.CSR.At":                   "test helper used by other packages' tests (dataset, graph)",
 	"sparse.CSR.ToDense":              "test helper used by other packages' tests (graph)",
 	"telemetry.Aggregator.GaugeValue": "test helper used by other packages' tests (fed)",
 }
 
 // TestNoDeadExports fails on any exported func, method, type, var or const
 // under internal/... that no non-test file of the module uses outside its own
-// declaration. A method counts as used when any non-test selector names a
-// method of that name, so interface dispatch never reads as dead. Code only
+// declaration. A method counts as used when a non-test selection resolves to
+// exactly that method, or to an interface method its receiver type
+// implements; a method reached only from outside the module (a stdlib
+// interface such as fmt.Stringer) has to be allow-listed. Code only
 // tests call still has to be read, vetted and kept alias-safe; it moves into
 // its package's _test.go files or goes, unless deadExportAllow says why not.
 func TestNoDeadExports(t *testing.T) {
@@ -89,6 +99,12 @@ func TestNoDeadExports(t *testing.T) {
 	}
 }
 
+// ifaceSel is one non-test selection of an interface method.
+type ifaceSel struct {
+	iface *types.Interface
+	pos   token.Pos
+}
+
 // span is the source range of one declaration.
 type span struct{ pos, end token.Pos }
 
@@ -105,11 +121,12 @@ type exported struct {
 // declarations of the packages whose import path starts with prefix that
 // nothing in pkgs uses outside the declaration itself. Identifiers inside a
 // method's receiver name the method's own type and never count as a use of
-// it.
+// it. A method is used through a selection of exactly its *types.Func (a
+// plain use) or of a same-named interface method its receiver implements.
 func deadExports(pkgs []*Package, prefix string) []string {
 	var decls []exported
 	uses := map[types.Object][]token.Pos{}
-	methodSels := map[string][]token.Pos{}
+	ifaceSels := map[string][]ifaceSel{}
 	for _, pkg := range pkgs {
 		inScope := strings.HasPrefix(pkg.Path, prefix)
 		receiverIdents := map[*ast.Ident]bool{}
@@ -156,7 +173,11 @@ func deadExports(pkgs []*Package, prefix string) []string {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if sel, ok := n.(*ast.SelectorExpr); ok {
 					if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() != types.FieldVal {
-						methodSels[sel.Sel.Name] = append(methodSels[sel.Sel.Name], sel.Sel.Pos())
+						recv := s.Obj().Type().(*types.Signature).Recv()
+						if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+							name := sel.Sel.Name
+							ifaceSels[name] = append(ifaceSels[name], ifaceSel{iface, sel.Sel.Pos()})
+						}
 					}
 				}
 				return true
@@ -172,15 +193,24 @@ func deadExports(pkgs []*Package, prefix string) []string {
 
 	var dead []string
 	for _, e := range decls {
-		refs := uses[e.obj]
-		if e.method != "" {
-			refs = methodSels[e.method]
-		}
 		used := false
-		for _, p := range refs {
+		for _, p := range uses[e.obj] {
 			if !e.decl.contains(p) {
 				used = true
 				break
+			}
+		}
+		if e.method != "" && !used {
+			recv := e.obj.Type().(*types.Signature).Recv().Type()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			ptr := types.NewPointer(recv)
+			for _, s := range ifaceSels[e.method] {
+				if !e.decl.contains(s.pos) && types.Implements(ptr, s.iface) {
+					used = true
+					break
+				}
 			}
 		}
 		if !used {

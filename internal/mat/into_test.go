@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,12 +182,11 @@ func TestSelectRowsInto(t *testing.T) {
 	wantClose(t, out, a.SelectRows(idx), "SelectRowsInto")
 }
 
-// MatMulAddInto computes out += a·b (fused accumulation, no temporary).
-// Shape rules match MatMulInto.
+// MatMulAddInto computes out += a·b through a pooled temporary. Shape rules
+// match MatMulInto.
 func MatMulAddInto(out, a, b *Dense) {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: MatMulAddInto inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	mustOutShape(out, a.rows, b.cols, "MatMulAddInto")
-	matMulDispatch(out, a, b, true)
+	tmp := GetDense(out.rows, out.cols)
+	MatMulInto(tmp, a, b)
+	out.AddInPlace(tmp)
+	PutDense(tmp)
 }

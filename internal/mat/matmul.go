@@ -84,36 +84,34 @@ func MatMulInto(out, a, b *Dense) {
 		panic(fmt.Sprintf("mat: MatMul inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	mustOutShape(out, a.rows, b.cols, "MatMulInto")
-	matMulDispatch(out, a, b, false)
+	matMulDispatch(out, a, b)
 }
 
-func matMulDispatch(out, a, b *Dense, accum bool) {
+func matMulDispatch(out, a, b *Dense) {
 	work := a.rows * a.cols * b.cols
 	if work < parallelThreshold {
-		matMulBlocked(out, a, b, 0, a.rows, accum)
+		matMulBlocked(out, a, b, 0, a.rows)
 		return
 	}
 	parallelTiles(a.rows, 2*microDim*a.cols*b.cols, func(lo, hi int) {
-		matMulBlocked(out, a, b, lo, hi, accum)
+		matMulBlocked(out, a, b, lo, hi)
 	})
 }
 
-// matMulBlocked computes rows [lo, hi) of out = (accum ? out : 0) + a·b with
-// k/j cache blocking and the 4×4 register micro-kernel. The zeroing of out is
-// folded into the first k-block (it writes instead of accumulating), so the
-// non-accumulating path traverses out no extra time.
-func matMulBlocked(out, a, b *Dense, lo, hi int, accum bool) {
+// matMulBlocked computes rows [lo, hi) of out = a·b with k/j cache blocking
+// and the 4×4 register micro-kernel. The zeroing of out is folded into the
+// first k-block (it writes instead of accumulating), so out is traversed no
+// extra time.
+func matMulBlocked(out, a, b *Dense, lo, hi int) {
 	n, p := a.cols, b.cols
 	if n == 0 {
-		if !accum {
-			zeroRows(out, lo, hi)
-		}
+		zeroRows(out, lo, hi)
 		return
 	}
 	od, ad, bd := out.data, a.data, b.data
 	for k0 := 0; k0 < n; k0 += kcBlock {
 		k1 := min(k0+kcBlock, n)
-		acc := accum || k0 > 0
+		acc := k0 > 0
 		kl := k1 - k0
 		for j0 := 0; j0 < p; j0 += jcBlock {
 			j1 := min(j0+jcBlock, p)
@@ -261,21 +259,19 @@ func MatMulSerial(a, b *Dense) *Dense {
 		panic(fmt.Sprintf("mat: MatMulSerial inner dimension mismatch %dx%d · %dx%d", a.rows, a.cols, b.rows, b.cols))
 	}
 	out := New(a.rows, b.cols)
-	matMulIKJ(out, a, b, 0, a.rows, false)
+	matMulIKJ(out, a, b, 0, a.rows)
 	return out
 }
 
 // matMulIKJ is the seed kernel: one output row at a time, streaming rows of b
 // with axpyRow. Kept as the reference implementation and ablation baseline.
-func matMulIKJ(out, a, b *Dense, lo, hi int, accum bool) {
+func matMulIKJ(out, a, b *Dense, lo, hi int) {
 	n, p := a.cols, b.cols
 	for i := lo; i < hi; i++ {
 		arow := a.data[i*n : (i+1)*n]
 		orow := out.data[i*p : (i+1)*p]
-		if !accum {
-			for j := range orow {
-				orow[j] = 0
-			}
+		for j := range orow {
+			orow[j] = 0
 		}
 		for k, av := range arow {
 			if av == 0 {

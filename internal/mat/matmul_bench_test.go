@@ -24,7 +24,7 @@ func BenchmarkMatMulSeedIKJ(b *testing.B) {
 			b.SetBytes(int64(8 * n * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				matMulIKJ(out, a, c, 0, n, false)
+				matMulIKJ(out, a, c, 0, n)
 			}
 			b.ReportMetric(2*float64(n)*float64(n)*float64(n)/float64(b.Elapsed().Nanoseconds())*float64(b.N), "GFLOP/s")
 		})
