@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet lint race bench bench-compare handover scale-demo chaos soak-async
+.PHONY: build test check fmt vet lint race bench bench-compare parity handover scale-demo chaos soak-async
 
 # Formatting checks skip testdata: it holds deliberately corrupt analyzer
 # fixtures that gofmt cannot parse.
@@ -89,6 +89,32 @@ bench:
 #   make bench-compare A=parent.json B=change.json
 bench-compare:
 	bash cmd/bench/run.sh -compare $(A) $(B)
+
+# Output parity against another commit, in the foreground:
+#   make parity BASE=<rev>      (default HEAD)
+# exports BASE with git archive into .bench_build/parity/ (no worktree),
+# builds cmd/fedomd there and from this tree, runs every model at seeds 1-3
+# (Cora ÷8, 40 rounds, no early stopping) on both, and diffs each pair of
+# outputs. The export is removed on every exit path; the outputs stay in
+# .bench_build/parity-out/ for inspection. Exits non-zero on any difference.
+BASE ?= HEAD
+parity:
+	@set -e; src=.bench_build/parity; out=.bench_build/parity-out; \
+	trap 'rm -rf "$$src"' EXIT; trap 'exit 130' INT TERM; \
+	rm -rf "$$src" "$$out"; mkdir -p "$$src" "$$out/base" "$$out/change"; \
+	git archive "$(BASE)" | tar -x -C "$$src"; \
+	(cd "$$src" && $(GO) build -o ../parity-out/fedomd-base ./cmd/fedomd); \
+	$(GO) build -o "$$out/fedomd-change" ./cmd/fedomd; \
+	models=$$("$$out/fedomd-change" -list | sed -n 's/^models: *\[\(.*\)\]$$/\1/p'); \
+	fail=0; for m in $$models; do for seed in 1 2 3; do \
+		for side in base change; do \
+			"$$out/fedomd-$$side" -dataset cora -divisor 8 -rounds 40 -patience 0 \
+				-model "$$m" -seed $$seed > "$$out/$$side/$$m-$$seed.txt"; \
+		done; \
+		if diff -u "$$out/base/$$m-$$seed.txt" "$$out/change/$$m-$$seed.txt"; then \
+			echo "same  $$m seed $$seed"; else echo "DIFF  $$m seed $$seed"; fail=1; fi; \
+	done; done; \
+	exit $$fail
 
 # The pinned million-node pipeline: stream a 10⁶-node SBM, Louvain-partition
 # it into 8 parties, train one full FedOMD round, report stage times and

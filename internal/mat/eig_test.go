@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestEigSymKnown(t *testing.T) {
@@ -67,20 +66,6 @@ func TestEigSymRejectsNonSquare(t *testing.T) {
 	}
 }
 
-func TestCovFactorReconstructsCovariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := RandGaussian(rng, 200, 6, 1.5, 2)
-	sigma := Covariance(x)
-	q, err := CovFactor(sigma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := MatMulT2(q, q)
-	if !rec.EqualApprox(sigma, 1e-8) {
-		t.Fatalf("QQᵀ != Σ (err %v)", FrobNorm(Sub(rec, sigma)))
-	}
-}
-
 func TestCovarianceProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := RandGaussian(rng, 500, 4, 0, 3)
@@ -120,71 +105,8 @@ func TestNewtonSchulzErrors(t *testing.T) {
 	}
 }
 
-func TestSpectralNormalize(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	w := RandGaussian(rng, 6, 6, 0, 2)
-	q := SpectralNormalize(w)
-	if math.Abs(FrobNorm(q)-1) > 1e-12 {
-		t.Fatalf("normalised Frobenius norm = %v", FrobNorm(q))
-	}
-	z := New(3, 3)
-	if FrobNorm(SpectralNormalize(z)) != 0 {
-		t.Fatal("zero matrix mangled")
-	}
-}
-
 func TestOrthoErrorZeroForIdentity(t *testing.T) {
 	if OrthoError(Eye(5)) != 0 {
 		t.Fatal("identity should have zero defect")
 	}
-}
-
-func TestCovFactorPSDProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		x := RandGaussian(rng, 30+rng.Intn(50), n, 0, 1)
-		sigma := Covariance(x)
-		q, err := CovFactor(sigma)
-		if err != nil {
-			return false
-		}
-		return MatMulT2(q, q).EqualApprox(sigma, 1e-7)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// CovFactor computes the covariance factor Q = U Λ^{1/2} of a symmetric
-// positive-semidefinite matrix Σ, so that Σ = Q Qᵀ (§4.3, eq. 5). Negative
-// eigenvalues arising from floating-point noise are clamped to zero.
-func CovFactor(sigma *Dense) (*Dense, error) {
-	vals, u, err := EigSym(sigma)
-	if err != nil {
-		return nil, err
-	}
-	n := sigma.rows
-	q := New(n, n)
-	for j := 0; j < n; j++ {
-		l := vals[j]
-		if l < 0 {
-			l = 0
-		}
-		sq := math.Sqrt(l)
-		for i := 0; i < n; i++ {
-			q.Set(i, j, u.At(i, j)*sq)
-		}
-	}
-	return q, nil
-}
-
-// SpectralNormalize returns W/‖W‖_F, the paper's Q̃ = Q/‖Q‖_F bounding step.
-// A zero matrix is returned unchanged.
-func SpectralNormalize(w *Dense) *Dense {
-	n := FrobNorm(w)
-	if n == 0 {
-		return w.Clone()
-	}
-	return Scale(1/n, w)
 }

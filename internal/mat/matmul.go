@@ -102,21 +102,42 @@ func matMulDispatch(out, a, b *Dense) {
 // and the 4×4 register micro-kernel. The zeroing of out is folded into the
 // first k-block (it writes instead of accumulating), so out is traversed no
 // extra time.
+//
+// A ragged tail of fewer than microDim rows runs through the same tile
+// kernels on a zero-padded copy (pooled scratch), so which kernel computes a
+// cell — and therefore whether its multiply-adds are fused — depends on its
+// column alone, never on how many rows share the call: a served node's logits
+// do not depend on its batch-mates.
 func matMulBlocked(out, a, b *Dense, lo, hi int) {
 	n, p := a.cols, b.cols
 	if n == 0 {
 		zeroRows(out, lo, hi)
 		return
 	}
-	od, ad, bd := out.data, a.data, b.data
+	full := lo + (hi-lo)/microDim*microDim
+	matMulTiles(out.data, a.data, b.data, n, p, lo, full)
+	if full == hi {
+		return
+	}
+	pa := GetDense(microDim, n)
+	copy(pa.data, a.data[full*n:hi*n])
+	po := GetDense(microDim, p)
+	matMulTiles(po.data, pa.data, b.data, n, p, 0, microDim)
+	copy(out.data[full*p:hi*p], po.data)
+	PutDense(po)
+	PutDense(pa)
+}
+
+// matMulTiles computes rows [lo, hi) of out = a·b for a row range that is a
+// whole number of microDim-row tiles.
+func matMulTiles(od, ad, bd []float64, n, p, lo, hi int) {
 	for k0 := 0; k0 < n; k0 += kcBlock {
 		k1 := min(k0+kcBlock, n)
 		acc := k0 > 0
 		kl := k1 - k0
 		for j0 := 0; j0 < p; j0 += jcBlock {
 			j1 := min(j0+jcBlock, p)
-			i := lo
-			for ; i+microDim <= hi; i += microDim {
+			for i := lo; i < hi; i += microDim {
 				j := j0
 				if useAVX {
 					for ; j+simdCols <= j1; j += simdCols {
@@ -129,9 +150,6 @@ func matMulBlocked(out, a, b *Dense, lo, hi int) {
 				if j < j1 {
 					mmEdge(od, ad, bd, n, p, i, i+microDim, j, j1, k0, k1, acc)
 				}
-			}
-			if i < hi {
-				mmEdge(od, ad, bd, n, p, i, hi, j0, j1, k0, k1, acc)
 			}
 		}
 	}
@@ -215,9 +233,10 @@ func mm4x4(od, ad, bd []float64, n, p, i, j, k0, k1 int, accum bool) {
 	}
 }
 
-// mmEdge handles the ragged tile remainders with the same per-element k
-// order as mm4x4, so an element's value never depends on which kernel
-// computed it.
+// mmEdge handles a tile's ragged column remainder (fewer than microDim
+// columns) with the same per-element k order as mm4x4. It multiplies and adds
+// unfused, unlike the AVX tile, so its results can differ from that kernel's
+// in the last bits; which columns reach it is a function of b's width alone.
 func mmEdge(od, ad, bd []float64, n, p, i0, i1, j0, j1, k0, k1 int, accum bool) {
 	for i := i0; i < i1; i++ {
 		arow := ad[i*n+k0 : i*n+k1]

@@ -96,6 +96,39 @@ func TestMatMulBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestMatMulRowIndependentOfBatch pins that a row of a·b does not depend on
+// which other rows share the call: every row of a 1-, 2-, 3-, 5- and 7-row
+// product must equal, bit for bit, that row of the full product. Serving
+// relies on it — a single-node query must return the row the full-table
+// sweep computes. Shapes are ragged in every dimension, one with an inner
+// dimension past kcBlock.
+func TestMatMulRowIndependentOfBatch(t *testing.T) {
+	for _, sh := range [][3]int{{23, 37, 13}, {29, 300, 19}, {11, 6, 3}} {
+		m, n, p := sh[0], sh[1], sh[2]
+		rng := rand.New(rand.NewSource(int64(m*n + p)))
+		a := randDense(m, n, rng)
+		b := randDense(n, p, rng)
+		full := MatMul(a, b)
+		for _, rows := range []int{1, 2, 3, 5, 7} {
+			for start := 0; start+rows <= m; start++ {
+				idx := make([]int, rows)
+				for i := range idx {
+					idx[i] = start + i
+				}
+				got := MatMul(a.SelectRows(idx), b)
+				for i, r := range idx {
+					for j := 0; j < p; j++ {
+						if got.At(i, j) != full.At(r, j) {
+							t.Fatalf("%dx%dx%d: row %d of a %d-row product, column %d = %x, full product %x",
+								m, n, p, r, rows, j, got.At(i, j), full.At(r, j))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMatMulBlockedMatchesSeedReference checks the blocked/SIMD kernels
 // against the seed ikj kernel numerically (they reorder and fuse floating
 // point, so equality is approximate but tight).

@@ -111,30 +111,8 @@ func TestTrainStepAllocsOrthoGCN(t *testing.T) {
 	}
 }
 
-// TestPropCache checks the cached S̃X: same operands hit the cache, any
-// operand change recomputes.
-func TestPropCache(t *testing.T) {
-	s, x, _, _ := allocFixture(t)
-	var c propCache
-	p1 := c.propagated(s, x)
-	if p2 := c.propagated(s, x); p2 != p1 {
-		t.Fatal("cache miss on identical operands")
-	}
-	want := s.MulDense(x)
-	for i, v := range p1.Data() {
-		if v != want.Data()[i] {
-			t.Fatalf("cached propagation wrong at %d: %v != %v", i, v, want.Data()[i])
-		}
-	}
-	x2 := x.Clone()
-	p3 := c.propagated(s, x2)
-	if p3 == p1 {
-		t.Fatal("cache did not invalidate on new features")
-	}
-}
-
-// TestGCNForwardMatchesUncached compares the cached-propagation GCN layer-1
-// rewrite (S̃X)·W against an explicit S̃·(X·W) computed by hand.
+// TestGCNForwardMatchesUncached compares the GCN forward, in whichever
+// layer-1 order the rule picks, against an explicit S̃·(X·W) computed by hand.
 func TestGCNForwardMatchesUncached(t *testing.T) {
 	s, x, _, _ := allocFixture(t)
 	rng := rand.New(rand.NewSource(5))

@@ -11,16 +11,21 @@ import (
 // batch of node queries costs one SelectRowsInto plus a short chain of dense
 // matmuls on pooled buffers.
 //
-// The restructuring exploits the same associativity the training path uses
-// for its S̃X cache (model.go): every graph convolution ends in
+// The restructuring exploits associativity: every graph convolution ends in
 // S̃·(Z·W) = (S̃Z)·W, so all propagation over the graph can be folded into a
 // precomputed node-representation table at build time, leaving only the
 // dense "head" — the final weight chain — to run per query. For the GCN
 // family the table is S̃·Z^{L-1} (one row per node, already propagated) and
 // the head is the single output weight; for SGC it is the cached S̃^K X; for
-// the MLP it is the raw feature matrix and the head is the whole stack.
-// The fold is exact: an Inferencer reproduces the tape forward (train=false)
-// bit for bit, which TestInferencerParity pins.
+// the MLP it is the raw feature matrix and the head is the whole stack. The
+// first layer is computed by the training path's layerOne (model.go), in the
+// order its rule picks for the global S̃ and X.
+//
+// The fold is exact up to rounding: the head's (S̃Z)·W sums in another order
+// than the tape's S̃·(Z·W), so an Inferencer matches the tape forward
+// (train=false) to 1e-9, which TestInferencerParity pins. A node's logits do
+// not depend on which other nodes share its InferInto batch: a single-node
+// query returns, bit for bit, that node's row of a full-table sweep.
 //
 // An Inferencer is an immutable snapshot: head weights are deep-copied and
 // the table is freshly computed, so later optimizer steps on the source
@@ -97,18 +102,17 @@ func newGCNInferencer(m *GCN, in Input) (*Inferencer, error) {
 		return nil, fmt.Errorf("nn: inferencer features have %d columns, model wants %d", in.X.Cols(), m.dims[0])
 	}
 	layers := len(m.dims) - 1
-	// Layer 1 reads the propagated features (S̃X)·W⁰, exactly like the
-	// training path's propCache rewrite; a single-layer GCN is therefore
-	// already in table·W form.
-	prop := in.S.MulDense(in.X)
 	w := m.params.At(layers - 1)
 	if layers == 1 {
-		return &Inferencer{table: prop, layers: []inferLayer{{w: w.Clone()}}, classes: w.Cols()}, nil
+		// A single-layer GCN's head is its only weight, so its table is S̃X.
+		return &Inferencer{table: in.S.MulDense(in.X), layers: []inferLayer{{w: w.Clone()}}, classes: w.Cols()}, nil
 	}
-	z := prop
+	var first layerOne
+	first.prepare(in.S, in.X)
+	var z *mat.Dense
 	for l := 0; l+1 < layers; l++ {
 		if l == 0 {
-			z = mat.MatMul(prop, m.params.At(0))
+			z = first.product(m.params.At(0))
 		} else {
 			z = in.S.MulDense(mat.MatMul(z, m.params.At(l)))
 		}
@@ -125,11 +129,13 @@ func newOrthoInferencer(m *OrthoGCN, in Input) (*Inferencer, error) {
 	if in.X.Cols() != m.dims[0] {
 		return nil, fmt.Errorf("nn: inferencer features have %d columns, model wants %d", in.X.Cols(), m.dims[0])
 	}
-	// Z¹ = σ((S̃X)·W_in), then per OrthoConv: Z^l = σ(S̃(Z^{l-1}·W̃^l)) with
-	// the same spectral bound the forward pass applies (Q̃ = Q/‖Q‖ when
-	// ‖Q‖ > 1); the table is the final propagation S̃·Z^{L-1}, so the head
-	// is just W_out.
-	z := mat.MatMul(in.S.MulDense(in.X), m.params.Get("w_in"))
+	// Z¹ = σ(S̃·X·W_in) in layerOne's order, then per OrthoConv:
+	// Z^l = σ(S̃(Z^{l-1}·W̃^l)) with the same spectral bound the forward pass
+	// applies (Q̃ = Q/‖Q‖ when ‖Q‖ > 1); the table is the final propagation
+	// S̃·Z^{L-1}, so the head is just W_out.
+	var first layerOne
+	first.prepare(in.S, in.X)
+	z := first.product(m.params.Get("w_in"))
 	reluInPlace(z)
 	for l := 1; l < m.hiddenLayers; l++ {
 		w := m.params.Get(fmt.Sprintf("w_ortho%d", l))

@@ -54,30 +54,101 @@ func paramNodes(tp *ad.Tape, ps *Params) []*ad.Node {
 	return nodes
 }
 
-// propCache memoises the propagated features S̃·X of a graph model's first
-// layer. Both operands are constants of the client — S̃ is fixed by the local
-// topology and X by the local features — so by associativity the first layer
-// S̃·(X·W⁰) can be computed as (S̃X)·W⁰ with S̃X built once: every forward
-// after the first saves one SpMM, and every backward saves the matching
-// Sᵀ·G, because the gradient stops at the constant.
-//
-// The cache keys on operand identity, so swapping in a different graph or
-// feature matrix recomputes. It is not safe for concurrent use; models are
-// driven by one goroutine at a time (the fed.Client contract).
-type propCache struct {
-	s    *sparse.CSR
-	x    *mat.Dense
-	prop *mat.Dense
+// denseToSparseSpeed is the measured throughput ratio of the dense matmul
+// kernel to the sparse SpMM kernel (README, Performance: mat.matmul_gflops
+// 35.8 against sparse.spmm_gflops 4.36): one stored entry pushed through SpMM
+// costs about as much as eight dense multiply-adds.
+const denseToSparseSpeed = 8
+
+// paperOrder is the one rule that picks the order of the first layer, for
+// training, eval and serving alike. Eq. 7's S̃·X·W⁰ can run in the paper's
+// order, S̃·(X·W⁰) over a CSR copy of X, at nnz(X)+nnz(S̃) entries per output
+// column, or as the dense (S̃X)·W⁰ over a cached S̃X at n·f multiply-adds per
+// column; the backward passes cost the same in each order. The rule picks the
+// paper order when it is cheaper at the measured speed ratio. s is nil for
+// the MLP, whose first layer is X·W⁰.
+func paperOrder(s *sparse.CSR, x *mat.Dense) bool {
+	work := 0
+	for _, v := range x.Data() {
+		if v != 0 {
+			work++
+		}
+	}
+	if s != nil {
+		work += s.NNZ()
+	}
+	n, f := x.Dims()
+	return denseToSparseSpeed*work < n*f
 }
 
-// propagated returns the cached S̃·X, computing it on first use or when the
-// operands change.
-func (c *propCache) propagated(s *sparse.CSR, x *mat.Dense) *mat.Dense {
-	if c.prop == nil || c.s != s || c.x != x {
-		c.prop = s.MulDense(x)
-		c.s, c.x = s, x
+// layerOne computes a model's first-layer product S̃·X·W⁰ (X·W⁰ when S̃ is
+// nil) in the order paperOrder picks for its operands. Both orders are exact
+// rewrites of one another and differ only in rounding:
+//
+//   - paper order: S̃·(X·W⁰) as two SpMMs over a CSR copy of X. Their
+//     backwards, S̃ᵀ·G and then Xᵀ·(S̃ᵀG) into W⁰, are the whole layer-1
+//     backward.
+//   - dense order: (S̃X)·W⁰ with S̃X computed once. The gradient stops at the
+//     constant S̃X, so the backward is the one product (S̃X)ᵀ·G.
+//
+// The operands are constants of the client — S̃ is fixed by the local
+// topology and X by the local features — so the order is chosen and its
+// operand built once, on first use, keyed on operand identity: swapping in a
+// different graph or feature matrix chooses again. It is not safe for
+// concurrent use; models are driven by one goroutine at a time (the
+// fed.Client contract).
+type layerOne struct {
+	s  *sparse.CSR
+	x  *mat.Dense
+	xs *sparse.CSR // CSR copy of X, paper order only
+	sx *mat.Dense  // S̃X (X itself when s is nil), dense order only
+}
+
+// prepare chooses the order for (s, x) unless it is already chosen for them.
+func (l *layerOne) prepare(s *sparse.CSR, x *mat.Dense) {
+	if l.x != x || l.s != s || l.x == nil {
+		l.build(s, x, paperOrder(s, x))
 	}
-	return c.prop
+}
+
+// build sets up the given order for (s, x).
+func (l *layerOne) build(s *sparse.CSR, x *mat.Dense, paper bool) {
+	l.s, l.x, l.xs, l.sx = s, x, nil, nil
+	switch {
+	case paper:
+		l.xs = sparse.FromDense(x)
+	case s == nil:
+		l.sx = x
+	default:
+		l.sx = s.MulDense(x)
+	}
+}
+
+// forward records S̃·X·w on tp.
+func (l *layerOne) forward(tp *ad.Tape, s *sparse.CSR, x *mat.Dense, w *ad.Node) *ad.Node {
+	l.prepare(s, x)
+	if l.xs == nil {
+		return tp.MatMul(tp.Const(l.sx), w)
+	}
+	z := tp.SpMM(l.xs, w)
+	if s != nil {
+		z = tp.SpMM(s, z)
+	}
+	return z
+}
+
+// product computes S̃·X·w without a tape, with the same kernels in the same
+// order as forward, so the Inferencer's first layer matches the tape's bit
+// for bit.
+func (l *layerOne) product(w *mat.Dense) *mat.Dense {
+	if l.xs == nil {
+		return mat.MatMul(l.sx, w)
+	}
+	z := l.xs.MulDense(w)
+	if l.s != nil {
+		z = l.s.MulDense(z)
+	}
+	return z
 }
 
 // MLP is the FedMLP base model: Dense→ReLU→(dropout)→Dense, no structure.
@@ -85,6 +156,7 @@ type MLP struct {
 	params  *Params
 	dims    []int
 	dropout float64
+	first   layerOne
 }
 
 // NewMLP builds an MLP with the given layer dimensions (at least in/out) and
@@ -110,13 +182,18 @@ func (m *MLP) NeedsGraph() bool { return false }
 // Forward implements Model.
 func (m *MLP) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *Forward {
 	nodes := paramNodes(tp, m.params)
-	z := tp.Const(in.X)
+	var z *ad.Node
 	var hidden []*ad.Node
 	layers := len(m.dims) - 1
 	for l := 0; l < layers; l++ {
 		w := nodes[2*l]
 		b := nodes[2*l+1]
-		z = tp.AddRowVec(tp.MatMul(z, w), b)
+		if l == 0 {
+			z = m.first.forward(tp, nil, in.X, w)
+		} else {
+			z = tp.MatMul(z, w)
+		}
+		z = tp.AddRowVec(z, b)
 		if l+1 < layers {
 			z = tp.ReLU(z)
 			hidden = append(hidden, z)
@@ -132,7 +209,7 @@ type GCN struct {
 	params  *Params
 	dims    []int
 	dropout float64
-	prop    propCache
+	first   layerOne
 }
 
 // NewGCN builds a GCN with the given layer dimensions.
@@ -164,9 +241,7 @@ func (m *GCN) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *Forwar
 	var z *ad.Node
 	for l := 0; l < layers; l++ {
 		if l == 0 {
-			// Layer 1 uses the cached propagated features:
-			// S̃·(X·W⁰) = (S̃X)·W⁰ with S̃X constant per client.
-			z = tp.MatMul(tp.Const(m.prop.propagated(in.S, in.X)), nodes[0])
+			z = m.first.forward(tp, in.S, in.X, nodes[0])
 		} else {
 			z = tp.SpMM(in.S, tp.MatMul(z, nodes[l]))
 		}
@@ -190,7 +265,7 @@ type OrthoGCN struct {
 	dims          [3]int // in, hidden, out
 	dropout       float64
 	spectralBound bool
-	prop          propCache
+	first         layerOne
 }
 
 // SetSpectralBound toggles the Q̃ = Q/‖Q‖ bounding of the OrthoConv weights
@@ -244,10 +319,9 @@ func (m *OrthoGCN) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *F
 		panic("nn: OrthoGCN forward without propagation operator")
 	}
 	nodes := paramNodes(tp, m.params)
-	// Layer 1: Z¹ = σ(S̃ X W⁰) = σ((S̃X) W⁰)  (eq. 7) — S̃X is constant per
-	// client, so it is propagated once and cached; the rewrite drops one
-	// SpMM from every forward and one Sᵀ·G from every backward.
-	z := tp.ReLU(tp.MatMul(tp.Const(m.prop.propagated(in.S, in.X)), nodes[0]))
+	// Layer 1: Z¹ = σ(S̃ X W⁰)  (eq. 7), in the order layerOne picks for
+	// this client's operands.
+	z := tp.ReLU(m.first.forward(tp, in.S, in.X, nodes[0]))
 	hidden := []*ad.Node{z}
 	var orthoNodes []*ad.Node
 	z = tp.Dropout(z, m.dropout, rng, train)

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -217,7 +216,7 @@ func TestOrthoGCNStructure(t *testing.T) {
 }
 
 // trainStep does one full-batch step and returns the loss.
-func trainStep(t *testing.T, m Model, in Input, labels []int, mask []int, opt Optimizer, rng *rand.Rand) float64 {
+func trainStep(t *testing.T, m Model, in Input, labels []int, mask []int, opt *Adam, rng *rand.Rand) float64 {
 	t.Helper()
 	tp := ad.NewTape()
 	f := m.Forward(tp, in, rng, true)
@@ -250,30 +249,6 @@ func TestTrainingReducesLossAllModels(t *testing.T) {
 		if last >= first*0.7 {
 			t.Fatalf("%s: loss did not drop: %v -> %v", name, first, last)
 		}
-	}
-}
-
-func TestSGDStepAndWeightDecay(t *testing.T) {
-	p := NewParams()
-	w := mat.New(1, 1)
-	w.Set(0, 0, 2)
-	p.Add("w", w)
-	tp := ad.NewTape()
-	n := tp.Param(w)
-	loss := tp.SumSquares(n) // dL/dw = 2w = 4
-	if err := tp.Backward(loss); err != nil {
-		t.Fatal(err)
-	}
-	opt := &SGD{LR: 0.1, WeightDecay: 0.5}
-	if err := opt.Step(p, []*ad.Node{n}); err != nil {
-		t.Fatal(err)
-	}
-	// decay: 2*(1-0.05)=1.9; grad step: 1.9-0.1*4=1.5
-	if got := w.At(0, 0); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("SGD step = %v want 1.5", got)
-	}
-	if err := opt.Step(p, nil); err == nil {
-		t.Fatal("grad/param count mismatch accepted")
 	}
 }
 
@@ -331,37 +306,6 @@ func TestForwardDeterministicInEval(t *testing.T) {
 	if !out().Equal(out()) {
 		t.Fatal("eval forward not deterministic")
 	}
-}
-
-// Optimizer applies one update step given the parameter tape nodes (whose
-// Grad fields were populated by Backward).
-type Optimizer interface {
-	// Step updates params in place using the gradients on nodes, which must
-	// align with the params registration order.
-	Step(params *Params, nodes []*ad.Node) error
-}
-
-// SGD is stochastic gradient descent with decoupled weight decay.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params *Params, nodes []*ad.Node) error {
-	if len(nodes) != params.Len() {
-		return fmt.Errorf("nn: SGD got %d grads for %d params", len(nodes), params.Len())
-	}
-	for i := 0; i < params.Len(); i++ {
-		w := params.At(i)
-		if o.WeightDecay != 0 {
-			w.ScaleInPlace(1 - o.LR*o.WeightDecay)
-		}
-		if g := nodes[i].Grad; g != nil {
-			w.AXPY(-o.LR, g)
-		}
-	}
-	return nil
 }
 
 // HiddenLayers returns the number of hidden representations the model emits.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fedomd/internal/dataset"
 	"fedomd/internal/fed"
 	"fedomd/internal/graph"
 	"fedomd/internal/mat"
@@ -274,6 +275,54 @@ func TestCloseDrains(t *testing.T) {
 
 // TestBuildInferencerSpecs covers the non-MLP rebuild paths against the
 // tape forward.
+// TestSingleNodeMatchesFullTable pins that a served node's logits do not
+// depend on its batch-mates: InferInto of one node returns, bit for bit, that
+// node's row of the full-table sweep a reference answer is computed from. The
+// table is a FedOMD model over a streamed graph whose node count leaves a
+// ragged tail of rows.
+func TestSingleNodeMatchesFullTable(t *testing.T) {
+	g, err := dataset.GenerateStream(dataset.Config{
+		Name: "serve-table", Nodes: 2003, Edges: 8 * 2003, Classes: 8, Features: 32,
+		CommunitiesPerClass: 4, Homophily: 0.85, ActiveFeatures: 6, SignalRatio: 0.9,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &fed.ModelSpec{
+		SpecVersion: fed.SpecVersion, Model: "fedomd",
+		Features: g.NumFeatures(), Classes: g.NumClasses,
+		Hidden: 64, HiddenLayers: 2, SpectralBound: true,
+	}
+	m, err := nn.NewOrthoGCN(rand.New(rand.NewSource(3)), g.NumFeatures(), 64, g.NumClasses, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf, err := BuildInferencer(spec, m.Params(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, classes := inf.Nodes(), inf.Classes()
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	full := mat.New(n, classes)
+	if err := inf.InferInto(full, all); err != nil {
+		t.Fatal(err)
+	}
+	one := mat.New(1, classes)
+	for id := 0; id < n; id++ {
+		if err := inf.InferInto(one, []int{id}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < classes; j++ {
+			if one.At(0, j) != full.At(id, j) {
+				t.Fatalf("node %d class %d: single-node logit %x, full-table %x", id, j, one.At(0, j), full.At(id, j))
+			}
+		}
+	}
+}
+
 func TestBuildInferencerSpecs(t *testing.T) {
 	const n, classes = 18, 3
 	g := testGraph(t, n, classes)

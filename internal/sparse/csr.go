@@ -139,6 +139,30 @@ func NewCSRFromParts(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
 }
 
+// FromDense returns the CSR form of d: its non-zero entries, columns
+// ascending within each row. One counting pass sizes the arrays exactly.
+func FromDense(d *mat.Dense) *CSR {
+	rows, cols := d.Dims()
+	data := d.Data()
+	nnz := 0
+	for _, v := range data {
+		if v != 0 {
+			nnz++
+		}
+	}
+	m := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1), colIdx: make([]int, 0, nnz), vals: make([]float64, 0, nnz)}
+	for i := 0; i < rows; i++ {
+		for j, v := range data[i*cols : (i+1)*cols] {
+			if v != 0 {
+				m.colIdx = append(m.colIdx, j)
+				m.vals = append(m.vals, v)
+			}
+		}
+		m.rowPtr[i+1] = len(m.colIdx)
+	}
+	return m
+}
+
 // Rows returns the number of rows.
 func (m *CSR) Rows() int { return m.rows }
 

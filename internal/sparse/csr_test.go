@@ -104,15 +104,37 @@ func TestMulDenseShapePanic(t *testing.T) {
 	Identity(3).MulDense(mat.New(4, 2))
 }
 
-func TestTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomCSR(rng, 10, 14, 0.3)
-	at := a.Transpose()
-	if !at.ToDense().Equal(a.ToDense().T()) {
-		t.Fatal("Transpose wrong")
-	}
-	if !a.Transpose().Transpose().ToDense().Equal(a.ToDense()) {
-		t.Fatal("double transpose not identity")
+// TestFromDense checks the dense-to-CSR conversion: it round-trips through
+// ToDense, stores no zero, and keeps each row's columns strictly ascending
+// (the invariant NewCSRFromParts enforces and At's binary search needs).
+func TestFromDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, sh := range [][2]int{{10, 14}, {1, 1}, {7, 3}, {0, 5}} {
+		want := randomCSR(rng, sh[0], sh[1], 0.3).ToDense()
+		if sh[0] > 0 {
+			want.Set(0, 0, 0) // an explicit zero must be dropped
+		}
+		m := FromDense(want)
+		if !m.ToDense().Equal(want) {
+			t.Fatalf("%v: FromDense does not round-trip", sh)
+		}
+		nz := 0
+		for _, v := range want.Data() {
+			if v != 0 {
+				nz++
+			}
+		}
+		if m.NNZ() != nz {
+			t.Fatalf("%v: NNZ = %d, want %d non-zeros", sh, m.NNZ(), nz)
+		}
+		if _, err := NewCSRFromParts(m.rows, m.cols, m.rowPtr, m.colIdx, m.vals); err != nil {
+			t.Fatalf("%v: %v", sh, err)
+		}
+		for _, v := range m.vals {
+			if v == 0 {
+				t.Fatalf("%v: stored a zero", sh)
+			}
+		}
 	}
 }
 
@@ -397,33 +419,6 @@ func Identity(n int) *CSR {
 		m.vals[i] = 1
 	}
 	return m
-}
-
-// Transpose returns mᵀ as a new CSR matrix, built directly with one
-// counting pass over the stored entries (O(nnz + cols), no coordinate
-// round-trip or re-sort).
-func (m *CSR) Transpose() *CSR {
-	nnz := m.NNZ()
-	t := &CSR{rows: m.cols, cols: m.rows, rowPtr: make([]int, m.cols+1), colIdx: make([]int, nnz), vals: make([]float64, nnz)}
-	lo, hi := m.rowPtr[0], m.rowPtr[m.rows]
-	for k := lo; k < hi; k++ {
-		t.rowPtr[m.colIdx[k]+1]++
-	}
-	for c := 0; c < m.cols; c++ {
-		t.rowPtr[c+1] += t.rowPtr[c]
-	}
-	cursor := make([]int, m.cols)
-	copy(cursor, t.rowPtr[:m.cols])
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			c := m.colIdx[k]
-			pos := cursor[c]
-			cursor[c]++
-			t.colIdx[pos] = i
-			t.vals[pos] = m.vals[k]
-		}
-	}
-	return t
 }
 
 // IsSymmetric reports whether m equals its transpose within tol.
