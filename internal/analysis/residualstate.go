@@ -10,23 +10,24 @@ import (
 
 // ResidualState enforces the error-feedback invariant of the wire codec
 // (DESIGN.md §10): an Encoder's residual map only has meaning against an
-// unbroken chain of reference states. When a connection nils its reference
-// (`r.lastSent = nil`, `wcRef = nil`) to force an absolute re-sync, the
-// paired Encoder's residuals belong to the dead chain and must be dropped —
-// by Encoder.Reset() or by swapping in a fresh NewEncoder — before the next
-// EncodeParams, or quantization error from the old epoch silently corrupts
-// the first delta frames of the new one.
+// unbroken chain of reference states. When a connection clears its
+// reference (`wcRef = codec.Ref{}`, or `ref = nil` for a bare *nn.Params)
+// to force an absolute re-sync, the paired Encoder's residuals belong to the
+// dead chain and must be dropped — by Encoder.Reset() or by swapping in a
+// fresh NewEncoder — before the next EncodeRef or EncodeParams, or
+// quantization error from the old epoch silently corrupts the first delta
+// frames of the new one.
 //
 // The check is a cfg dataflow (DESIGN.md §13) over (reference, encoder)
-// pairs. Pairs are discovered syntactically: a struct field of type
-// *nn.Params nilled through a base whose struct has exactly one
-// *codec.Encoder field pairs with that field (r.lastSent ↔ r.downEnc); a
-// local *nn.Params nilled in a function with exactly one *codec.Encoder
-// local pairs with it (wcRef ↔ wcEnc). A nil-reset opens an obligation
-// keyed by the encoder's access path; Reset() or a fresh-Encoder assignment
-// closes it (before the reset counts too — negotiate-then-nil is clean);
-// reaching EncodeParams or a return with the obligation open is reported at
-// the reset.
+// pairs. A reference is a codec.Ref or a *nn.Params. Pairs are discovered
+// syntactically: a reference field cleared through a base whose struct has
+// exactly one *codec.Encoder field pairs with that field (c.ref ↔ c.enc); a
+// reference local cleared in a function with exactly one *codec.Encoder
+// local pairs with it (wcRef ↔ wcEnc). A reset opens an obligation keyed by
+// the encoder's access path; Reset() or a fresh-Encoder assignment closes it
+// (before the reset counts too — negotiate-then-clear is clean); reaching
+// either encode entry point or a return with the obligation open is
+// reported at the reset.
 var ResidualState = &Analyzer{
 	Name: "residualstate",
 	Doc:  "nilling a codec reference must clear the paired Encoder's error-feedback residual",
@@ -34,10 +35,10 @@ var ResidualState = &Analyzer{
 }
 
 var (
-	fnEncoderReset  = pathCodec + ".Encoder.Reset"
-	fnEncodeParams  = pathCodec + ".Encoder.EncodeParams"
-	fnNewEncoder    = pathCodec + ".NewEncoder"
-	residualRefType = struct{ pkg, name string }{pathNn, "Params"}
+	fnEncoderReset = pathCodec + ".Encoder.Reset"
+	fnEncodeParams = pathCodec + ".Encoder.EncodeParams"
+	fnEncodeRef    = pathCodec + ".Encoder.EncodeRef"
+	fnNewEncoder   = pathCodec + ".NewEncoder"
 )
 
 func runResidualState(p *Pass) {
@@ -202,9 +203,9 @@ func (w *resWalker) transfer(b *cfg.Block, env *resEnv) *resEnv {
 }
 
 // scanEncoderOps finds the residual-affecting encoder operations under n:
-// Reset closes obligations (and marks the encoder clean), EncodeParams with
-// an open obligation is the bug biting — report and close so loops converge —
-// and any EncodeParams re-populates the residual, ending a clean window.
+// Reset closes obligations (and marks the encoder clean), an encode with an
+// open obligation is the bug biting — report and close so loops converge —
+// and any encode re-populates the residual, ending a clean window.
 func (w *resWalker) scanEncoderOps(n ast.Node, env *resEnv) {
 	info := w.pass.Info
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -213,7 +214,7 @@ func (w *resWalker) scanEncoderOps(n ast.Node, env *resEnv) {
 			return true
 		}
 		name := funcFullName(calleeFunc(info, call))
-		if name != fnEncoderReset && name != fnEncodeParams {
+		if name != fnEncoderReset && name != fnEncodeParams && name != fnEncodeRef {
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -235,9 +236,10 @@ func (w *resWalker) scanEncoderOps(n ast.Node, env *resEnv) {
 	})
 }
 
-// handleAssign opens an obligation for `ref = nil` on a paired reference and
-// closes obligations for `enc = codec.NewEncoder(...)` (or any overwrite of
-// the encoder variable — the old residual map is unreachable).
+// handleAssign opens an obligation for a reset (isRefReset) of a paired
+// reference and closes obligations for `enc = codec.NewEncoder(...)` (or
+// any overwrite of the encoder variable — the old residual map is
+// unreachable).
 func (w *resWalker) handleAssign(s *ast.AssignStmt, env *resEnv) {
 	info := w.pass.Info
 	if len(s.Lhs) != len(s.Rhs) {
@@ -269,7 +271,7 @@ func (w *resWalker) handleAssign(s *ast.AssignStmt, env *resEnv) {
 			}
 			continue
 		}
-		if !isNamed(lt, residualRefType.pkg, residualRefType.name) || !isNilExpr(info, r) {
+		if !isRefReset(info, lt, r) {
 			continue
 		}
 		encKey := w.pairedEncoder(l)
@@ -325,6 +327,19 @@ func (w *resWalker) pairedEncoder(ref ast.Expr) string {
 		return w.localEnc
 	}
 	return ""
+}
+
+// isRefReset reports whether assigning r to a location of type lt drops a
+// codec reference: the zero codec.Ref literal, or nil into a *nn.Params.
+func isRefReset(info *types.Info, lt types.Type, r ast.Expr) bool {
+	switch {
+	case isNamed(lt, pathCodec, "Ref"):
+		lit, ok := r.(*ast.CompositeLit)
+		return ok && len(lit.Elts) == 0
+	case isNamed(lt, pathNn, "Params"):
+		return isNilExpr(info, r)
+	}
+	return false
 }
 
 // isNilExpr reports whether e is the predeclared nil.

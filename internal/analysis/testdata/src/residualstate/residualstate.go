@@ -77,3 +77,43 @@ func noPairedEncoder(ref *nn.Params) {
 	ref = nil // nothing deltas against this reference here
 	_ = ref
 }
+
+// --- codec.Ref references and the EncodeRef entry point ---
+
+// refConn holds its reference as a codec.Ref (set plus checksum), the way
+// the party side of the transport does.
+type refConn struct {
+	enc *codec.Encoder
+	ref codec.Ref
+}
+
+func refFieldResetThenEncode(c *refConn, p *nn.Params) []byte {
+	c.ref = codec.Ref{} // want `c.ref is nilled for an absolute re-sync but c.enc keeps its error-feedback residual`
+	blob, _ := c.enc.EncodeRef(nil, p, c.ref)
+	return blob
+}
+
+func localRefResetThenEncode(p *nn.Params) []byte {
+	enc := codec.NewEncoder(codec.Options{Kind: codec.Quant, Bits: 8})
+	ref := codec.NewRef(p)
+	out, _ := enc.EncodeRef(nil, p, ref)
+	ref = codec.Ref{} // want `ref is nilled for an absolute re-sync but enc keeps its error-feedback residual`
+	out2, _ := enc.EncodeRef(out, p, ref)
+	return out2
+}
+
+func encodeRefRepopulates(c *conn, p *nn.Params) []byte {
+	c.enc.Reset()
+	blob, _ := c.enc.EncodeRef(nil, p, codec.Ref{}) // refills the residual Reset emptied
+	c.ref = nil                                     // want `c.ref is nilled for an absolute re-sync but c.enc keeps its error-feedback residual`
+	return blob
+}
+
+func refResetThenClear(c *refConn) {
+	c.ref = codec.Ref{}
+	c.enc.Reset()
+}
+
+func refAdvance(c *refConn, p *nn.Params) {
+	c.ref = codec.NewRef(p) // advancing the reference chain is not a reset
+}

@@ -18,7 +18,11 @@ import (
 //
 //	c_i ← c_i − c + (w_global − w_local)/(K·η),
 //
-// and exchanged through the runtime's auxiliary-state channel.
+// and exchanged through the runtime's auxiliary-state channel. The server
+// averages the c_i with the weights it averages the models with (NumSamples,
+// at least 1), as Karimireddy et al. average both over the same clients
+// with the same weights, so a party with no training nodes, which takes no
+// step and keeps c_i at zero, carries no more weight in c than in w.
 type ScaffoldClient struct {
 	name string
 	g    *graph.Graph

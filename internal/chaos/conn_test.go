@@ -21,11 +21,13 @@ type Conn struct {
 	// ReadDelay and WriteDelay are slept before each corresponding call.
 	ReadDelay  time.Duration
 	WriteDelay time.Duration
-	// SeverOnWrite cuts the link on the first write: the underlying
-	// connection is closed (so the peer sees EOF) and the write reports
-	// ErrSevered.
-	SeverOnWrite bool
+	// SeverOnWrite cuts the link on the first write after WritesBeforeSever
+	// clean ones: the underlying connection is closed (so the peer sees EOF)
+	// and the write reports ErrSevered.
+	SeverOnWrite      bool
+	WritesBeforeSever int
 
+	writes  atomic.Int64
 	severed atomic.Bool
 }
 
@@ -43,7 +45,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if c.WriteDelay > 0 {
 		time.Sleep(c.WriteDelay)
 	}
-	if c.SeverOnWrite && c.severed.CompareAndSwap(false, true) {
+	if c.SeverOnWrite && c.writes.Add(1) > int64(c.WritesBeforeSever) && c.severed.CompareAndSwap(false, true) {
 		c.Conn.Close()
 		return 0, ErrSevered
 	}
@@ -54,13 +56,15 @@ func (c *Conn) Write(p []byte) (int, error) {
 }
 
 // FlakyListener wraps a net.Listener so that the first FailFirst accepted
-// connections sever on the accepter's first write. Later accepts pass
-// through untouched, so a dialer that reconnects eventually gets a clean
-// link.
+// connections sever on the accepter's first write (or, with
+// WritesBeforeSever set, on the first write after that many clean ones).
+// Later accepts pass through untouched, so a dialer that reconnects
+// eventually gets a clean link.
 type FlakyListener struct {
 	net.Listener
-	failFirst int32
-	accepted  atomic.Int32
+	WritesBeforeSever int
+	failFirst         int32
+	accepted          atomic.Int32
 }
 
 // NewFlakyListener returns a listener whose first failFirst accepted
@@ -75,7 +79,7 @@ func (l *FlakyListener) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	if l.accepted.Add(1) <= l.failFirst {
-		return &Conn{Conn: conn, SeverOnWrite: true}, nil
+		return &Conn{Conn: conn, SeverOnWrite: true, WritesBeforeSever: l.WritesBeforeSever}, nil
 	}
 	return conn, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"fedomd/internal/mat"
 	"fedomd/internal/nn"
+	"fedomd/internal/obs"
 )
 
 func paramsFrom(names []string, mats []*mat.Dense) *nn.Params {
@@ -493,5 +494,78 @@ func TestEncodedSizes(t *testing.T) {
 		if frac := float64(len(blob)) / float64(raw); frac > c.max {
 			t.Errorf("%s: blob is %.2f of raw, want ≤ %.2f", c.opts.Name(), frac, c.max)
 		}
+	}
+}
+
+// A Ref carries its set's RefSum, and encoding or decoding against it gives
+// exactly the bytes and values of the *nn.Params entry points, which hash
+// the reference themselves.
+func TestRefMatchesParamsEntryPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	ref := randParams(rng, 1)
+	p := perturb(rng, ref, 0.05)
+	r := NewRef(ref)
+	if r.Params() != ref || r.sum != RefSum(ref) {
+		t.Fatal("NewRef does not pair the set with its RefSum")
+	}
+	if (NewRef(nil) != Ref{}) {
+		t.Fatal("NewRef(nil) is not the zero Ref")
+	}
+	for _, o := range []Options{{Kind: Delta}, {Kind: Quant, Bits: 8}} {
+		viaParams, err := NewEncoder(o).EncodeParams(nil, p, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaRef, err := NewEncoder(o).EncodeRef(nil, p, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(viaParams, viaRef) {
+			t.Fatalf("%s: EncodeRef and EncodeParams disagree", o.Name())
+		}
+		a, err := DecodeParams(viaRef, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := DecodeParamsTraced(viaRef, r, nil, obs.SpanContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !a.At(i).Equal(b.At(i)) {
+				t.Fatalf("%s: DecodeParamsTraced and DecodeParams disagree on %s", o.Name(), a.Names()[i])
+			}
+		}
+		PutParams(a)
+		PutParams(b)
+	}
+	// A blob names its reference by checksum: a Ref of another set, or the
+	// zero Ref, must refuse it.
+	blob, err := NewEncoder(Options{Kind: Delta}).EncodeRef(nil, p, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeParamsTraced(blob, NewRef(perturb(rng, ref, 0.05)), nil, obs.SpanContext{}); err == nil {
+		t.Fatal("decode against another set's Ref succeeded")
+	}
+	if _, err := DecodeParamsTraced(blob, Ref{}, nil, obs.SpanContext{}); err == nil {
+		t.Fatal("decode against the zero Ref succeeded")
+	}
+}
+
+// An absolute blob (checksum 0) whose frame claims a delta mode is refused,
+// not decoded against a missing reference.
+func TestDeltaFrameInAbsoluteBlobRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ref := randParams(rng, 1)
+	blob, err := NewEncoder(Options{Kind: Delta}).EncodeParams(nil, perturb(rng, ref, 0.05), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 8; i < 16; i++ {
+		blob[i] = 0 // claim no reference
+	}
+	if _, err := DecodeParams(blob, nil); err == nil {
+		t.Fatal("delta frame decoded without a reference")
 	}
 }

@@ -52,8 +52,12 @@ func (e *Encoder) Reset() {
 
 // RefSum fingerprints a reference parameter set: FNV-1a over each tensor's
 // name and float64 bit patterns, forced nonzero (zero means "no reference"
-// on the wire). Encoder and decoder both hash their copy of the reference so
-// a blob can never silently be applied against the wrong base.
+// on the wire). Every blob carries the sum of the reference it was encoded
+// against, and the decoder refuses it unless its own reference sums the
+// same, so a blob can never silently be applied against the wrong base. The
+// hash reads every byte of the set, so it is taken once, when a set becomes
+// a reference (NewRef), and travels with it as a Ref; it is not recomputed
+// per blob.
 func RefSum(ref *nn.Params) uint64 {
 	if ref == nil {
 		return 0
@@ -75,14 +79,37 @@ func RefSum(ref *nn.Params) uint64 {
 	return s
 }
 
-// EncodeParams appends a v1 blob holding p, encoded against ref, to dst and
-// returns the extended slice (pass nil to allocate fresh). A nil ref — or a
-// tensor missing from ref — falls back to absolute raw-float64 frames, so
-// the first exchange of a connection needs no shared state. Tensors holding
-// non-finite values are also sent absolute: quantizing a NaN would poison
-// the scale and the residual, and the server's non-finite screen needs to
-// see the genuine values to attribute the failure.
+// Ref is a reference parameter set together with its RefSum, taken once by
+// NewRef. Holders keep the Ref rather than the bare set, so encoding or
+// decoding any number of blobs against it hashes nothing; clearing the Ref
+// (assigning Ref{}) clears the sum with the set. The set must not change
+// while it is held as a reference. The zero Ref is "no reference": blobs
+// encoded against it are absolute.
+type Ref struct {
+	params *nn.Params
+	sum    uint64
+}
+
+// NewRef hashes p and returns it as a reference; a nil p gives the zero Ref.
+func NewRef(p *nn.Params) Ref { return Ref{params: p, sum: RefSum(p)} }
+
+// Params returns the reference set (nil for the zero Ref).
+func (r Ref) Params() *nn.Params { return r.params }
+
+// EncodeParams is EncodeRef against NewRef(ref): it hashes ref on every
+// call. Callers that encode against one reference repeatedly keep a Ref.
 func (e *Encoder) EncodeParams(dst []byte, p, ref *nn.Params) ([]byte, error) {
+	return e.EncodeRef(dst, p, NewRef(ref))
+}
+
+// EncodeRef appends a v1 blob holding p, encoded against ref, to dst and
+// returns the extended slice (pass nil to allocate fresh). The zero Ref — or
+// a tensor missing from the reference — falls back to absolute raw-float64
+// frames, so the first exchange of a connection needs no shared state.
+// Tensors holding non-finite values are also sent absolute: quantizing a
+// NaN would poison the scale and the residual, and the server's non-finite
+// screen needs to see the genuine values to attribute the failure.
+func (e *Encoder) EncodeRef(dst []byte, p *nn.Params, ref Ref) ([]byte, error) {
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -101,7 +128,7 @@ func (e *Encoder) EncodeParams(dst []byte, p, ref *nn.Params) ([]byte, error) {
 	}
 	dst = append(dst, blobMagic, blobVersion, byte(e.opts.Kind), byte(e.opts.Bits))
 	dst = appendU32(dst, uint32(p.Len()))
-	dst = appendU64(dst, RefSum(ref))
+	dst = appendU64(dst, ref.sum)
 	names := p.Names()
 	for i := 0; i < p.Len(); i++ {
 		name := names[i]
@@ -110,8 +137,8 @@ func (e *Encoder) EncodeParams(dst []byte, p, ref *nn.Params) ([]byte, error) {
 		}
 		cur := p.At(i)
 		var refT *mat.Dense
-		if ref != nil {
-			refT = ref.Get(name)
+		if ref.params != nil {
+			refT = ref.params.Get(name)
 			if refT != nil && (refT.Rows() != cur.Rows() || refT.Cols() != cur.Cols()) {
 				return nil, fmt.Errorf("codec: tensor %q is %dx%d but reference is %dx%d",
 					name, cur.Rows(), cur.Cols(), refT.Rows(), refT.Cols())
@@ -210,12 +237,19 @@ func (e *Encoder) encodeLossy(dst []byte, name string, cur, ref []float64, cols 
 	return dst, mode
 }
 
-// DecodeParams reconstructs a parameter set from a v1 blob. A blob with a
-// nonzero reference checksum requires ref to hash to exactly that value;
+// DecodeParams is decodeRef against NewRef(ref): it hashes ref on every
+// call. The transport, which decodes against one reference repeatedly, keeps
+// a Ref and calls DecodeParamsTraced.
+func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
+	return decodeRef(blob, NewRef(ref))
+}
+
+// decodeRef reconstructs a parameter set from a v1 blob. A blob with a
+// nonzero reference checksum requires ref's sum to be exactly that value;
 // an absolute blob (checksum 0) ignores ref. Output matrices are drawn from
 // the mat buffer pool — ownership transfers to the caller, who may PutDense
 // them once the values have been consumed (or let the GC take them).
-func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
+func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 	if len(blob) < blobHeaderLen {
 		return nil, fmt.Errorf("codec: blob is %d bytes, want at least %d", len(blob), blobHeaderLen)
 	}
@@ -228,12 +262,13 @@ func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
 	qbits := int(blob[3])
 	count := int(binary.LittleEndian.Uint32(blob[4:]))
 	refsum := binary.LittleEndian.Uint64(blob[8:])
+	ref := r.params
 	if refsum != 0 {
 		if ref == nil {
 			return nil, fmt.Errorf("codec: blob needs a reference but decoder has none")
 		}
-		if got := RefSum(ref); got != refsum {
-			return nil, fmt.Errorf("codec: reference checksum mismatch: blob %016x, local %016x", refsum, got)
+		if r.sum != refsum {
+			return nil, fmt.Errorf("codec: reference checksum mismatch: blob %016x, local %016x", refsum, r.sum)
 		}
 	}
 	out := nn.NewParams()
@@ -257,6 +292,9 @@ func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
 
 		var refData []float64
 		if mode != modeRawF64 {
+			if ref == nil {
+				return nil, fmt.Errorf("codec: delta frame %q in a blob without a reference", name)
+			}
 			refT := ref.Get(name)
 			if refT == nil {
 				return nil, fmt.Errorf("codec: delta frame %q has no reference tensor", name)

@@ -24,14 +24,15 @@ func (e *Encoder) traceParent() obs.SpanContext {
 	return e.parent()
 }
 
-// DecodeParamsTraced is DecodeParams wrapped in a "codec/decode" span when
-// tr is non-nil; parent may be nil (the span then roots a local trace).
-func DecodeParamsTraced(blob []byte, ref *nn.Params, tr *obs.Tracer, parent obs.SpanContext) (*nn.Params, error) {
+// DecodeParamsTraced decodes blob against ref, whose checksum was taken
+// when it became a reference (see Ref), wrapped in a "codec/decode" span
+// when tr is non-nil; parent may be nil (the span then roots a local trace).
+func DecodeParamsTraced(blob []byte, ref Ref, tr *obs.Tracer, parent obs.SpanContext) (*nn.Params, error) {
 	if tr == nil {
-		return DecodeParams(blob, ref)
+		return decodeRef(blob, ref)
 	}
 	sp := tr.Start(parent, obs.SpanDecode)
-	p, err := DecodeParams(blob, ref)
+	p, err := decodeRef(blob, ref)
 	sp.SetAttr(obs.AttrBytesEnc, len(blob))
 	if p != nil {
 		sp.SetAttr(obs.AttrTensors, p.Len())

@@ -613,16 +613,16 @@ func (eng *asyncEngine) foldStats(kept []*asyncUpdate, round int) {
 	eng.stats.central = newCentral
 }
 
-// foldAux merges the kept updates' aux uploads (unit weights discounted by
-// staleness, mirroring the sync auxExchange's plain average) and installs
-// the aggregate as the state future dispatches download.
+// foldAux merges the kept updates' aux uploads (the FedAvg weights
+// discounted by staleness, the same weights the parameter fold uses) and
+// installs the aggregate as the state future dispatches download.
 func (eng *asyncEngine) foldAux(kept []*asyncUpdate, round int) error {
 	var sets []*nn.Params
 	var ws []float64
 	for _, u := range kept {
 		if u.aux != nil {
 			sets = append(sets, u.aux)
-			ws = append(ws, eng.discount(round-u.dispatch))
+			ws = append(ws, eng.st.weights[u.party]*eng.discount(round-u.dispatch))
 		}
 	}
 	if len(sets) == 0 {
@@ -671,9 +671,6 @@ func runAsync(cfg *Config, st *runState, cs *codecState, rec telemetry.Recorder,
 		stalled := false
 		var fold *foldOutcome
 		st.beginRound()
-		if cs != nil {
-			cs.beginRound()
-		}
 
 		roundErr := func() error {
 			reach := st.reachable(round)

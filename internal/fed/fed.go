@@ -66,8 +66,9 @@ type MomentClient interface {
 }
 
 // AuxClient is implemented by clients exchanging auxiliary state beyond model
-// weights; the server aggregates uploads by simple averaging and broadcasts
-// the aggregate (SCAFFOLD's control variates use this).
+// weights; the server averages uploads with the same weights it averages
+// parameters with (NumSamples, at least 1) and broadcasts the aggregate
+// (SCAFFOLD's control variates use this).
 type AuxClient interface {
 	Client
 	UploadAux() *nn.Params
@@ -383,9 +384,6 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 		var trainIdx []int
 		var trainSecs []float64
 		st.beginRound()
-		if cs != nil {
-			cs.beginRound()
-		}
 
 		reach := st.reachable(round)
 
@@ -959,11 +957,13 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 	return up, down, globalMeans, globalCentral, nil
 }
 
-// auxExchange averages any auxiliary uploads from the indexed clients and
-// redistributes them, excluding parties the failure policy drops mid-phase.
+// auxExchange averages any auxiliary uploads from the indexed clients with
+// the FedAvg weights (NumSamples, at least 1) and redistributes them,
+// excluding parties the failure policy drops mid-phase.
 func (st *runState) auxExchange(idx []int, stats *RoundStats) error {
 	var auxSets []*nn.Params
 	var auxIdx []int
+	var auxWeights []float64
 	for _, i := range idx {
 		ac, isAux := st.clients[i].(AuxClient)
 		if !isAux {
@@ -985,16 +985,13 @@ func (st *runState) auxExchange(idx []int, stats *RoundStats) error {
 		}
 		auxSets = append(auxSets, aux)
 		auxIdx = append(auxIdx, i)
+		auxWeights = append(auxWeights, st.weights[i])
 		stats.BytesUp += int64(aux.Bytes())
 	}
 	if len(auxSets) == 0 {
 		return nil
 	}
-	ones := make([]float64, len(auxSets))
-	for i := range ones {
-		ones[i] = 1
-	}
-	globalAux, err := nn.Average(auxSets, ones)
+	globalAux, err := nn.Average(auxSets, auxWeights)
 	if err != nil {
 		return fmt.Errorf("fed: aux aggregation: %w", err)
 	}

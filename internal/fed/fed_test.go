@@ -2,6 +2,7 @@ package fed
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -271,6 +272,25 @@ func TestAuxExchangeAverages(t *testing.T) {
 	}
 	if a.downloaded != 4 || b.downloaded != 4 {
 		t.Fatalf("aux aggregate = %v/%v want 4", a.downloaded, b.downloaded)
+	}
+}
+
+// Aux state is averaged with the FedAvg weights (NumSamples, at least 1),
+// as SCAFFOLD averages c with the same weights as w: a party with three
+// times the training nodes pulls c three times as hard, and a party with
+// none, which never moves its c_i off zero, counts once.
+func TestAuxExchangeWeightsBySamples(t *testing.T) {
+	a := &auxFake{fakeClient: newFakeClient("a", 3, 0), auxVal: 2}
+	b := &auxFake{fakeClient: newFakeClient("b", 1, 0), auxVal: 6}
+	z := &auxFake{fakeClient: newFakeClient("z", 0, 0), auxVal: 0}
+	if _, err := Run(Config{Rounds: 1}, []Client{a, b, z}); err != nil {
+		t.Fatal(err)
+	}
+	const want = (3*2 + 1*6 + 1*0) / 5.0
+	for _, c := range []*auxFake{a, b, z} {
+		if math.Abs(c.downloaded-want) > 1e-12 {
+			t.Fatalf("%s downloaded aux %v, want the sample-weighted %v", c.name, c.downloaded, want)
+		}
 	}
 }
 

@@ -338,11 +338,12 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 	// Wire-codec state, armed by opNegotiateCodec: the uplink encoder (which
 	// owns this party's error-feedback residuals) and the reference state —
 	// the last global this party decoded, which both directions encode
-	// against. The coordinator tracks the mirror of this state per party and
-	// falls back to absolute blobs whenever either side loses it (fresh
-	// connection, failed broadcast), so a desync heals within one exchange.
+	// against, hashed once when it is decoded. The coordinator tracks the
+	// mirror of this state per party and falls back to absolute blobs
+	// whenever either side loses it (fresh connection, failed broadcast), so
+	// a desync heals within one exchange.
 	var wcEnc *codec.Encoder
-	var wcRef *nn.Params
+	var wcRef codec.Ref
 	for {
 		if opts.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
@@ -377,8 +378,8 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 			}
 			wcEnc = codec.NewEncoder(nopts)
 			wcEnc.SetTrace(tracer, tracer.Active)
-			codec.PutParams(wcRef)
-			wcRef = nil
+			codec.PutParams(wcRef.Params())
+			wcRef = codec.Ref{}
 		case opSetParams:
 			p := req.Params
 			if req.Blob != nil {
@@ -386,11 +387,11 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 				if err != nil {
 					// Reference desync: drop our side so the coordinator's
 					// absolute re-broadcast can resynchronise both.
-					codec.PutParams(wcRef)
-					if wcRef != nil {
+					codec.PutParams(wcRef.Params())
+					if wcRef.Params() != nil {
 						wireResets.Add(1)
 					}
-					wcRef = nil
+					wcRef = codec.Ref{}
 					// The uplink residuals were built against the dead
 					// reference chain; the coordinator's absolute re-broadcast
 					// starts a new one.
@@ -401,8 +402,8 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 				if err := c.SetParams(dec); err != nil {
 					resp.Err = err.Error()
 				}
-				codec.PutParams(wcRef)
-				wcRef = dec // the model copied the values; keep the set as reference
+				codec.PutParams(wcRef.Params())
+				wcRef = codec.NewRef(dec) // the model copied the values; keep the set as reference
 				break
 			}
 			if err := c.SetParams(paramsFromWire(p)); err != nil {
@@ -421,7 +422,7 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 		case opGetParams:
 			if wcEnc != nil {
 				p := c.Params()
-				blob, err := wcEnc.EncodeParams(nil, p, wcRef)
+				blob, err := wcEnc.EncodeRef(nil, p, wcRef)
 				if err != nil {
 					resp.Err = err.Error()
 					break
@@ -517,13 +518,16 @@ type remoteClient struct {
 	// codecOn is set once the party accepted an opNegotiateCodec request;
 	// SetParams/GetParams then exchange codec blobs instead of raw gob.
 	codecOn bool
-	// downEnc encodes broadcasts (always the lossless Delta tier — the
-	// global must arrive exactly). lastSent is the reference state the
-	// party is known to hold: the last global it confirmed receiving. Any
-	// failed exchange resets it to nil, forcing the next broadcast to be
-	// an absolute blob, which re-synchronises both ends.
-	downEnc  *codec.Encoder
-	lastSent *nn.Params
+	// memo encodes broadcasts (always the lossless Delta tier — the global
+	// must arrive exactly), once per distinct reference, for every proxy
+	// AcceptClientsOpts returned. lastSent is the reference state the party
+	// is known to hold: the last global it confirmed receiving, with its
+	// checksum. Any failed exchange resets it to the zero Ref, forcing the
+	// next broadcast to be an absolute blob, which re-synchronises both
+	// ends. The Delta tier keeps no residual, so a reset leaves nothing
+	// else to clear.
+	memo     *broadcastMemo
+	lastSent codec.Ref
 }
 
 // wireCodecNegotiated lets fed.Run's in-process codec layer skip clients
@@ -633,11 +637,10 @@ func (r *remoteClient) reconnect() error {
 	// The party restarted its serve loop, so its codec reference and
 	// error-feedback residuals are gone. Renegotiate and start from an
 	// absolute broadcast.
-	if r.lastSent != nil {
+	if r.lastSent.Params() != nil {
 		wireResets.Add(1)
 	}
-	r.lastSent = nil
-	r.downEnc.Reset() // residuals belong to the dead reference chain (nil-safe pre-negotiation)
+	r.lastSent = codec.Ref{}
 	if r.codecOn {
 		if !wireSupported(h.Codecs, codec.WireV1) {
 			r.conn.Close()
@@ -729,11 +732,10 @@ func (r *remoteClient) Params() *nn.Params {
 	if resp.Blob != nil {
 		p, derr := codec.DecodeParamsTraced(resp.Blob, r.lastSent, r.tracer, r.tracer.Active())
 		if derr != nil {
-			if r.lastSent != nil {
+			if r.lastSent.Params() != nil {
 				wireResets.Add(1)
 			}
-			r.lastSent = nil // desync: force an absolute re-broadcast
-			r.downEnc.Reset()
+			r.lastSent = codec.Ref{} // desync: force an absolute re-broadcast
 			return nn.NewParams()
 		}
 		if r.rec.Enabled() {
@@ -750,11 +752,13 @@ func (r *remoteClient) SetParams(global *nn.Params) error {
 		_, err := r.call(rpcRequest{Op: opSetParams, Params: paramsToWire(global)})
 		return err
 	}
+	var next codec.Ref
 	_, err := r.callBuild(func() (rpcRequest, error) {
-		blob, eerr := r.downEnc.EncodeParams(nil, global, r.lastSent)
+		blob, ref, _, eerr := r.memo.encode(global, r.lastSent)
 		if eerr != nil {
 			return rpcRequest{}, fmt.Errorf("fed: codec encode for %s: %w", r.name, eerr)
 		}
+		next = ref
 		if r.rec.Enabled() {
 			r.rec.Count(codec.MetricBytesRawDown, int64(global.Bytes()))
 			r.rec.Count(codec.MetricBytesEncodedDown, int64(len(blob)))
@@ -764,14 +768,13 @@ func (r *remoteClient) SetParams(global *nn.Params) error {
 	if err != nil {
 		// The party may or may not have applied the blob; assume nothing
 		// and resynchronise with an absolute broadcast next time.
-		if r.lastSent != nil {
+		if r.lastSent.Params() != nil {
 			wireResets.Add(1)
 		}
-		r.lastSent = nil
-		r.downEnc.Reset()
+		r.lastSent = codec.Ref{}
 		return err
 	}
-	r.lastSent = global
+	r.lastSent = next
 	return nil
 }
 
@@ -853,6 +856,11 @@ func (r *remoteAuxClient) DownloadAux(global *nn.Params) error {
 // the per-request deadlines of opts and record RPC telemetry.
 func AcceptClientsOpts(ln net.Listener, n int, opts TransportOptions) ([]Client, error) {
 	clients := make([]Client, 0, n)
+	var memo *broadcastMemo
+	if opts.Codec.Enabled() {
+		memo = newBroadcastMemo()
+		memo.enc.SetTrace(opts.Tracer, opts.Tracer.Active)
+	}
 	for len(clients) < n {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -879,8 +887,7 @@ func AcceptClientsOpts(ln net.Listener, n int, opts TransportOptions) ([]Client,
 				// (e.g. an options set its build rejects): stay on v0 raw.
 			} else {
 				base.codecOn = true
-				base.downEnc = codec.NewEncoder(codec.Options{Kind: codec.Delta})
-				base.downEnc.SetTrace(opts.Tracer, opts.Tracer.Active)
+				base.memo = memo
 			}
 		}
 		switch {
