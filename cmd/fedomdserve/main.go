@@ -1,9 +1,10 @@
 // Command fedomdserve serves node-classification queries from a trained
-// checkpoint over HTTP: it rebuilds the model from the checkpoint's config
-// header, folds the graph into a hot propagated-feature table, and answers
-// through the micro-batching service of internal/serve. A new checkpoint
-// landing on the watched path hot-swaps the model with zero dropped
-// requests.
+// FedOMD checkpoint over HTTP: it rebuilds the paper's OrthoGCN from the
+// checkpoint's config header, folds the graph into a hot propagated-feature
+// table, and answers through the micro-batching service of internal/serve.
+// A new checkpoint landing on the watched path hot-swaps the model with zero
+// dropped requests. A checkpoint written before the header existed is
+// served as FedOMD, shaped by -hidden and -layers.
 //
 // Usage:
 //
@@ -38,7 +39,6 @@ func main() {
 	ds := flag.String("dataset", "", "dataset preset override (default: the checkpoint header's)")
 	divisor := flag.Int("divisor", 0, "dataset shrink divisor override")
 	seed := flag.Int64("seed", 0, "dataset seed override")
-	model := flag.String("model", "fedomd", "architecture fallback for pre-header checkpoints")
 	hidden := flag.Int("hidden", 64, "hidden width fallback for pre-header checkpoints")
 	layers := flag.Int("layers", 2, "hidden layers fallback for pre-header checkpoints")
 	flag.Parse()
@@ -88,11 +88,11 @@ func main() {
 	if spec == nil {
 		// Pre-header snapshot: reconstruct the architecture from flags.
 		spec = &fed.ModelSpec{
-			SpecVersion: fed.SpecVersion, Model: *model,
+			SpecVersion: fed.SpecVersion, Model: "fedomd",
 			Features: g.NumFeatures(), Classes: g.NumClasses,
 			Hidden: *hidden, HiddenLayers: *layers, SpectralBound: true,
 		}
-		fmt.Printf("pre-header checkpoint: assuming %s hidden=%d layers=%d\n", *model, *hidden, *layers)
+		fmt.Printf("pre-header checkpoint: assuming fedomd hidden=%d layers=%d\n", *hidden, *layers)
 	}
 
 	agg := fedomd.NewTelemetryAggregator()

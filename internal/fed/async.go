@@ -917,6 +917,7 @@ func runAsync(cfg *Config, st *runState, cs *codecState, rec telemetry.Recorder,
 	res.FinalParams = global
 	res.ClientFailures = st.failures
 
+	tr.SetActive(runSpan.Context()) // as in Run: the final broadcast is outside every round
 	if err := finalScore(cfg, st, rec, res, global); err != nil {
 		return nil, err
 	}

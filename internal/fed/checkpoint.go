@@ -33,21 +33,17 @@ const SpecVersion = 1
 type ModelSpec struct {
 	// SpecVersion is the header format version (SpecVersion at write time).
 	SpecVersion int
-	// Model is the architecture kind: "fedomd" (the paper's OrthoGCN),
-	// "mlp", "gcn", or "sgc".
+	// Model is the architecture kind. The serving plane builds only
+	// "fedomd", the paper's OrthoGCN, the one model a trainer writes.
 	Model string
 	// Features and Classes are the input and output widths.
 	Features, Classes int
-	// Hidden and HiddenLayers shape the OrthoGCN (Model == "fedomd").
+	// Hidden and HiddenLayers shape the OrthoGCN.
 	Hidden, HiddenLayers int
-	// Dims are the full layer dimensions for "mlp"/"gcn" models.
-	Dims []int
 	// Dropout is recorded for exact reconstruction; inference ignores it.
 	Dropout float64
 	// SpectralBound mirrors OrthoGCN's Q̃ = Q/‖Q‖ forward bounding.
 	SpectralBound bool
-	// Hops is SGC's propagation depth.
-	Hops int
 	// Dataset, Divisor and DataSeed name the dataset recipe the model was
 	// trained against, so a server can regenerate the graph the node IDs
 	// index into. Empty/zero when the caller served its own graph.

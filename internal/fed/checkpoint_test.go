@@ -269,6 +269,66 @@ func TestCheckpointPreSpecHeaderCompat(t *testing.T) {
 	}
 }
 
+// dimsHopsSpec freezes ModelSpec as it was written while the header still
+// carried the layer dimensions of MLP/GCN models and SGC's hop count.
+type dimsHopsSpec struct {
+	SpecVersion          int
+	Model                string
+	Features, Classes    int
+	Hidden, HiddenLayers int
+	Dims                 []int
+	Dropout              float64
+	SpectralBound        bool
+	Hops                 int
+	Dataset              string
+	Divisor              int
+	DataSeed             int64
+}
+
+// TestCheckpointDimsHopsSpecCompat pins that a header written with Dims and
+// Hops still loads: gob drops the two fields the current ModelSpec lacks and
+// keeps every other one.
+func TestCheckpointDimsHopsSpecCompat(t *testing.T) {
+	old := struct {
+		Round  int
+		Global *wireParams
+		Spec   *dimsHopsSpec
+	}{
+		Round:  7,
+		Global: paramsToWire(specTestParams()),
+		Spec: &dimsHopsSpec{
+			SpecVersion: 1, Model: "fedomd",
+			Features: 6, Classes: 3, Hidden: 8, HiddenLayers: 2,
+			Dims: []int{6, 8, 3}, Dropout: 0.5, SpectralBound: true, Hops: 2,
+			Dataset: "cora-like", Divisor: 4, DataSeed: 42,
+		},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "dims-hops.ckpt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpointFile(path)
+	if err != nil {
+		t.Fatalf("checkpoint with a Dims/Hops header refused: %v", err)
+	}
+	want := &ModelSpec{
+		SpecVersion: 1, Model: "fedomd",
+		Features: 6, Classes: 3, Hidden: 8, HiddenLayers: 2,
+		Dropout: 0.5, SpectralBound: true,
+		Dataset: "cora-like", Divisor: 4, DataSeed: 42,
+	}
+	if ck.Round != 7 || !reflect.DeepEqual(ck.Spec, want) {
+		t.Fatalf("header fields lost: round %d spec %+v, want round 7 spec %+v", ck.Round, ck.Spec, want)
+	}
+	if _, err := ck.GlobalParams(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckpointSpecRoundTrip pins the header through the file writer and
 // loader, including GlobalParams on a header-only model checkpoint.
 func TestCheckpointSpecRoundTrip(t *testing.T) {

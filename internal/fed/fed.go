@@ -694,6 +694,9 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	res.FinalParams = global
 	res.ClientFailures = st.failures
 
+	// The final broadcast runs outside every round: anchor its RPC and codec
+	// spans under fed/run, not the last fed/round.
+	tr.SetActive(runSpan.Context())
 	if err := finalScore(&cfg, st, rec, res, global); err != nil {
 		return nil, err
 	}

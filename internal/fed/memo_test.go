@@ -172,7 +172,11 @@ func TestDistributedAsyncDeltaSharedMemo(t *testing.T) {
 		f.trainVal = float64(i + 1)
 		locals = append(locals, &slowTrainer{fakeClient: f, delay: time.Duration(i) * time.Millisecond})
 	}
-	res, err := startServer(t, Config{Rounds: 12, Aggregation: AggAsync, BufferK: 1,
+	// MaxStaleness covers the whole run: with BufferK 1 the slowest party
+	// can fall many rounds behind, and the FailFast default would abort the
+	// run on that update (TestAsyncFoldEvictsStaleAndResetsEncoder pins
+	// that behaviour; this test is about the shared memo).
+	res, err := startServer(t, Config{Rounds: 12, Aggregation: AggAsync, BufferK: 1, MaxStaleness: 12,
 		Codec: codec.Options{Kind: codec.Delta}}, locals)
 	if err != nil {
 		t.Fatal(err)

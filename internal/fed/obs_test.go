@@ -183,6 +183,65 @@ func TestDistributedTraceTree(t *testing.T) {
 	}
 }
 
+// TestFinalBroadcastSpansUnderRun pins where the final-score broadcast's
+// coordinator spans anchor, under both engines: it runs after the round
+// loop, outside every round, so each party's set_params call and the codec
+// encode of the final global must have fed/run itself as parent, not the
+// last fed/round.
+func TestFinalBroadcastSpansUnderRun(t *testing.T) {
+	for _, agg := range []AggregationMode{AggSync, AggAsync} {
+		t.Run(agg.String(), func(t *testing.T) {
+			var mu sync.Mutex
+			var buf bytes.Buffer
+			jl := telemetry.NewJSONL(lockedWriter{&mu, &buf})
+			locals := []Client{newFakeClient("a", 3, 0), newFakeClient("b", 1, 0)}
+			cfg := Config{
+				Rounds:      2,
+				Sequential:  true,
+				Aggregation: agg,
+				Tracer:      obs.NewTracer(jl),
+				Codec:       codec.Options{Kind: codec.Delta},
+			}
+			if _, err := startServer(t, cfg, locals); err != nil {
+				t.Fatal(err)
+			}
+			if err := jl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			recs := decodeTrace(t, bytes.NewBuffer(append([]byte(nil), buf.Bytes()...)))
+			mu.Unlock()
+			var runID string
+			for _, r := range recs {
+				if r.Type == "span" && r.Name == obs.SpanRun {
+					runID = r.Span
+				}
+			}
+			if runID == "" {
+				t.Fatal("no fed/run span")
+			}
+			var sets, encodes int
+			for _, r := range recs {
+				if r.Type != "span" || r.Parent != runID {
+					continue
+				}
+				switch {
+				case r.Name == obs.SpanRPC && r.Attrs[obs.AttrOp] == "set_params":
+					sets++
+				case r.Name == obs.SpanEncode:
+					encodes++
+				}
+			}
+			if sets != len(locals) {
+				t.Fatalf("%d set_params calls anchored directly under fed/run, want the final broadcast's %d", sets, len(locals))
+			}
+			if encodes == 0 {
+				t.Fatal("the final broadcast's codec/encode span is not anchored directly under fed/run")
+			}
+		})
+	}
+}
+
 // lockedWriter serialises buffer access between the party goroutines'
 // flush-on-shutdown and the test's final read.
 type lockedWriter struct {

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,65 +64,52 @@ func maxAbsRowDiff(t *testing.T, want *mat.Dense, row []float64, node int) float
 	return worst
 }
 
+// TestInferencerParity pins the fold to the tape forward (train=false) at
+// every depth the table build handles — the input GCNConv alone, and one or
+// two OrthoConv layers after it — with the spectral bound on and off.
 func TestInferencerParity(t *testing.T) {
 	const n, feats, classes = 24, 6, 3
 	s, x := ringGraph(t, n, feats, 11)
 	in := Input{S: s, X: x}
 	rng := rand.New(rand.NewSource(3))
-
-	mlp, err := NewMLP(rng, []int{feats, 10, classes}, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gcn2, err := NewGCN(rng, []int{feats, 8, classes}, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gcn1, err := NewGCN(rng, []int{feats, classes}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gcn3, err := NewGCN(rng, []int{feats, 8, 5, classes}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ortho, err := NewOrthoGCN(rng, feats, 8, classes, 3, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgc, err := NewSGC(rng, s, x, classes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	models := []struct {
-		name string
-		m    Model
-	}{
-		{"mlp", mlp}, {"gcn2", gcn2}, {"gcn1", gcn1}, {"gcn3", gcn3},
-		{"orthogcn", ortho}, {"sgc", sgc},
-	}
 	batches := [][]int{
 		{0}, {3, 1, 3, n - 1}, allNodes(n),
 	}
-	for _, tc := range models {
-		want := tapeLogits(t, tc.m, in)
-		inf, err := NewInferencer(tc.m, in)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if inf.Nodes() != n || inf.Classes() != classes {
-			t.Fatalf("%s: inferencer %d nodes × %d classes, want %d × %d",
-				tc.name, inf.Nodes(), inf.Classes(), n, classes)
-		}
-		for _, idx := range batches {
-			out := mat.New(len(idx), classes)
-			if err := inf.InferInto(out, idx); err != nil {
-				t.Fatalf("%s: InferInto: %v", tc.name, err)
+	for _, layers := range []int{1, 2, 3} {
+		for _, bound := range []bool{true, false} {
+			name := fmt.Sprintf("layers=%d/bound=%v", layers, bound)
+			m, err := NewOrthoGCN(rng, feats, 8, classes, layers, 0.2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, node := range idx {
-				if d := maxAbsRowDiff(t, want, out.Row(i), node); d > 1e-9 {
-					t.Fatalf("%s: node %d logits diverge from tape forward by %g", tc.name, node, d)
+			m.SetSpectralBound(bound)
+			// Push the OrthoConv weights off the orthogonal manifold so
+			// their spectral norm exceeds 1 and the bound actually rescales.
+			for l := 1; l < layers; l++ {
+				w := m.Params().Get(fmt.Sprintf("w_ortho%d", l))
+				w.ScaleInPlace(3)
+				if mat.SpectralNorm(w) <= 1 {
+					t.Fatalf("%s: w_ortho%d norm %g, want > 1", name, l, mat.SpectralNorm(w))
+				}
+			}
+			want := tapeLogits(t, m, in)
+			inf, err := NewInferencer(m, in)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if inf.Nodes() != n || inf.Classes() != classes {
+				t.Fatalf("%s: inferencer %d nodes × %d classes, want %d × %d",
+					name, inf.Nodes(), inf.Classes(), n, classes)
+			}
+			for _, idx := range batches {
+				out := mat.New(len(idx), classes)
+				if err := inf.InferInto(out, idx); err != nil {
+					t.Fatalf("%s: InferInto: %v", name, err)
+				}
+				for i, node := range idx {
+					if d := maxAbsRowDiff(t, want, out.Row(i), node); d > 1e-9 {
+						t.Fatalf("%s: node %d logits diverge from tape forward by %g", name, node, d)
+					}
 				}
 			}
 		}
@@ -178,7 +166,7 @@ func TestInferIntoErrors(t *testing.T) {
 	const n, feats, classes = 8, 4, 2
 	s, x := ringGraph(t, n, feats, 2)
 	rng := rand.New(rand.NewSource(1))
-	m, err := NewGCN(rng, []int{feats, 6, classes}, 0)
+	m, err := NewOrthoGCN(rng, feats, 6, classes, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +190,14 @@ func TestInferIntoErrors(t *testing.T) {
 		t.Fatalf("empty batch should be a no-op, got %v", err)
 	}
 	if _, err := NewInferencer(m, Input{X: x}); err == nil {
-		t.Fatal("graph model without operator accepted")
+		t.Fatal("missing operator accepted")
 	}
 	if _, err := NewInferencer(m, Input{S: s}); err == nil {
 		t.Fatal("missing features accepted")
+	}
+	_, wide := ringGraph(t, n, feats+1, 2)
+	if _, err := NewInferencer(m, Input{S: s, X: wide}); err == nil {
+		t.Fatal("feature-width mismatch accepted")
 	}
 }
 

@@ -41,8 +41,6 @@ type Model interface {
 	Params() *Params
 	// Forward records the forward pass on tp. train toggles dropout.
 	Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *Forward
-	// NeedsGraph reports whether the model requires Input.S.
-	NeedsGraph() bool
 }
 
 // paramNodes binds every matrix of ps onto the tape in order.
@@ -176,9 +174,6 @@ func NewMLP(rng *rand.Rand, dims []int, dropout float64) (*MLP, error) {
 // Params implements Model.
 func (m *MLP) Params() *Params { return m.params }
 
-// NeedsGraph implements Model.
-func (m *MLP) NeedsGraph() bool { return false }
-
 // Forward implements Model.
 func (m *MLP) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *Forward {
 	nodes := paramNodes(tp, m.params)
@@ -226,9 +221,6 @@ func NewGCN(rng *rand.Rand, dims []int, dropout float64) (*GCN, error) {
 
 // Params implements Model.
 func (m *GCN) Params() *Params { return m.params }
-
-// NeedsGraph implements Model.
-func (m *GCN) NeedsGraph() bool { return true }
 
 // Forward implements Model.
 func (m *GCN) Forward(tp *ad.Tape, in Input, rng *rand.Rand, train bool) *Forward {
@@ -308,9 +300,6 @@ func NewOrthoGCN(rng *rand.Rand, in, hidden, out, hiddenLayers int, dropout floa
 
 // Params implements Model.
 func (m *OrthoGCN) Params() *Params { return m.params }
-
-// NeedsGraph implements Model.
-func (m *OrthoGCN) NeedsGraph() bool { return true }
 
 // Forward implements Model. Hidden gets exactly hiddenLayers entries:
 // Z^1 (after the input GCNConv) and one per OrthoConv.

@@ -128,9 +128,6 @@ func TestMLPForwardShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NeedsGraph() {
-		t.Fatal("MLP should not need graph")
-	}
 	_, x := lineGraph(t)
 	tp := ad.NewTape()
 	f := m.Forward(tp, Input{X: x}, rng, false)
@@ -166,9 +163,6 @@ func TestGCNForwardShapes(t *testing.T) {
 	m, err := NewGCN(rng, []int{3, 6, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !m.NeedsGraph() {
-		t.Fatal("GCN should need graph")
 	}
 	s, x := lineGraph(t)
 	tp := ad.NewTape()

@@ -49,7 +49,7 @@ func TestHTTPGolden(t *testing.T) {
 	g := testGraph(t, 9, classes)
 	s := New(Config{MaxBatch: 4})
 	defer s.Close()
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 7), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 7), g)
 	srv := startTestServer(t, s)
 
 	status, body := postClassify(t, srv.Addr(), `{"nodes":[0,4],"logits":true}`)
@@ -94,7 +94,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		t.Fatalf("no-model healthz: %d %s", resp.StatusCode, hb)
 	}
 
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 1), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 1), g)
 	if status, _ := postClassify(t, srv.Addr(), `{"nodes":[]}`); status != 400 {
 		t.Fatal("empty nodes accepted")
 	}
@@ -140,7 +140,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "model.ckpt")
 	write := fed.FileCheckpointer(path)
-	if err := write(mlpCheckpoint(t, classes, 0)); err != nil {
+	if err := write(fedomdCheckpoint(t, classes, 0)); err != nil {
 		t.Fatal(err)
 	}
 	var swapErrs atomic.Int64
@@ -209,7 +209,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	// Land new checkpoints while the load runs.
 	for r := 1; r <= rounds; r++ {
 		time.Sleep(20 * time.Millisecond)
-		if err := write(mlpCheckpoint(t, classes, r)); err != nil {
+		if err := write(fedomdCheckpoint(t, classes, r)); err != nil {
 			t.Fatal(err)
 		}
 	}

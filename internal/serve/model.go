@@ -15,13 +15,17 @@ import (
 // caller did not supply an architecture out of band.
 var ErrNoSpec = errors.New("serve: checkpoint has no model spec (pre-header snapshot); supply the architecture explicitly")
 
-// BuildInferencer reconstructs the model a spec describes, loads params into
-// it, and folds it with the graph into a serving snapshot. The rng seeding
-// the constructors is irrelevant — every weight is overwritten by the
+// BuildInferencer reconstructs the FedOMD model a spec describes, loads
+// params into it, and folds it with the graph into a serving snapshot. Any
+// other model kind is refused: no trainer writes one. The rng seeding the
+// constructor is irrelevant — every weight is overwritten by the
 // checkpointed params.
 func BuildInferencer(spec *fed.ModelSpec, params *nn.Params, g *graph.Graph) (*nn.Inferencer, error) {
 	if spec == nil {
 		return nil, ErrNoSpec
+	}
+	if spec.Model != "fedomd" {
+		return nil, fmt.Errorf("serve: cannot serve model kind %q: only \"fedomd\" checkpoints are servable", spec.Model)
 	}
 	if spec.Features > 0 && g.NumFeatures() != spec.Features {
 		return nil, fmt.Errorf("serve: graph has %d features, model wants %d", g.NumFeatures(), spec.Features)
@@ -29,47 +33,19 @@ func BuildInferencer(spec *fed.ModelSpec, params *nn.Params, g *graph.Graph) (*n
 	if spec.Classes > 0 && g.NumClasses != spec.Classes {
 		return nil, fmt.Errorf("serve: graph has %d classes, model wants %d", g.NumClasses, spec.Classes)
 	}
-	rng := rand.New(rand.NewSource(1))
-	var (
-		m   nn.Model
-		err error
-	)
-	switch spec.Model {
-	case "fedomd":
-		var om *nn.OrthoGCN
-		om, err = nn.NewOrthoGCN(rng, spec.Features, spec.Hidden, spec.Classes, spec.HiddenLayers, spec.Dropout)
-		if err == nil {
-			om.SetSpectralBound(spec.SpectralBound)
-			m = om
-		}
-	case "mlp":
-		m, err = nn.NewMLP(rng, spec.Dims, spec.Dropout)
-	case "gcn":
-		m, err = nn.NewGCN(rng, spec.Dims, spec.Dropout)
-	case "sgc":
-		s, nerr := sparse.GCNNormalize(g.Adj)
-		if nerr != nil {
-			return nil, fmt.Errorf("serve: normalizing adjacency: %w", nerr)
-		}
-		m, err = nn.NewSGC(rng, s, g.Features, spec.Classes, spec.Hops)
-	default:
-		return nil, fmt.Errorf("serve: unknown model kind %q in spec", spec.Model)
-	}
+	m, err := nn.NewOrthoGCN(rand.New(rand.NewSource(1)), spec.Features, spec.Hidden, spec.Classes, spec.HiddenLayers, spec.Dropout)
 	if err != nil {
-		return nil, fmt.Errorf("serve: rebuilding %s model: %w", spec.Model, err)
+		return nil, fmt.Errorf("serve: rebuilding fedomd model: %w", err)
 	}
+	m.SetSpectralBound(spec.SpectralBound)
 	if err := m.Params().CopyFrom(params); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint params do not fit a %s model built from its own spec: %w", spec.Model, err)
+		return nil, fmt.Errorf("serve: checkpoint params do not fit a fedomd model built from its own spec: %w", err)
 	}
-	in := nn.Input{X: g.Features}
-	if m.NeedsGraph() {
-		s, err := sparse.GCNNormalize(g.Adj)
-		if err != nil {
-			return nil, fmt.Errorf("serve: normalizing adjacency: %w", err)
-		}
-		in.S = s
+	s, err := sparse.GCNNormalize(g.Adj)
+	if err != nil {
+		return nil, fmt.Errorf("serve: normalizing adjacency: %w", err)
 	}
-	return nn.NewInferencer(m, in)
+	return nn.NewInferencer(m, nn.Input{S: s, X: g.Features})
 }
 
 // InferencerFromCheckpoint is the whole load path: params + header out of

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,50 +19,52 @@ import (
 	"fedomd/internal/telemetry"
 )
 
-// testGraph builds an n-node ring whose features one-hot encode node%classes
-// — with the crafted MLP checkpoints below, every node's expected class is
-// computable in closed form.
+// testGraph builds an n-node graph with no edges whose features one-hot
+// encode node%classes. Without edges the GCN-normalised operator is exactly
+// the identity, so with the crafted FedOMD checkpoints below every node's
+// expected class is computable in closed form.
 func testGraph(t *testing.T, n, classes int) *graph.Graph {
 	t.Helper()
 	feats := mat.New(n, classes)
 	labels := make([]int, n)
-	edges := make([][2]int, 0, n)
 	for i := 0; i < n; i++ {
 		feats.Set(i, i%classes, 1)
 		labels[i] = i % classes
-		edges = append(edges, [2]int{i, (i + 1) % n})
 	}
-	g, err := graph.New(feats, labels, classes, edges)
+	g, err := graph.New(feats, labels, classes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
-// mlpCheckpoint crafts a single-layer MLP whose weight matrix is the
-// identity shifted by round: a node with feature e_j gets class (j+round) %
-// classes. Integer weights keep the arithmetic exact, so responses are
-// fully deterministic across machines.
-func mlpCheckpoint(t *testing.T, classes, round int) *fed.Checkpoint {
+// fedomdCheckpoint crafts a one-hidden-layer FedOMD model whose input weight
+// is the identity and whose output weight is the identity shifted by round.
+// With S̃ = I (testGraph) the logits are X·W_out, so a node with feature e_j
+// gets class (j+round) % classes. Integer weights keep the arithmetic exact,
+// so responses are fully deterministic across machines.
+func fedomdCheckpoint(t *testing.T, classes, round int) *fed.Checkpoint {
 	t.Helper()
-	m, err := nn.NewMLP(rand.New(rand.NewSource(1)), []int{classes, classes}, 0)
+	m, err := nn.NewOrthoGCN(rand.New(rand.NewSource(1)), classes, classes, classes, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := m.Params().Get("w0")
-	w.Fill(0)
+	win, wout := m.Params().Get("w_in"), m.Params().Get("w_out")
+	win.Fill(0)
+	wout.Fill(0)
 	for j := 0; j < classes; j++ {
-		w.Set(j, (j+round)%classes, 1)
+		win.Set(j, j, 1)
+		wout.Set(j, (j+round)%classes, 1)
 	}
-	m.Params().Get("b0").Fill(0)
 	spec := &fed.ModelSpec{
-		SpecVersion: fed.SpecVersion, Model: "mlp",
-		Features: classes, Classes: classes, Dims: []int{classes, classes},
+		SpecVersion: fed.SpecVersion, Model: "fedomd",
+		Features: classes, Classes: classes,
+		Hidden: classes, HiddenLayers: 1, SpectralBound: true,
 	}
 	return fed.NewModelCheckpoint(round, m.Params(), spec)
 }
 
-// expectedClass is the closed-form answer for mlpCheckpoint models.
+// expectedClass is the closed-form answer for fedomdCheckpoint models.
 func expectedClass(node, classes, round int) int {
 	return (node%classes + round) % classes
 }
@@ -99,7 +103,7 @@ func TestServeAnswersMatchModel(t *testing.T) {
 	g := testGraph(t, n, classes)
 	s := New(Config{MaxBatch: 8})
 	defer s.Close()
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 4), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 4), g)
 	nodes := []int{0, 5, 19, 5, 2}
 	res, err := s.Classify(context.Background(), nodes, true)
 	if err != nil {
@@ -132,7 +136,7 @@ func TestServeCoalesces(t *testing.T) {
 	agg := telemetry.NewAggregator()
 	s := New(Config{MaxBatch: 8, Linger: 20 * time.Millisecond, Recorder: agg})
 	defer s.Close()
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 1), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 1), g)
 	var wg sync.WaitGroup
 	for i := 0; i < requests; i++ {
 		wg.Add(1)
@@ -164,7 +168,7 @@ func TestServeCacheReuse(t *testing.T) {
 	agg := telemetry.NewAggregator()
 	s := New(Config{MaxBatch: 4, CacheSize: 256, Recorder: agg})
 	defer s.Close()
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 2), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 2), g)
 	first, err := s.Classify(context.Background(), []int{7, 7, 3}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +199,7 @@ func TestSwapChangesAnswersAndInvalidatesCache(t *testing.T) {
 	g := testGraph(t, n, classes)
 	s := New(Config{MaxBatch: 4, CacheSize: 256})
 	defer s.Close()
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 0), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 0), g)
 	before, err := s.Classify(context.Background(), []int{4}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +210,7 @@ func TestSwapChangesAnswersAndInvalidatesCache(t *testing.T) {
 	if s.cache.Len() == 0 {
 		t.Fatal("nothing cached")
 	}
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 1), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 1), g)
 	if s.cache.Len() != 0 {
 		t.Fatal("swap did not invalidate the cache")
 	}
@@ -227,7 +231,7 @@ func TestServeUnbatchedMode(t *testing.T) {
 	agg := telemetry.NewAggregator()
 	s := New(Config{MaxBatch: 1, Recorder: agg})
 	defer s.Close()
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 3), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 3), g)
 	for i := 0; i < 5; i++ {
 		res, err := s.Classify(context.Background(), []int{i}, false)
 		if err != nil {
@@ -248,7 +252,7 @@ func TestCloseDrains(t *testing.T) {
 	const n, classes = 16, 3
 	g := testGraph(t, n, classes)
 	s := New(Config{MaxBatch: 4, Linger: 5 * time.Millisecond})
-	swapFromCheckpoint(t, s, mlpCheckpoint(t, classes, 1), g)
+	swapFromCheckpoint(t, s, fedomdCheckpoint(t, classes, 1), g)
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for i := 0; i < 32; i++ {
@@ -273,8 +277,6 @@ func TestCloseDrains(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// TestBuildInferencerSpecs covers the non-MLP rebuild paths against the
-// tape forward.
 // TestSingleNodeMatchesFullTable pins that a served node's logits do not
 // depend on its batch-mates: InferInto of one node returns, bit for bit, that
 // node's row of the full-table sweep a reference answer is computed from. The
@@ -323,17 +325,28 @@ func TestSingleNodeMatchesFullTable(t *testing.T) {
 	}
 }
 
+// TestBuildInferencerSpecs covers the checkpoint rebuild path against an
+// inferencer folded directly from the live model, on a graph with edges so
+// the propagation is not the identity, and the specs it must refuse.
 func TestBuildInferencerSpecs(t *testing.T) {
 	const n, classes = 18, 3
-	g := testGraph(t, n, classes)
-	rng := rand.New(rand.NewSource(5))
-	feats := g.NumFeatures()
-
-	om, err := nn.NewOrthoGCN(rng, feats, 6, classes, 2, 0)
+	base := testGraph(t, n, classes)
+	ring := make([][2]int, n)
+	for i := range ring {
+		ring[i] = [2]int{i, (i + 1) % n}
+	}
+	g, err := graph.New(base.Features, base.Labels, classes, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcn, err := nn.NewGCN(rng, []int{feats, 5, classes}, 0)
+	feats := g.NumFeatures()
+	om, err := nn.NewOrthoGCN(rand.New(rand.NewSource(5)), feats, 6, classes, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &fed.ModelSpec{Model: "fedomd", Features: feats, Classes: classes,
+		Hidden: 6, HiddenLayers: 2, SpectralBound: true}
+	inf, err := InferencerFromCheckpoint(fed.NewModelCheckpoint(9, om.Params(), spec), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,50 +354,26 @@ func TestBuildInferencerSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgc, err := nn.NewSGC(rng, s, g.Features, classes, 2)
+	direct, err := nn.NewInferencer(om, nn.Input{S: s, X: g.Features})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cases := []struct {
-		name string
-		m    nn.Model
-		spec *fed.ModelSpec
-	}{
-		{"fedomd", om, &fed.ModelSpec{Model: "fedomd", Features: feats, Classes: classes,
-			Hidden: 6, HiddenLayers: 2, SpectralBound: true}},
-		{"gcn", gcn, &fed.ModelSpec{Model: "gcn", Dims: []int{feats, 5, classes}}},
-		{"sgc", sgc, &fed.ModelSpec{Model: "sgc", Classes: classes, Hops: 2}},
+	got, want := mat.New(n, classes), mat.New(n, classes)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	for _, tc := range cases {
-		ck := fed.NewModelCheckpoint(9, tc.m.Params(), tc.spec)
-		inf, err := InferencerFromCheckpoint(ck, g)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		// Reference: an inferencer folded directly from the live model.
-		direct, err := nn.NewInferencer(tc.m, nn.Input{S: s, X: g.Features})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := mat.New(n, classes), mat.New(n, classes)
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		if err := inf.InferInto(got, idx); err != nil {
-			t.Fatal(err)
-		}
-		if err := direct.InferInto(want, idx); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < classes; j++ {
-				d := got.At(i, j) - want.At(i, j)
-				if d > 1e-9 || d < -1e-9 {
-					t.Fatalf("%s: rebuilt model diverges at (%d,%d): %g vs %g",
-						tc.name, i, j, got.At(i, j), want.At(i, j))
-				}
+	if err := inf.InferInto(got, idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.InferInto(want, idx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < classes; j++ {
+			d := got.At(i, j) - want.At(i, j)
+			if d > 1e-9 || d < -1e-9 {
+				t.Fatalf("rebuilt model diverges at (%d,%d): %g vs %g", i, j, got.At(i, j), want.At(i, j))
 			}
 		}
 	}
@@ -396,8 +385,17 @@ func TestBuildInferencerSpecs(t *testing.T) {
 	if _, err := BuildInferencer(bad, om.Params(), g); err == nil {
 		t.Fatal("feature-mismatched spec accepted")
 	}
-	if _, err := BuildInferencer(&fed.ModelSpec{Model: "unknown"}, om.Params(), g); err == nil {
-		t.Fatal("unknown model kind accepted")
+	// No trainer writes these kinds, so the serving plane builds none of
+	// them; the refusal names the kind it was given.
+	for _, kind := range []string{"mlp", "gcn", "sgc", "unknown"} {
+		spec := &fed.ModelSpec{Model: kind, Features: feats, Classes: classes, Hidden: 6, HiddenLayers: 2}
+		_, err := BuildInferencer(spec, om.Params(), g)
+		if err == nil {
+			t.Fatalf("model kind %q accepted", kind)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", kind)) {
+			t.Fatalf("refusal of kind %q does not name it: %v", kind, err)
+		}
 	}
 }
 
