@@ -121,11 +121,19 @@ func TestGradRowVecBroadcast(t *testing.T) {
 func TestGradMeanRowsAndPow(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := mat.RandGaussian(rng, 6, 3, 0.5, 1)
-	checkGrad(t, "central-moment", []*mat.Dense{a}, func(tp *Tape, ps []*Node) *Node {
-		mean := tp.MeanRows(ps[0])
-		centered := tp.SubRowVec(ps[0], mean)
-		third := tp.PowElem(centered, 3)
-		return tp.SumSquares(tp.MeanRows(third))
+	mu := mat.RandGaussian(rng, 1, 3, 0, 1)
+	momentLoss := func(tp *Tape, moms []*Node) *Node {
+		loss := tp.SumSquares(moms[0])
+		for _, m := range moms[1:] {
+			loss = tp.Add(loss, tp.SumSquares(m))
+		}
+		return loss
+	}
+	checkGrad(t, "central-moments", []*mat.Dense{a}, func(tp *Tape, ps []*Node) *Node {
+		return momentLoss(tp, tp.CentralMoments(ps[0], tp.MeanRows(ps[0]), 4))
+	})
+	checkGrad(t, "central-moments-foreign-mean", []*mat.Dense{a, mu}, func(tp *Tape, ps []*Node) *Node {
+		return momentLoss(tp, tp.CentralMoments(ps[0], ps[1], 4))
 	})
 }
 

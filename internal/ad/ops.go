@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"fedomd/internal/mat"
 	"fedomd/internal/sparse"
@@ -109,23 +110,6 @@ func (t *Tape) AddRowVec(a, v *Node) *Node {
 	return out
 }
 
-// SubRowVec records c = a − v with v a 1×cols row vector broadcast over
-// rows. The v gradient is the negated column sum, accumulated directly.
-func (t *Tape) SubRowVec(a, v *Node) *Node {
-	r, c := a.Value.Dims()
-	out := t.op(r, c, a, v)
-	mat.SubRowVecInto(out.Value, a.Value, v.Value)
-	out.backward = func() {
-		if a.requiresGrad {
-			a.grad().AddInPlace(out.Grad)
-		}
-		if v.requiresGrad {
-			mat.SumRowsAXPY(v.grad(), -1, out.Grad)
-		}
-	}
-	return out
-}
-
 // ReLU records c = max(a, 0). The backward pass fuses the mask with the
 // accumulation: upstream gradient flows into the grad buffer only where the
 // input was positive, with no mask-sized temporary.
@@ -187,27 +171,89 @@ func (t *Tape) MeanRows(a *Node) *Node {
 	return out
 }
 
-// PowElem records c = a^p element-wise for a non-negative integer power p.
-// Gradient: p·a^(p−1) ⊙ upstream, fused into the grad buffer.
-func (t *Tape) PowElem(a *Node, p int) *Node {
-	if p < 0 {
-		panic(fmt.Sprintf("ad: PowElem power must be >= 0, got %d", p))
+// CentralMoments records the column-wise central moments of z around the
+// 1×cols row vector mean, one 1×cols node per order: out[k] holds
+// E((z − mean)^(k+2)) for the orders 2..maxOrder. The values come from one
+// mat.CentralMomentsInto sweep, the kernel the statistics exchange runs;
+// maxOrder < 2 records nothing.
+//
+// Gradient: with c = z − mean, n rows and G_j the upstream gradient of
+// order j, ∂L/∂z += Σ_j (G_j·(1/n))·j·c^(j−1) and ∂L/∂mean −= its column
+// sums, in one pass over z. The orders add in descending j, the order in
+// which reverse mode reaches separate per-order nodes, so the gradients are
+// bit-identical to the composed MeanRows of element-wise powers.
+func (t *Tape) CentralMoments(z, mean *Node, maxOrder int) []*Node {
+	if maxOrder < 2 {
+		return nil
 	}
-	r, c := a.Value.Dims()
-	out := t.op(r, c, a)
-	mat.PowElemInto(out.Value, a.Value, p)
-	out.backward = func() {
-		if p == 0 {
-			return
-		}
-		gd := a.grad().Data()
-		og := out.Grad.Data()
-		fp := float64(p)
-		for i, x := range a.Value.Data() {
-			gd[i] += og[i] * fp * mat.IPow(x, p-1)
+	out := make([]*Node, maxOrder-1)
+	vals := make([]*mat.Dense, len(out))
+	for k := range out {
+		out[k] = t.op(1, z.Value.Cols(), z, mean)
+		vals[k] = out[k].Value
+	}
+	mat.CentralMomentsInto(vals, z.Value, mean.Value)
+	// Every order's node carries the pass, and the last-recorded one with a
+	// gradient runs it: reverse mode reaches it after the consumers of every
+	// order, which were all recorded later, have filled their gradients. A
+	// 0-row z has no gradient to pass.
+	for k, o := range out {
+		later := out[k+1:]
+		o.backward = func() {
+			if z.Value.Rows() > 0 && !slices.ContainsFunc(later, func(l *Node) bool { return l.Grad != nil }) {
+				centralMomentsBackward(z, mean, out)
+			}
 		}
 	}
 	return out
+}
+
+func centralMomentsBackward(z, mean *Node, out []*Node) {
+	n, cols := z.Value.Dims()
+	// fac row k is (G·(1/n))·(k+2) for order k+2, rounded as the mean's
+	// broadcast and then the power rule's factor would round it.
+	fac := mat.GetDense(len(out), cols)
+	defer mat.PutDense(fac)
+	inv := 1 / float64(n)
+	for k, o := range out {
+		if o.Grad == nil {
+			continue
+		}
+		f, j := fac.Row(k), float64(k+2)
+		for c, g := range o.Grad.Data() {
+			f[c] = inv * g * j
+		}
+	}
+	var zg, mg []float64
+	if z.requiresGrad {
+		zg = z.grad().Data()
+	}
+	if mean.requiresGrad {
+		mg = mean.grad().Data()
+	}
+	mu, fd := mean.Value.Data(), fac.Data()
+	pw := make([]float64, len(out)) // pw[k] = c^(k+1)
+	for i := 0; i < n; i++ {
+		for c, x := range z.Value.Row(i) {
+			d := x - mu[c]
+			pw[0] = d
+			for k := 1; k < len(pw); k++ {
+				pw[k] = pw[k-1] * d
+			}
+			var g float64
+			for k := len(out) - 1; k >= 0; k-- {
+				if out[k].Grad != nil {
+					g += fd[k*cols+c] * pw[k]
+				}
+			}
+			if zg != nil {
+				zg[i*cols+c] += g
+			}
+			if mg != nil {
+				mg[c] -= g
+			}
+		}
+	}
 }
 
 // L2Norm records the scalar ‖a‖₂ over all elements (Frobenius norm for

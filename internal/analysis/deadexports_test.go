@@ -31,7 +31,6 @@ var deadExportAllow = map[string]string{
 	"mat.Min":                         "test helper used by other packages' tests (ad, nn)",
 	"mat.NewFromRows":                 "test helper used by other packages' tests",
 	"mat.PoolStats":                   "test helper used by other packages' tests (ad)",
-	"mat.PowElem":                     "test helper used by other packages' tests (moments)",
 	"mat.SetDebug":                    "turns on the buffer pool's double-put check for any package's tests",
 	"mat.SetWorkers":                  "test helper used by other packages' tests (partition, sparse)",
 	"mat.Sum":                         "test helper used by other packages' tests (ad)",

@@ -36,16 +36,15 @@ var noAliasKernels = map[string]kernelSpec{
 	pathMat + ".MatMulT2Into":    {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".MatMulT2AddInto": {dst: 0, srcs: []int{1, 2}},
 	// ops.go *Into family ("out must not alias the inputs unless noted").
-	pathMat + ".AddInto":        {dst: 0, srcs: []int{1, 2}},
-	pathMat + ".SubInto":        {dst: 0, srcs: []int{1, 2}},
-	pathMat + ".MulElemInto":    {dst: 0, srcs: []int{1, 2}},
-	pathMat + ".MulElemAddInto": {dst: 0, srcs: []int{1, 2}},
-	pathMat + ".ScaleInto":      {dst: 0, srcs: []int{2}},
-	pathMat + ".AddRowVecInto":  {dst: 0, srcs: []int{1, 2}},
-	pathMat + ".SubRowVecInto":  {dst: 0, srcs: []int{1, 2}},
-	pathMat + ".MeanRowsInto":   {dst: 0, srcs: []int{1}},
-	pathMat + ".SumRowsAXPY":    {dst: 0, srcs: []int{2}},
-	pathMat + ".PowElemInto":    {dst: 0, srcs: []int{1}},
+	pathMat + ".AddInto":            {dst: 0, srcs: []int{1, 2}},
+	pathMat + ".SubInto":            {dst: 0, srcs: []int{1, 2}},
+	pathMat + ".MulElemInto":        {dst: 0, srcs: []int{1, 2}},
+	pathMat + ".MulElemAddInto":     {dst: 0, srcs: []int{1, 2}},
+	pathMat + ".ScaleInto":          {dst: 0, srcs: []int{2}},
+	pathMat + ".AddRowVecInto":      {dst: 0, srcs: []int{1, 2}},
+	pathMat + ".MeanRowsInto":       {dst: 0, srcs: []int{1}},
+	pathMat + ".SumRowsAXPY":        {dst: 0, srcs: []int{2}},
+	pathMat + ".CentralMomentsInto": {dst: 0, srcs: []int{1, 2}},
 	// matmul.go slice-level AXPY micro kernel: dst += alpha·src.
 	pathMat + ".AXPYRow": {dst: 0, srcs: []int{2}},
 	// In-place BLAS-style updates: the receiver is the destination.

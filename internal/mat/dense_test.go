@@ -172,15 +172,15 @@ func TestMeanRowsEmpty(t *testing.T) {
 	}
 }
 
-func TestPowElemNegativeBase(t *testing.T) {
+func TestCentralMomentsNegativeBase(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{-2, 3}})
-	p3 := PowElem(a, 3)
-	if p3.At(0, 0) != -8 || p3.At(0, 1) != 27 {
-		t.Fatalf("PowElem(3) = %v", p3)
+	out := []*Dense{New(1, 2), New(1, 2)}
+	CentralMomentsInto(out, a, New(1, 2))
+	if out[0].At(0, 0) != 4 || out[0].At(0, 1) != 9 {
+		t.Fatalf("order 2 = %v", out[0])
 	}
-	p0 := PowElem(a, 0)
-	if p0.At(0, 0) != 1 || p0.At(0, 1) != 1 {
-		t.Fatalf("PowElem(0) = %v", p0)
+	if out[1].At(0, 0) != -8 || out[1].At(0, 1) != 27 {
+		t.Fatalf("order 3 = %v, odd orders must keep the sign", out[1])
 	}
 }
 

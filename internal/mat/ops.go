@@ -160,25 +160,6 @@ func FrobNormSq(a *Dense) float64 {
 	return s
 }
 
-// PowElem returns a with every element raised to the integer power p.
-// Integer powers are computed by repeated multiplication, so negative bases
-// are handled exactly (needed for odd central moments).
-func PowElem(a *Dense, p int) *Dense {
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		out.data[i] = ipow(v, p)
-	}
-	return out
-}
-
-func ipow(x float64, p int) float64 {
-	r := 1.0
-	for k := 0; k < p; k++ {
-		r *= x
-	}
-	return r
-}
-
 // --- *Into variants: results land in caller-owned (typically pooled)
 // storage. Each panics on a shape mismatch; out must not alias the inputs
 // unless noted. Fused *AddInto kernels accumulate without a temporary, which
@@ -252,21 +233,6 @@ func AddRowVecInto(out, a, v *Dense) {
 	}
 }
 
-// SubRowVecInto computes out = a - v broadcast over rows (v is 1×c).
-func SubRowVecInto(out, a, v *Dense) {
-	if v.rows != 1 || v.cols != a.cols {
-		panic(fmt.Sprintf("mat: SubRowVecInto wants 1x%d vector, got %dx%d", a.cols, v.rows, v.cols))
-	}
-	out.mustSameShape(a, "SubRowVecInto")
-	for i := 0; i < a.rows; i++ {
-		row := a.Row(i)
-		o := out.Row(i)
-		for j, x := range row {
-			o[j] = x - v.data[j]
-		}
-	}
-}
-
 // AXPYRowBroadcast computes m[i,:] += alpha·v for every row i, where v is
 // 1×c — the fused MeanRows/broadcast backward update. v must not alias m.
 func (m *Dense) AXPYRowBroadcast(alpha float64, v *Dense) {
@@ -308,17 +274,46 @@ func SumRowsAXPY(out *Dense, alpha float64, a *Dense) {
 	}
 }
 
-// PowElemInto computes out = a^p element-wise by repeated multiplication.
-func PowElemInto(out, a *Dense, p int) {
-	out.mustSameShape(a, "PowElemInto")
-	for i, v := range a.data {
-		out.data[i] = ipow(v, p)
+// CentralMomentsInto computes the column-wise central moments of a around
+// the 1×c row vector mean: out[k] = E((a − mean)^(k+2)), every order in one
+// sweep over a with no a-sized temporary. Each element's running product
+// feeds one accumulator per order; the products multiply left to right and
+// the rows add in order, so out[k] is bit-identical to the column mean of
+// the (k+2)-th power taken by repeated multiplication, and negative bases
+// keep their sign in odd orders. A 0-row a yields zeros. Every out[k] must
+// be 1×c and must not alias a or mean.
+func CentralMomentsInto(out []*Dense, a, mean *Dense) {
+	if mean.rows != 1 || mean.cols != a.cols {
+		panic(fmt.Sprintf("mat: CentralMomentsInto wants 1x%d mean, got %dx%d", a.cols, mean.rows, mean.cols))
+	}
+	for _, o := range out {
+		if o.rows != 1 || o.cols != a.cols {
+			panic(fmt.Sprintf("mat: CentralMomentsInto wants 1x%d outputs, got %dx%d", a.cols, o.rows, o.cols))
+		}
+		o.Zero()
+	}
+	for i := 0; i < a.rows; i++ {
+		for j, x := range a.Row(i) {
+			c := x - mean.data[j]
+			p := c
+			for _, o := range out {
+				// The conversion rounds the product before it is added, so
+				// no platform fuses the pair into one multiply-add.
+				p = float64(p * c)
+				o.data[j] += p
+			}
+		}
+	}
+	if a.rows == 0 {
+		return
+	}
+	inv := 1 / float64(a.rows)
+	for _, o := range out {
+		for j := range o.data {
+			o.data[j] *= inv
+		}
 	}
 }
-
-// IPow raises x to the non-negative integer power p by repeated
-// multiplication, handling negative bases exactly (odd central moments).
-func IPow(x float64, p int) float64 { return ipow(x, p) }
 
 // SelectRowsInto copies m's idx[i]-th row into out's i-th row.
 func (m *Dense) SelectRowsInto(out *Dense, idx []int) {

@@ -9,12 +9,20 @@ import (
 )
 
 // composedCentral is the reference CentralAround replaced: one n×d centred
-// copy and one n×d power per order, reduced by MeanRows.
+// copy and one n×d power per order (repeated multiplication from 1),
+// reduced by MeanRows.
 func composedCentral(z, mean *mat.Dense, maxOrder int) []*mat.Dense {
 	centered := mat.SubRowVec(z, mean)
 	var out []*mat.Dense
 	for j := 2; j <= maxOrder; j++ {
-		out = append(out, mat.MeanRows(mat.PowElem(centered, j)))
+		pow := mat.Apply(centered, func(x float64) float64 {
+			r := 1.0
+			for k := 0; k < j; k++ {
+				r *= x
+			}
+			return r
+		})
+		out = append(out, mat.MeanRows(pow))
 	}
 	return out
 }

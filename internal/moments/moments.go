@@ -52,44 +52,14 @@ func Compute(z *mat.Dense, maxOrder int) (Stats, error) {
 // centre on the *global* mean received from the server. maxOrder < 2 yields
 // no moments.
 //
-// One pass over z: each element's running product feeds one accumulator row
-// per order, so no n×d temporary is built. The products multiply left to
-// right and the rows add in order, which makes the result bit-identical to
-// the composed MeanRows(PowElem(SubRowVec(z, mean), j)).
+// It runs the same one-pass kernel as the CMD loss's tape op
+// (mat.CentralMomentsInto), so no n×d temporary is built.
 func CentralAround(z, mean *mat.Dense, maxOrder int) []*mat.Dense {
-	if mean.Rows() != 1 || mean.Cols() != z.Cols() {
-		panic(fmt.Sprintf("moments: CentralAround wants 1x%d mean, got %dx%d", z.Cols(), mean.Rows(), mean.Cols()))
-	}
-	if maxOrder < 2 {
-		return []*mat.Dense{}
-	}
-	out := make([]*mat.Dense, maxOrder-1)
-	acc := make([][]float64, len(out))
+	out := make([]*mat.Dense, max(maxOrder-1, 0))
 	for k := range out {
 		out[k] = mat.New(1, z.Cols())
-		acc[k] = out[k].Data()
 	}
-	mu := mean.Data()
-	for i := 0; i < z.Rows(); i++ {
-		for j, x := range z.Row(i) {
-			c := x - mu[j]
-			p := c
-			for _, a := range acc {
-				// The conversion rounds the product before it is added, so
-				// no platform fuses the pair into one multiply-add.
-				p = float64(p * c)
-				a[j] += p
-			}
-		}
-	}
-	if z.Rows() > 0 {
-		inv := 1 / float64(z.Rows())
-		for _, a := range acc {
-			for j := range a {
-				a[j] *= inv
-			}
-		}
-	}
+	mat.CentralMomentsInto(out, z, mean)
 	return out
 }
 
@@ -171,21 +141,7 @@ func CMD(local Stats, globalMean *mat.Dense, globalCentral []*mat.Dense, a, b fl
 // The result is a 1×1 loss node. Gradients flow through z's own mean and
 // central moments, exactly the d_CMD term of eq. 12 / Algorithm 1 line 19.
 func CMDLoss(tp *ad.Tape, z *ad.Node, globalMean *mat.Dense, globalCentral []*mat.Dense, a, b float64) (*ad.Node, error) {
-	if b <= a {
-		return nil, fmt.Errorf("moments: invalid activation range [%v, %v]", a, b)
-	}
-	width := b - a
-	mean := tp.MeanRows(z)
-	diff := tp.Sub(mean, tp.Const(globalMean))
-	loss := tp.Scale(1/width, tp.L2Norm(diff))
-	centered := tp.SubRowVec(z, mean)
-	for k, global := range globalCentral {
-		order := k + 2
-		cj := tp.MeanRows(tp.PowElem(centered, order))
-		term := tp.L2Norm(tp.Sub(cj, tp.Const(global)))
-		loss = tp.Add(loss, tp.Scale(1/math.Pow(width, float64(order)), term))
-	}
-	return loss, nil
+	return cmdLoss(tp, z, globalMean, globalCentral, a, b, tp.L2Norm, 1)
 }
 
 // CMDLossSquared is the smooth variant of CMDLoss: each ‖·‖₂ term is
@@ -194,28 +150,32 @@ func CMDLoss(tp *ad.Tape, z *ad.Node, globalMean *mat.Dense, globalCentral []*ma
 // plain eq. 11 norms have unit-magnitude gradients everywhere, which — under
 // Adam's per-coordinate normalisation — keep perturbing the representation
 // even after the moments match; the squared form avoids that while
-// preserving the same minimiser. The design ablation bench compares both.
+// preserving the same minimiser (TestCMDLossSquaredSharedMinimiser; the
+// plain form still trains, core.TestPlainCMDVariantTrains).
 // Each term is additionally divided by the feature dimension d (mean rather
 // than sum reduction, as torch.nn.MSELoss defaults to), so β is comparable
 // across hidden widths.
 func CMDLossSquared(tp *ad.Tape, z *ad.Node, globalMean *mat.Dense, globalCentral []*mat.Dense, a, b float64) (*ad.Node, error) {
-	if b <= a {
-		return nil, fmt.Errorf("moments: invalid activation range [%v, %v]", a, b)
-	}
-	width := b - a
 	dim := float64(z.Value.Cols())
 	if dim == 0 {
 		dim = 1
 	}
+	return cmdLoss(tp, z, globalMean, globalCentral, a, b, tp.SumSquares, dim)
+}
+
+// cmdLoss records Σ_j norm(C_j − S_j)/((b−a)^j·dim) over the mean (j = 1)
+// and the central moments, all of which come from one tape op.
+func cmdLoss(tp *ad.Tape, z *ad.Node, globalMean *mat.Dense, globalCentral []*mat.Dense, a, b float64, norm func(*ad.Node) *ad.Node, dim float64) (*ad.Node, error) {
+	if b <= a {
+		return nil, fmt.Errorf("moments: invalid activation range [%v, %v]", a, b)
+	}
+	width := b - a
 	mean := tp.MeanRows(z)
-	diff := tp.Sub(mean, tp.Const(globalMean))
-	loss := tp.Scale(1/(width*dim), tp.SumSquares(diff))
-	centered := tp.SubRowVec(z, mean)
+	loss := tp.Scale(1/(width*dim), norm(tp.Sub(mean, tp.Const(globalMean))))
+	central := tp.CentralMoments(z, mean, len(globalCentral)+1)
 	for k, global := range globalCentral {
-		order := k + 2
-		cj := tp.MeanRows(tp.PowElem(centered, order))
-		term := tp.SumSquares(tp.Sub(cj, tp.Const(global)))
-		loss = tp.Add(loss, tp.Scale(1/(math.Pow(width, float64(order))*dim), term))
+		term := norm(tp.Sub(central[k], tp.Const(global)))
+		loss = tp.Add(loss, tp.Scale(1/(math.Pow(width, float64(k+2))*dim), term))
 	}
 	return loss, nil
 }
