@@ -45,9 +45,35 @@ func paramsDigest(p *nn.Params) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// goldenCodecLegs are the in-process FedOMD runs that send every parameter
+// set through a wire codec: the lossless XOR delta, both quantized tiers and
+// quantized top-k, so the encoders' and decoders' bits are pinned along with
+// the bytes they put on the wire.
+var goldenCodecLegs = []struct {
+	name  string
+	codec string
+	topK  float64
+}{
+	{"delta", "delta", 0},
+	{"q8", "q8", 0},
+	{"q4", "q4", 0},
+	{"q8-top0.1", "q8", 0.1},
+}
+
+// writeGoldenRun renders one run: each round's training loss and accuracies
+// as hex floats, then a digest of the final model.
+func writeGoldenRun(out *bytes.Buffer, label string, res *Result) {
+	for _, r := range res.History {
+		fmt.Fprintf(out, "%s round %d loss %s val %s test %s\n", label, r.Round,
+			hexFloat(r.TrainLoss), hexFloat(r.ValAcc), hexFloat(r.TestAcc))
+	}
+	fmt.Fprintf(out, "%s params %s\n", label, paramsDigest(res.FinalParams))
+}
+
 // goldenTrajectory trains every model the way the CLI does (Cora ÷12, three
 // Louvain parties, seed 1, ten rounds, no early stopping) and renders each
-// round's training loss and accuracies plus a digest of the final model.
+// run with writeGoldenRun; then it reruns FedOMD once per codec leg and adds
+// the leg's traffic totals.
 func goldenTrajectory(t *testing.T) []byte {
 	t.Helper()
 	const seed = 1
@@ -71,11 +97,18 @@ func goldenTrajectory(t *testing.T) []byte {
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
-		for _, r := range res.History {
-			fmt.Fprintf(&out, "%s round %d loss %s val %s test %s\n", model, r.Round,
-				hexFloat(r.TrainLoss), hexFloat(r.ValAcc), hexFloat(r.TestAcc))
+		writeGoldenRun(&out, string(model), res)
+	}
+	for _, leg := range goldenCodecLegs {
+		o := opts
+		o.Codec, o.TopK = leg.codec, leg.topK
+		res, err := TrainFedOMD(parties, DefaultConfig(), o, seed+2)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", FedOMD, leg.name, err)
 		}
-		fmt.Fprintf(&out, "%s params %s\n", model, paramsDigest(res.FinalParams))
+		label := fmt.Sprintf("%s/%s", FedOMD, leg.name)
+		writeGoldenRun(&out, label, res)
+		fmt.Fprintf(&out, "%s bytes up %d down %d\n", label, res.TotalBytesUp, res.TotalBytesDown)
 	}
 	return out.Bytes()
 }
