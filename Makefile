@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet lint race bench bench-compare parity handover scale-demo chaos soak-async
+.PHONY: build test check fmt vet lint race fuzz bench bench-compare parity handover scale-demo chaos soak-async
 
 # Formatting checks skip testdata: it holds deliberately corrupt analyzer
 # fixtures that gofmt cannot parse.
@@ -34,6 +34,13 @@ race:
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/ ./internal/fed/
 
+# Native fuzzing of the wire decoder (codec.FuzzDecodeParams) for FUZZTIME on
+# two workers. Tier-1 go test runs only its seed corpus; a failing input is
+# written under internal/codec/testdata/fuzz/, where go test replays it.
+FUZZTIME ?= 15s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeParams$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/codec/
+
 # The async robustness soak in isolation: heavy-tail stragglers, transient
 # faults, and NaN poisoning against both aggregation topologies, gated at
 # ≥3× sync's rounds/sec and ≤0.02 accuracy drift from the fault-free run.
@@ -42,8 +49,9 @@ soak-async:
 
 # The gate a PR must pass: formatting, go vet, fedomdvet, the full test
 # suite under the race detector (-count=1 so a cached pass can't mask a
-# race) and the benchmark smoke run, then the hand-over check. CI-friendly:
-# every stage runs even if an earlier one fails, each reports its own status
+# race), a FUZZTIME-bounded run of the decoder fuzz target and the benchmark
+# smoke run, then the hand-over check. CI-friendly: every stage runs even if
+# an earlier one fails, each reports its own status
 # and wall time, and the target exits non-zero if any stage failed. The
 # hand-over check runs after the stages pass, once their processes are gone.
 check:
@@ -57,6 +65,8 @@ check:
 	else t1=$$(date +%s); echo "FAIL fedomdvet ($$((t1-t0))s)"; fail=1; fi; \
 	t0=$$(date +%s); if $(GO) test -race -count=1 ./...; then t1=$$(date +%s); echo "ok   go test -race ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL go test -race ($$((t1-t0))s)"; fail=1; fi; \
+	t0=$$(date +%s); if $(MAKE) --no-print-directory fuzz >/dev/null; then t1=$$(date +%s); echo "ok   fuzz ($$((t1-t0))s)"; \
+	else t1=$$(date +%s); echo "FAIL fuzz ($$((t1-t0))s)"; fail=1; fi; \
 	t0=$$(date +%s); if bash cmd/bench/run.sh -smoke >/dev/null; then t1=$$(date +%s); echo "ok   bench -smoke ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL bench -smoke ($$((t1-t0))s)"; fail=1; fi; \
 	exit $$fail

@@ -9,13 +9,13 @@ import (
 )
 
 // PoolPair enforces the mat buffer-pool ownership contract (DESIGN.md §7): a
-// buffer obtained from mat.GetDense must, on every path through the function
-// that obtained it, either reach mat.PutDense, be handed to a deferred
-// release, or have its ownership visibly transferred (returned, stored into
-// a struct/slice/map, appended to a registry such as the ad.Tape's owned
-// list, or captured by a closure). Early returns and error paths that drop a
-// live buffer are reported as leaks, and a buffer that can reach PutDense
-// twice is reported as a double put.
+// buffer obtained from mat.GetDense or mat.GetDenseUnzeroed must, on every
+// path through the function that obtained it, either reach mat.PutDense, be
+// handed to a deferred release, or have its ownership visibly transferred
+// (returned, stored into a struct/slice/map, appended to a registry such as
+// the ad.Tape's owned list, or captured by a closure). Early returns and
+// error paths that drop a live buffer are reported as leaks, and a buffer
+// that can reach PutDense twice is reported as a double put.
 //
 // The analysis runs on the cfg dataflow engine (DESIGN.md §13): each scope
 // is lowered to a control-flow graph, per-buffer facts reach a fixpoint with
@@ -26,18 +26,25 @@ import (
 // put, and panics unwind without leaking.
 var PoolPair = &Analyzer{
 	Name: "poolpair",
-	Doc:  "mat.GetDense buffers must reach mat.PutDense (or an ownership transfer) on every path",
+	Doc:  "mat.GetDense and mat.GetDenseUnzeroed buffers must reach mat.PutDense (or an ownership transfer) on every path",
 	Run:  runPoolPair,
 }
 
 var (
-	fnGetDense = pathMat + ".GetDense"
-	fnPutDense = pathMat + ".PutDense"
+	fnGetDense         = pathMat + ".GetDense"
+	fnGetDenseUnzeroed = pathMat + ".GetDenseUnzeroed"
+	fnPutDense         = pathMat + ".PutDense"
 	// fnParamsAdd is an owning sink: a pooled Dense stored into an nn.Params
 	// set belongs to whoever releases the set (codec.PutParams, the fed
 	// aggregation pool), not to the scope that allocated it.
 	fnParamsAdd = pathNn + ".Params.Add"
 )
+
+// isPoolGet reports whether fn hands out a pooled buffer.
+func isPoolGet(fn *types.Func) bool {
+	name := funcFullName(fn)
+	return name == fnGetDense || name == fnGetDenseUnzeroed
+}
 
 func runPoolPair(p *Pass) {
 	forEachFuncScope(p.Files, func(body *ast.BlockStmt) {
@@ -68,7 +75,7 @@ func forEachFuncScope(files []*ast.File, fn func(body *ast.BlockStmt)) {
 // bufState is the abstract state of one tracked pool buffer at one program
 // point.
 type bufState struct {
-	live     bool // GetDense has executed; ownership is with this scope
+	live     bool // the pool get has executed; ownership is with this scope
 	defRel   bool // released on every path reaching this point
 	mayRel   bool // released on at least one path reaching this point
 	deferred bool // a registered defer will release it at function exit
@@ -167,7 +174,7 @@ func (w *poolWalker) leakCheck(env *poolEnv, pos token.Pos, what string, keep fu
 		if keep != nil && !keep(obj) {
 			continue
 		}
-		w.reportf(pos, "pooled buffer %s may leak: not returned to the pool %s (mat.GetDense at an earlier line)", obj.Name(), what)
+		w.reportf(pos, "pooled buffer %s may leak: not returned to the pool %s (taken from the mat pool at an earlier line)", obj.Name(), what)
 	}
 }
 
@@ -261,7 +268,7 @@ func (w *poolWalker) handleAssign(s *ast.AssignStmt, env *poolEnv, depth int) {
 		}
 		lid, _ := ast.Unparen(l).(*ast.Ident)
 		if r != nil {
-			if call, ok := r.(*ast.CallExpr); ok && funcFullName(calleeFunc(w.pass.Info, call)) == fnGetDense && lid != nil && lid.Name != "_" {
+			if call, ok := r.(*ast.CallExpr); ok && isPoolGet(calleeFunc(w.pass.Info, call)) && lid != nil && lid.Name != "_" {
 				obj := w.pass.Info.Defs[lid]
 				if obj == nil {
 					obj = w.pass.Info.Uses[lid]

@@ -52,6 +52,15 @@ func overwriteWhileLive() {
 	mat.PutDense(buf)
 }
 
+func leakUnzeroedOnEarlyReturn(fail bool) error {
+	buf := mat.GetDenseUnzeroed(4, 4)
+	if fail {
+		return errors.New("boom") // want `pooled buffer buf may leak`
+	}
+	mat.PutDense(buf)
+	return nil
+}
+
 // --- non-triggering cases ---
 
 func pairedOnAllPaths(fail bool) error {

@@ -3,7 +3,9 @@ package codec
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -567,5 +569,238 @@ func TestDeltaFrameInAbsoluteBlobRefused(t *testing.T) {
 	}
 	if _, err := DecodeParams(blob, nil); err == nil {
 		t.Fatal("delta frame decoded without a reference")
+	}
+}
+
+// appendXorBodyBytewise and decodeXorBodyBytewise are the byte-at-a-time
+// XOR body coder the word-wide appendXorBody and decodeXorBody replaced,
+// kept as the oracle they must match byte for byte, bit for bit and error
+// for error.
+func appendXorBodyBytewise(dst []byte, cur, ref []float64) []byte {
+	n := len(cur)
+	nibOff := len(dst)
+	dst = append(dst, make([]byte, (n+1)/2)...)
+	for i := 0; i < n; i++ {
+		x := math.Float64bits(cur[i]) ^ math.Float64bits(ref[i])
+		sig := (71 - bits.LeadingZeros64(x)) / 8
+		if i&1 == 0 {
+			dst[nibOff+i/2] |= byte(sig)
+		} else {
+			dst[nibOff+i/2] |= byte(sig) << 4
+		}
+		for j := 0; j < sig; j++ {
+			dst = append(dst, byte(x>>(8*j)))
+		}
+	}
+	return dst
+}
+
+func decodeXorBodyBytewise(body []byte, ref, out []float64) error {
+	n := len(out)
+	nib := (n + 1) / 2
+	if len(body) < nib {
+		return fmt.Errorf("codec: xor body truncated: %d bytes, need %d-byte nibble table", len(body), nib)
+	}
+	pos := nib
+	for i := 0; i < n; i++ {
+		var sig int
+		if i&1 == 0 {
+			sig = int(body[i/2] & 0x0F)
+		} else {
+			sig = int(body[i/2] >> 4)
+		}
+		if pos+sig > len(body) {
+			return fmt.Errorf("codec: xor body truncated at element %d", i)
+		}
+		var x uint64
+		for j := 0; j < sig; j++ {
+			x |= uint64(body[pos+j]) << (8 * j)
+		}
+		pos += sig
+		out[i] = math.Float64frombits(math.Float64bits(ref[i]) ^ x)
+	}
+	if pos != len(body) {
+		return fmt.Errorf("codec: %d trailing bytes after xor body", len(body)-pos)
+	}
+	return nil
+}
+
+// xorPair builds a (cur, ref) pair of length n that covers every
+// significant-byte count: identical elements, sign flips, NaN payloads,
+// infinities, one-ulp steps and random drift.
+func xorPair(rng *rand.Rand, n int) (cur, ref []float64) {
+	cur, ref = make([]float64, n), make([]float64, n)
+	for i := range ref {
+		r := rng.NormFloat64()
+		ref[i] = r
+		switch i % 7 {
+		case 0:
+			cur[i] = r // identical: no significant bytes
+		case 1:
+			cur[i] = -r // sign flip: the top byte only, so all 8
+		case 2:
+			cur[i] = math.Float64frombits(0x7FF8_0000_0000_0000 | rng.Uint64()&0x000F_FFFF_FFFF_FFFF) // NaN payload
+			if i%3 == 0 {
+				ref[i] = math.Float64frombits(0xFFF0_0000_0000_0001) // a NaN reference
+			}
+		case 3:
+			cur[i] = math.Float64frombits(math.Float64bits(r) + 1) // one ulp
+		case 4:
+			cur[i] = math.Inf(1 - 2*(i&1))
+		default:
+			cur[i] = r + 1e-3*rng.NormFloat64()
+		}
+	}
+	return cur, ref
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// The word-wide XOR coder writes the oracle's bytes, after a non-empty dst
+// prefix too, and reads them back to the same bits, for lengths around the
+// 8-byte word and the nibble pairing and for a model-sized tensor.
+func TestXorBodyMatchesBytewiseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{0, 1, 2, 7, 8, 9, 97000} {
+		cur, ref := xorPair(rng, n)
+		prefix := []byte{0xAA, 0xBB, 0xCC}
+		want := appendXorBodyBytewise(append([]byte(nil), prefix...), cur, ref)
+		// A recycled dst whose spare capacity holds junk must not leak it.
+		junk := bytes.Repeat([]byte{0xFF}, len(want)+8*n+64)
+		got := appendXorBody(append(junk[:0], prefix...), cur, ref)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: appendXorBody differs from the bytewise oracle", n)
+		}
+		body := want[len(prefix):]
+		gotOut, wantOut := make([]float64, n), make([]float64, n)
+		if err := decodeXorBody(body, ref, gotOut); err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if err := decodeXorBodyBytewise(body, ref, wantOut); err != nil {
+			t.Fatalf("n=%d: oracle decode: %v", n, err)
+		}
+		if !sameBits(gotOut, wantOut) || !sameBits(gotOut, cur) {
+			t.Fatalf("n=%d: decoded bits differ from the oracle's or from the input", n)
+		}
+	}
+}
+
+// Every truncation of a body, and every over-long one, gives the oracle's
+// error: the word-wide decoder falls back to bytes near the end and checks
+// each element's length before it reads.
+func TestXorBodyErrorsMatchBytewiseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range []int{1, 2, 7, 8, 9, 97000} {
+		cur, ref := xorPair(rng, n)
+		body := appendXorBodyBytewise(nil, cur, ref)
+		cuts := []int{}
+		for c := 0; c < len(body); c++ {
+			if n < 100 || c < 64 || len(body)-c < 64 || c%9973 == 0 {
+				cuts = append(cuts, c)
+			}
+		}
+		for _, c := range cuts {
+			gotErr := decodeXorBody(body[:c], ref, make([]float64, n))
+			wantErr := decodeXorBodyBytewise(body[:c], ref, make([]float64, n))
+			if wantErr == nil || errText(gotErr) != errText(wantErr) {
+				t.Fatalf("n=%d, %d of %d bytes: error %q, oracle %q", n, c, len(body), errText(gotErr), errText(wantErr))
+			}
+		}
+		long := append(append([]byte(nil), body...), 1, 2, 3)
+		gotErr := decodeXorBody(long, ref, make([]float64, n))
+		wantErr := decodeXorBodyBytewise(long, ref, make([]float64, n))
+		if wantErr == nil || errText(gotErr) != errText(wantErr) {
+			t.Fatalf("n=%d, trailing bytes: error %q, oracle %q", n, errText(gotErr), errText(wantErr))
+		}
+	}
+}
+
+// A crafted nibble of 9..15 claims more than a word: both readers consume
+// that many bytes and keep the low 8, wherever in the body it falls.
+func TestXorBodyHostileNibblesMatchBytewiseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 14
+	for tail := 0; tail <= 16; tail++ {
+		body := make([]byte, n/2)
+		for i := 0; i < n; i++ {
+			body[i/2] |= byte(2+i) << (4 * (i & 1)) // 2..15
+		}
+		payload := 0
+		for i := 0; i < n; i++ {
+			payload += 2 + i
+		}
+		for i := 0; i < payload; i++ {
+			body = append(body, byte(rng.Intn(256)))
+		}
+		ref := make([]float64, n)
+		for i := range ref {
+			ref[i] = rng.NormFloat64()
+		}
+		// Shift the long elements toward the end by trimming the payload,
+		// so some fall in the byte-wise tail and some error out.
+		body = body[:len(body)-tail]
+		got, want := make([]float64, n), make([]float64, n)
+		gotErr := decodeXorBody(body, ref, got)
+		wantErr := decodeXorBodyBytewise(body, ref, want)
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("tail %d: error %q, oracle %q", tail, errText(gotErr), errText(wantErr))
+		}
+		if wantErr == nil && !sameBits(got, want) {
+			t.Fatalf("tail %d: decoded bits differ from the oracle's", tail)
+		}
+	}
+}
+
+// BenchmarkXorBody times the XOR body coder on a model-sized tensor one
+// round of drift apart, against the bytewise oracle:
+//
+//	go test -run '^$' -bench XorBody ./internal/codec
+func BenchmarkXorBody(b *testing.B) {
+	rng := rand.New(rand.NewSource(24))
+	const n = 97000
+	ref, cur := make([]float64, n), make([]float64, n)
+	for i := range ref {
+		ref[i] = rng.NormFloat64()
+		cur[i] = ref[i] + 1e-3*rng.NormFloat64()
+	}
+	body := appendXorBody(nil, cur, ref)
+	out := make([]float64, n)
+	dst := make([]byte, 0, len(body)+8*n)
+	for _, c := range []struct {
+		name   string
+		encode func([]byte, []float64, []float64) []byte
+		decode func([]byte, []float64, []float64) error
+	}{{"word", appendXorBody, decodeXorBody}, {"bytewise", appendXorBodyBytewise, decodeXorBodyBytewise}} {
+		b.Run("encode/"+c.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				dst = c.encode(dst[:0], cur, ref)
+			}
+		})
+		b.Run("decode/"+c.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(body, ref, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -247,8 +247,9 @@ func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
 // decodeRef reconstructs a parameter set from a v1 blob. A blob with a
 // nonzero reference checksum requires ref's sum to be exactly that value;
 // an absolute blob (checksum 0) ignores ref. Output matrices are drawn from
-// the mat buffer pool — ownership transfers to the caller, who may PutDense
-// them once the values have been consumed (or let the GC take them).
+// the mat buffer pool unzeroed, since every frame mode overwrites them —
+// ownership transfers to the caller, who may PutDense them once the values
+// have been consumed (or let the GC take them).
 func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 	if len(blob) < blobHeaderLen {
 		return nil, fmt.Errorf("codec: blob is %d bytes, want at least %d", len(blob), blobHeaderLen)
@@ -291,7 +292,13 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 		pos += nameLen + bodyLen
 
 		var refData []float64
-		if mode != modeRawF64 {
+		if mode == modeRawF64 {
+			// The only mode not bounded by a reference tensor's shape: check
+			// the claimed shape against the body before allocating for it.
+			if n := uint64(rows) * uint64(cols); n != uint64(bodyLen)/8 || bodyLen%8 != 0 {
+				return nil, fmt.Errorf("codec: frame %q: codec: raw body is %d bytes, want %d", name, bodyLen, 8*n)
+			}
+		} else {
 			if ref == nil {
 				return nil, fmt.Errorf("codec: delta frame %q in a blob without a reference", name)
 			}
@@ -305,7 +312,9 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 			}
 			refData = refT.Data()
 		}
-		d := mat.GetDense(rows, cols)
+		// Every mode but top-k writes each element, so the buffer is drawn
+		// unzeroed and only top-k clears it.
+		d := mat.GetDenseUnzeroed(rows, cols)
 		out.Add(name, d) // transfer pool ownership to the result immediately
 		data := d.Data()
 		var err error
@@ -321,7 +330,8 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 			err = decodeQuantBody(body, qbits, data)
 			addRef(data, refData)
 		case modeTopK:
-			err = decodeTopKBody(body, qbits, data) // data starts zeroed
+			clear(data) // decodeTopKBody writes only the kept entries
+			err = decodeTopKBody(body, qbits, data)
 			addRef(data, refData)
 		default:
 			err = fmt.Errorf("codec: unknown frame mode %d", mode)

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"fedomd/internal/sparse"
@@ -81,39 +82,72 @@ func decodeRawF64Body(body []byte, out []float64) error {
 // bytes follow low-byte first. Identical elements cost half a byte; after a
 // few rounds most weights agree in sign, exponent, and high mantissa bytes,
 // so typical cost is 3-5 bytes per element instead of 8.
+//
+// dst grows once, by the nibble table plus 8 bytes per element. Each XOR
+// word is stored whole and the write position advances by its significant
+// bytes only, so the next word overwrites the zero high bytes of this one;
+// each pair's nibble byte is stored whole too, so whatever the grown
+// capacity held never reaches the body.
 func appendXorBody(dst []byte, cur, ref []float64) []byte {
 	n := len(cur)
-	nibOff := len(dst)
-	dst = append(dst, make([]byte, (n+1)/2)...)
-	for i := 0; i < n; i++ {
+	ref = ref[:n]
+	nib := (n + 1) / 2
+	start := len(dst)
+	dst = slices.Grow(dst, nib+8*n)[:start+nib+8*n]
+	nibs := dst[start : start+nib]
+	pos := start + nib
+	for i := 0; i < n; i += 2 {
 		x := math.Float64bits(cur[i]) ^ math.Float64bits(ref[i])
-		sig := (71 - bits.LeadingZeros64(x)) / 8 // 0..8 significant bytes
-		if i&1 == 0 {
-			dst[nibOff+i/2] |= byte(sig)
-		} else {
-			dst[nibOff+i/2] |= byte(sig) << 4
+		sig := xorSig(x)
+		binary.LittleEndian.PutUint64(dst[pos:], x)
+		pos += sig
+		if i+1 < n {
+			x = math.Float64bits(cur[i+1]) ^ math.Float64bits(ref[i+1])
+			hi := xorSig(x)
+			binary.LittleEndian.PutUint64(dst[pos:], x)
+			pos += hi
+			sig |= hi << 4
 		}
-		for j := 0; j < sig; j++ {
-			dst = append(dst, byte(x>>(8*j)))
-		}
+		nibs[i>>1] = byte(sig)
 	}
-	return dst
+	return dst[:pos]
 }
 
+// xorSig is the count of x's significant bytes, 0..8.
+func xorSig(x uint64) int { return (71 - bits.LeadingZeros64(x)) / 8 }
+
+// xorMask keeps an element's significant bytes of a little-endian word. A
+// well-formed nibble is 0..8; a crafted one of 9..15 consumes that many
+// bytes and keeps the low 8, as the byte-at-a-time reading did.
+var xorMask = [16]uint64{
+	0, 1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1, 1<<40 - 1, 1<<48 - 1, 1<<56 - 1,
+	^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0),
+}
+
+// decodeXorBody inverts appendXorBody into out, two elements (one nibble
+// byte) at a time. While 32 bytes remain, neither element of a pair (at most
+// 15 bytes each) can run past the body, so each is a single 8-byte load
+// masked to its significant bytes; the last elements are read byte by byte,
+// each one's length checked first.
 func decodeXorBody(body []byte, ref, out []float64) error {
 	n := len(out)
+	ref = ref[:n]
 	nib := (n + 1) / 2
 	if len(body) < nib {
 		return fmt.Errorf("codec: xor body truncated: %d bytes, need %d-byte nibble table", len(body), nib)
 	}
-	pos := nib
-	for i := 0; i < n; i++ {
-		var sig int
-		if i&1 == 0 {
-			sig = int(body[i/2] & 0x0F)
-		} else {
-			sig = int(body[i/2] >> 4)
-		}
+	pos, i := nib, 0
+	for ; i+1 < n && pos+32 <= len(body); i += 2 {
+		nb := body[i>>1]
+		lo, hi := int(nb&0x0F), int(nb>>4)
+		x0 := binary.LittleEndian.Uint64(body[pos:]) & xorMask[lo]
+		x1 := binary.LittleEndian.Uint64(body[pos+lo:]) & xorMask[hi]
+		pos += lo + hi
+		out[i] = math.Float64frombits(math.Float64bits(ref[i]) ^ x0)
+		out[i+1] = math.Float64frombits(math.Float64bits(ref[i+1]) ^ x1)
+	}
+	for ; i < n; i++ {
+		sig := int(body[i>>1]>>(4*(i&1))) & 0x0F
 		if pos+sig > len(body) {
 			return fmt.Errorf("codec: xor body truncated at element %d", i)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,38 @@ func TestCentralMomentsNegativeBase(t *testing.T) {
 	if out[1].At(0, 0) != -8 || out[1].At(0, 1) != 27 {
 		t.Fatalf("order 3 = %v, odd orders must keep the sign", out[1])
 	}
+}
+
+// An output that shares storage with an input would be zeroed before the
+// sweep reads it, so the kernel refuses the call by name.
+func TestCentralMomentsAliasPanics(t *testing.T) {
+	a, _ := NewFromRows([][]float64{{1, 2}})
+	tall, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
+	m := New(1, 2)
+	for _, c := range []struct {
+		name string
+		out  []*Dense
+		a    *Dense
+	}{
+		{"out is a", []*Dense{a}, a},
+		{"out is mean", []*Dense{New(1, 2), m}, a},
+		{"out views a row of a", []*Dense{NewFromData(1, 2, tall.Data()[2:])}, tall},
+	} {
+		name := c.name
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s: no panic", name)
+				}
+				if msg, _ := r.(string); !strings.Contains(msg, "CentralMomentsInto") {
+					t.Fatalf("%s: panic %v does not name the kernel", name, r)
+				}
+			}()
+			CentralMomentsInto(c.out, c.a, m)
+		}()
+	}
+	CentralMomentsInto([]*Dense{New(1, 2), New(1, 2)}, a, m) // distinct storage is fine
 }
 
 func TestArgmaxRows(t *testing.T) {

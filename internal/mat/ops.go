@@ -281,15 +281,22 @@ func SumRowsAXPY(out *Dense, alpha float64, a *Dense) {
 // the rows add in order, so out[k] is bit-identical to the column mean of
 // the (k+2)-th power taken by repeated multiplication, and negative bases
 // keep their sign in odd orders. A 0-row a yields zeros. Every out[k] must
-// be 1×c and must not alias a or mean.
+// be 1×c and must not share its backing array with a or mean: the kernel
+// zeroes its outputs before it reads its inputs, so it panics on such a call
+// rather than return a wrong moment.
 func CentralMomentsInto(out []*Dense, a, mean *Dense) {
 	if mean.rows != 1 || mean.cols != a.cols {
 		panic(fmt.Sprintf("mat: CentralMomentsInto wants 1x%d mean, got %dx%d", a.cols, mean.rows, mean.cols))
 	}
-	for _, o := range out {
+	for k, o := range out {
 		if o.rows != 1 || o.cols != a.cols {
 			panic(fmt.Sprintf("mat: CentralMomentsInto wants 1x%d outputs, got %dx%d", a.cols, o.rows, o.cols))
 		}
+		if sameArray(o.data, a.data) || sameArray(o.data, mean.data) {
+			panic(fmt.Sprintf("mat: CentralMomentsInto output %d shares its storage with an input", k))
+		}
+	}
+	for _, o := range out {
 		o.Zero()
 	}
 	for i := 0; i < a.rows; i++ {
@@ -339,4 +346,10 @@ func ArgmaxRows(a *Dense) []int {
 		out[i] = bi
 	}
 	return out
+}
+
+// sameArray reports whether x and y are slices of one backing array, judged
+// by the address of the last element their capacities reach.
+func sameArray(x, y []float64) bool {
+	return cap(x) > 0 && cap(y) > 0 && &x[:cap(x)][cap(x)-1] == &y[:cap(y)][cap(y)-1]
 }

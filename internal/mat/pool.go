@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -45,19 +46,21 @@ var pools [maxPoolBits + 1]sync.Pool
 // two later GetDense calls hand the same storage to unrelated code — the
 // worst kind of corruption, surfacing far from the bug. Under SetDebug(true)
 // PutDense records the identity (first-element pointer) of every pooled
-// backing array and panics at the second put; GetDense clears the mark when
-// the buffer leaves the pool. The bookkeeping takes a mutex per Get/Put, so
-// it is off by default and enabled in tests (and by fedomdvet's poolpair
-// analyzer development loop).
+// backing array and panics at the second put; GetDense and GetDenseUnzeroed
+// clear the mark when the buffer leaves the pool, and GetDenseUnzeroed fills
+// its buffer with NaN. The bookkeeping takes a mutex per Get/Put, so it is
+// off by default and enabled in tests (and by fedomdvet's poolpair analyzer
+// development loop).
 var (
 	debugOn   atomic.Bool
 	debugMu   sync.Mutex
 	debugPuts = map[*float64]bool{}
 )
 
-// SetDebug toggles double-put detection. Turning it off (or on) resets the
-// bookkeeping. Note the mark map deliberately keeps pooled arrays reachable;
-// enable only in tests and debugging sessions.
+// SetDebug toggles double-put detection and GetDenseUnzeroed's NaN fill.
+// Turning it off (or on) resets the bookkeeping. Note the mark map
+// deliberately keeps pooled arrays reachable; enable only in tests and
+// debugging sessions.
 func SetDebug(on bool) {
 	debugMu.Lock()
 	defer debugMu.Unlock()
@@ -84,10 +87,36 @@ func poolBucket(n int) int {
 // suitable buffer is available. The caller owns the result until it passes it
 // to PutDense (or drops it for the GC, which is always safe).
 func GetDense(r, c int) *Dense {
+	d, recycled := getDense(r, c)
+	if recycled {
+		clear(d.data)
+	}
+	return d
+}
+
+// GetDenseUnzeroed is GetDense for a caller that writes every element before
+// it reads any: recycled storage keeps whatever its last owner left in it.
+// Under SetDebug(true) every element starts as NaN instead, so a kernel that
+// reads an element before writing it fails its tests loudly rather than
+// passing on a stale value or a lucky zero.
+func GetDenseUnzeroed(r, c int) *Dense {
+	d, _ := getDense(r, c)
+	if debugOn.Load() {
+		nan := math.NaN()
+		for i := range d.data {
+			d.data[i] = nan
+		}
+	}
+	return d
+}
+
+// getDense returns an r×c matrix and whether its storage came from the pool
+// (and so holds a previous owner's values); fresh storage is zeroed.
+func getDense(r, c int) (*Dense, bool) {
 	n := r * c
 	b := poolBucket(n)
 	if b < 0 {
-		return New(r, c)
+		return New(r, c), false
 	}
 	if v := pools[b].Get(); v != nil {
 		poolHits.Add(1)
@@ -99,13 +128,10 @@ func GetDense(r, c int) *Dense {
 		}
 		d.rows, d.cols = r, c
 		d.data = d.data[:n]
-		for i := range d.data {
-			d.data[i] = 0
-		}
-		return d
+		return d, true
 	}
 	poolMisses.Add(1)
-	return &Dense{rows: r, cols: c, data: make([]float64, n, 1<<b)}
+	return &Dense{rows: r, cols: c, data: make([]float64, n, 1<<b)}, false
 }
 
 // PutDense returns m's storage to the pool. m must not be used afterwards —

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -90,4 +91,32 @@ func TestPoolConcurrent(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
+}
+
+// GetDenseUnzeroed hands out storage to be overwritten: under the debug
+// switch (on for this package's tests) every element starts as NaN, recycled
+// or fresh, so a kernel that reads before it writes shows up in its tests.
+// GetDense still zeroes a recycled buffer.
+func TestGetDenseUnzeroedPoisonsUnderDebug(t *testing.T) {
+	for _, shape := range [][2]int{{3, 5}, {1, 1<<maxPoolBits + 1}} { // pooled, and too big to pool
+		d := GetDenseUnzeroed(shape[0], shape[1])
+		if d.Rows() != shape[0] || d.Cols() != shape[1] {
+			t.Fatalf("GetDenseUnzeroed(%d, %d) is %dx%d", shape[0], shape[1], d.Rows(), d.Cols())
+		}
+		for i, v := range d.Data() {
+			if !math.IsNaN(v) {
+				t.Fatalf("%v: element %d is %v, want NaN under SetDebug(true)", shape, i, v)
+			}
+		}
+		PutDense(d)
+	}
+	d := GetDenseUnzeroed(4, 4)
+	PutDense(d)
+	z := GetDense(4, 4)
+	for i, v := range z.Data() {
+		if v != 0 {
+			t.Fatalf("GetDense after an unzeroed get: element %d is %v", i, v)
+		}
+	}
+	PutDense(z)
 }
