@@ -51,9 +51,9 @@ soak-async:
 # suite under the race detector (-count=1 so a cached pass can't mask a
 # race), a FUZZTIME-bounded run of the decoder fuzz target and the benchmark
 # smoke run, then the hand-over check. CI-friendly: every stage runs even if
-# an earlier one fails, each reports its own status
-# and wall time, and the target exits non-zero if any stage failed. The
-# hand-over check runs after the stages pass, once their processes are gone.
+# an earlier one fails, each reports its own status and wall time, and the
+# target exits non-zero if any stage failed. The hand-over check runs after
+# the stages pass, once their processes are gone.
 check:
 	@fail=0; t0=$$(date +%s); \
 	out=$$($(FMT_FILES) | xargs gofmt -l); t1=$$(date +%s); if [ -n "$$out" ]; then \

@@ -247,7 +247,7 @@ func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
 // decodeRef reconstructs a parameter set from a v1 blob. A blob with a
 // nonzero reference checksum requires ref's sum to be exactly that value;
 // an absolute blob (checksum 0) ignores ref. Output matrices are drawn from
-// the mat buffer pool unzeroed, since every frame mode overwrites them —
+// the mat buffer pool without zeroing (a top-k frame clears its own) —
 // ownership transfers to the caller, who may PutDense them once the values
 // have been consumed (or let the GC take them).
 func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
