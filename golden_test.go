@@ -7,11 +7,13 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"fedomd/internal/mat"
@@ -72,8 +74,9 @@ func writeGoldenRun(out *bytes.Buffer, label string, res *Result) {
 
 // goldenTrajectory trains every model the way the CLI does (Cora ÷12, three
 // Louvain parties, seed 1, ten rounds, no early stopping) and renders each
-// run with writeGoldenRun; then it reruns FedOMD once per codec leg and adds
-// the leg's traffic totals.
+// run with writeGoldenRun; then it reruns FedOMD once per codec leg, once
+// under async aggregation and once over loopback TCP with the delta codec,
+// adding each leg's traffic totals.
 func goldenTrajectory(t *testing.T) []byte {
 	t.Helper()
 	const seed = 1
@@ -106,11 +109,95 @@ func goldenTrajectory(t *testing.T) []byte {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", FedOMD, leg.name, err)
 		}
-		label := fmt.Sprintf("%s/%s", FedOMD, leg.name)
-		writeGoldenRun(&out, label, res)
-		fmt.Fprintf(&out, "%s bytes up %d down %d\n", label, res.TotalBytesUp, res.TotalBytesDown)
+		writeGoldenTraffic(&out, fmt.Sprintf("%s/%s", FedOMD, leg.name), res)
 	}
+
+	// Async buffered aggregation with the buffer as large as the fleet: every
+	// round folds all parties in sorted order, so the run is deterministic.
+	o := opts
+	o.Aggregation, o.BufferK = "async", len(parties)
+	res, err := TrainFedOMD(parties, DefaultConfig(), o, seed+2)
+	if err != nil {
+		t.Fatalf("%s/async: %v", FedOMD, err)
+	}
+	writeGoldenTraffic(&out, FedOMD+"/async", res)
+
+	o = opts
+	o.Codec = "delta"
+	res = goldenTCPRun(t, parties, o, seed+2)
+	writeGoldenTraffic(&out, FedOMD+"/tcp-delta", res)
 	return out.Bytes()
+}
+
+// writeGoldenTraffic is writeGoldenRun plus the run's traffic totals.
+func writeGoldenTraffic(out *bytes.Buffer, label string, res *Result) {
+	writeGoldenRun(out, label, res)
+	fmt.Fprintf(out, "%s bytes up %d down %d\n", label, res.TotalBytesUp, res.TotalBytesDown)
+}
+
+// acceptSignal reports every accepted connection, so the parties can be
+// started one at a time and join the coordinator in party order.
+type acceptSignal struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// goldenTCPRun trains FedOMD over loopback TCP: each party is served from
+// its own goroutine, named and seeded as TrainFedOMD names and seeds it, and
+// dials only after the previous party's connection was accepted, so the
+// coordinator sees the fleet in the in-process order.
+func goldenTCPRun(t *testing.T, parties []Party, opts RunOptions, seed int64) *Result {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sig := acceptSignal{Listener: ln, accepted: make(chan struct{}, 1)}
+	var fleet []Party
+	for _, p := range parties {
+		if p.Graph.NumNodes() > 0 {
+			fleet = append(fleet, p)
+		}
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := CoordinateFedOMD(sig, len(fleet), opts)
+		done <- outcome{res, err}
+	}()
+	var wg sync.WaitGroup
+	for i, p := range fleet {
+		wg.Add(1)
+		go func(i int, p Party) {
+			defer wg.Done()
+			if err := ServeParty(ln.Addr().String(), fmt.Sprintf("party-%d", i), p, DefaultConfig(), seed+int64(i)+1); err != nil {
+				t.Errorf("party-%d: %v", i, err)
+			}
+		}(i, p)
+		select {
+		case <-sig.accepted:
+		case out := <-done:
+			t.Fatalf("%s/tcp: coordinator returned before party-%d joined: %v", FedOMD, i, out.err)
+		}
+	}
+	out := <-done
+	wg.Wait()
+	if out.err != nil {
+		t.Fatalf("%s/tcp: %v", FedOMD, out.err)
+	}
+	return out.res
 }
 
 // TestGoldenTrajectory pins every model's training trajectory bit for bit
