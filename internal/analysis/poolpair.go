@@ -133,13 +133,14 @@ func poolEnvEqual(a, b *poolEnv) bool {
 type poolWalker struct {
 	pass      *Pass
 	graph     *cfg.Graph
-	declDepth map[types.Object]int // lexical depth at declaration
+	declDepth map[types.Object]int // lexical depth a tracked buffer is keyed to
+	varDepth  map[types.Object]int // lexical depth of each variable declaration seen
 	report    bool                 // reporting pass vs fixpoint pass
 }
 
 func analyzePoolScope(p *Pass, body *ast.BlockStmt) {
 	g := cfg.Build(body, p.Info)
-	w := &poolWalker{pass: p, graph: g, declDepth: map[types.Object]int{}}
+	w := &poolWalker{pass: p, graph: g, declDepth: map[types.Object]int{}, varDepth: map[types.Object]int{}}
 	in := cfg.Forward(g, cfg.Analysis[*poolEnv]{
 		Entry:    func() *poolEnv { return &poolEnv{state: map[types.Object]*bufState{}} },
 		Clone:    (*poolEnv).clone,
@@ -242,6 +243,15 @@ func (w *poolWalker) transfer(b *cfg.Block, env *poolEnv) *poolEnv {
 			}
 
 		case *ast.DeclStmt:
+			if gd, ok := n.Decl.(*ast.GenDecl); ok {
+				for _, spec := range gd.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						for _, id := range vs.Names {
+							w.declare(id, nd.Depth)
+						}
+					}
+				}
+			}
 			w.markEscapes(n, env)
 
 		case *ast.IncDecStmt:
@@ -259,6 +269,13 @@ func (w *poolWalker) transfer(b *cfg.Block, env *poolEnv) *poolEnv {
 // handleAssign processes declarations of tracked buffers, aliasing escapes
 // and overwrites.
 func (w *poolWalker) handleAssign(s *ast.AssignStmt, env *poolEnv, depth int) {
+	if s.Tok == token.DEFINE {
+		for _, l := range s.Lhs {
+			if id, ok := l.(*ast.Ident); ok {
+				w.declare(id, depth)
+			}
+		}
+	}
 	rhs := s.Rhs
 	parallel := len(s.Lhs) == len(rhs)
 	for i, l := range s.Lhs {
@@ -280,7 +297,11 @@ func (w *poolWalker) handleAssign(s *ast.AssignStmt, env *poolEnv, depth int) {
 					w.reportf(s.Pos(), "pooled buffer %s is overwritten before being returned to the pool", obj.Name())
 				}
 				env.state[obj] = &bufState{live: true}
-				w.declDepth[obj] = depth
+				d, seen := w.varDepth[obj]
+				if !seen {
+					d = depth // a parameter or a captured variable
+				}
+				w.declDepth[obj] = d
 				w.markEscapes(call, env) // arguments could mention other buffers
 				continue
 			}
@@ -305,6 +326,15 @@ func (w *poolWalker) handleAssign(s *ast.AssignStmt, env *poolEnv, depth int) {
 		for _, r := range rhs {
 			w.markEscapes(r, env)
 		}
+	}
+}
+
+// declare records the lexical depth at which id declares a variable. A pool
+// buffer assigned to that variable later, even inside a nested branch, is
+// keyed to this depth: it stays alive as long as the variable does.
+func (w *poolWalker) declare(id *ast.Ident, depth int) {
+	if obj := w.pass.Info.Defs[id]; obj != nil {
+		w.varDepth[obj] = depth
 	}
 }
 

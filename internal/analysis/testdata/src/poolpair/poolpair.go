@@ -61,6 +61,19 @@ func leakUnzeroedOnEarlyReturn(fail bool) error {
 	return nil
 }
 
+// branchAssignedNeverHandedOff takes its buffer inside a branch into a
+// variable declared before it: the buffer belongs to the function body and
+// leaks when the body ends.
+func branchAssignedNeverHandedOff(cond bool) {
+	var d *mat.Dense
+	if cond {
+		d = mat.GetDense(2, 2)
+	} else {
+		d = mat.GetDense(3, 3)
+	}
+	d.Zero()
+} // want `pooled buffer d may leak`
+
 // --- non-triggering cases ---
 
 func pairedOnAllPaths(fail bool) error {
@@ -131,4 +144,19 @@ func putInBothBranches(cond bool) {
 	} else {
 		mat.PutDense(buf)
 	}
+}
+
+// branchAssignedThenHandedOff takes its buffer inside a branch into a
+// variable declared before it; the buffer outlives the branch and is handed
+// to the parameter set.
+func branchAssignedThenHandedOff(cond bool) *nn.Params {
+	out := nn.NewParams()
+	var d *mat.Dense
+	if cond {
+		d = mat.GetDense(2, 2)
+	} else {
+		d = mat.GetDenseUnzeroed(2, 2)
+	}
+	out.Add("w", d)
+	return out
 }
