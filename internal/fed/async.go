@@ -1,12 +1,12 @@
 package fed
 
 // async.go implements the buffered asynchronous aggregation mode
-// (Config.Aggregation == AggAsync): a FedBuff-style no-barrier round loop in
-// which the coordinator dispatches training jobs to every idle sampled party,
-// collects the first BufferK arrivals of each logical round, and folds them
-// into the global model with staleness-discounted weights w_i/(1+s)^α, where
-// s is the number of logical rounds elapsed since the update's global was
-// dispatched. Late arrivals are not discarded at a barrier — they fold into
+// (Config.Aggregation == AggAsync): the middle of a FedBuff-style
+// no-barrier round, run by Run's round loop, in which the coordinator
+// dispatches training jobs to every idle sampled party, collects the first
+// BufferK arrivals of each logical round, and folds them into the global
+// model with staleness-discounted weights w_i/(1+s)^α, where s is the number
+// of logical rounds elapsed since the update's global was dispatched. Late arrivals are not discarded at a barrier — they fold into
 // the next round's buffer — and the paper's central-moment aggregation
 // decomposes into weighted sums, so the same discounted fold applies exactly
 // to the mean/moment statistics and to aux state. Updates older than
@@ -18,7 +18,7 @@ package fed
 //
 // Concurrency model: one worker goroutine per in-flight job, sequencing its
 // party's client calls through runState.call (busy flag + per-call timeout,
-// exactly the sync loop's per-op discipline). The coordinator alone touches
+// exactly the sync round's per-op discipline). The coordinator alone touches
 // runState's per-round bookkeeping, the buffer, and the codec per-party
 // reset; globals and statistics snapshots handed to workers are immutable
 // once published (every fold builds fresh matrices). A party is redispatched
@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -114,11 +113,7 @@ type asyncStats struct {
 // fleet size, so a worker can never block: each party has at most one job in
 // flight).
 type asyncEngine struct {
-	cfg *Config
-	st  *runState
-	cs  *codecState
-	rec telemetry.Recorder
-	tr  *obs.Tracer
+	st *runState
 
 	k        int     // buffer threshold per logical round
 	maxStale int     // eviction bound, in logical rounds
@@ -130,24 +125,18 @@ type asyncEngine struct {
 	buffer       []*asyncUpdate // arrived, not yet folded; arrival order
 	arrivals     chan *asyncUpdate
 	stats        asyncStats
-	allMoment    bool
 }
 
-func newAsyncEngine(cfg *Config, st *runState, cs *codecState, rec telemetry.Recorder, tr *obs.Tracer, allMoment bool) *asyncEngine {
-	n := len(st.clients)
+func newAsyncEngine(st *runState) *asyncEngine {
+	n, cfg := len(st.clients), st.cfg
 	eng := &asyncEngine{
-		cfg:          cfg,
 		st:           st,
-		cs:           cs,
-		rec:          rec,
-		tr:           tr,
 		k:            cfg.BufferK,
 		maxStale:     cfg.MaxStaleness,
 		alpha:        cfg.StalenessAlpha,
 		inflight:     make([]bool, n),
 		lastDispatch: make([]int, n),
 		arrivals:     make(chan *asyncUpdate, n),
-		allMoment:    allMoment,
 	}
 	if eng.k <= 0 {
 		eng.k = (n + 1) / 2 // ⌈M/2⌉: absorb the slow half of the fleet
@@ -175,12 +164,9 @@ func (eng *asyncEngine) discount(staleness int) float64 {
 // actually folded, so an evicted or rejected frame would silently corrupt
 // the party's next delta encode.
 func (eng *asyncEngine) discard(u *asyncUpdate) {
-	if u.pooled && u.params != nil {
-		codec.PutParams(u.params)
-		u.params = nil
-	}
-	if u.encoded && eng.cs != nil {
-		eng.cs.up[u.party].Reset()
+	eng.release(u)
+	if u.encoded && eng.st.cs != nil {
+		eng.st.cs.up[u.party].Reset()
 	}
 }
 
@@ -215,11 +201,11 @@ func (eng *asyncEngine) dispatch(parent obs.SpanContext, i, round int, global *n
 	eng.inflight[i] = true
 	eng.nFlight++
 	eng.lastDispatch[i] = round
-	eng.rec.Count(MetricAsyncDispatched, 1)
+	eng.st.rec.Count(MetricAsyncDispatched, 1)
 	snap := eng.stats
 	go func() {
 		u := &asyncUpdate{party: i, dispatch: round, encBytes: -1}
-		jsp := eng.tr.Start(parent, obs.SpanAsyncJob)
+		jsp := eng.st.tr.Start(parent, obs.SpanAsyncJob)
 		jsp.SetAttr(obs.AttrParty, eng.st.clients[i].Name())
 		jsp.SetAttr(obs.AttrDispatch, round)
 		eng.runJob(jsp.Context(), u, i, round, global, snap)
@@ -242,8 +228,8 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 		u.err = fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)
 		return
 	}
-	if eng.cs != nil && !transportCoded(c) {
-		n, err := eng.cs.broadcast(i, global)
+	if st.cs != nil && !transportCoded(c) {
+		n, err := st.cs.broadcast(i, global)
 		if err != nil {
 			u.err = err
 			return
@@ -253,7 +239,7 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 		u.downBytes += int64(global.Bytes())
 	}
 
-	if mc, ok := c.(MomentClient); ok && eng.allMoment {
+	if mc, ok := c.(MomentClient); ok && st.allMoment {
 		var means []*mat.Dense
 		var n int
 		err := st.call(i, func() error {
@@ -313,8 +299,8 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 		u.downBytes += int64(snap.aux.Bytes())
 	}
 
-	clientSpan := telemetry.StartSpan(eng.rec, MetricClientTrainSecs)
-	tsp := eng.tr.Start(ctx, obs.SpanClientTrain)
+	clientSpan := telemetry.StartSpan(st.rec, MetricClientTrainSecs)
+	tsp := st.tr.Start(ctx, obs.SpanClientTrain)
 	tsp.SetAttr(obs.AttrParty, c.Name())
 	t0 := time.Now()
 	var loss float64
@@ -334,12 +320,12 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 	tsp.End()
 	u.loss = loss
 
-	usp := eng.tr.Start(ctx, obs.SpanClientUpload)
+	usp := st.tr.Start(ctx, obs.SpanClientUpload)
 	usp.SetAttr(obs.AttrParty, c.Name())
 	var p *nn.Params
 	err = st.call(i, func() error { p = c.Params(); return nil })
-	if err == nil && eng.cs != nil && !transportCoded(c) {
-		dec, enc, cerr := eng.cs.upload(i, p)
+	if err == nil && st.cs != nil && !transportCoded(c) {
+		dec, enc, cerr := st.cs.upload(i, p)
 		if cerr != nil {
 			err = cerr
 		} else {
@@ -401,15 +387,6 @@ func (eng *asyncEngine) absorb(u *asyncUpdate, stats *RoundStats) error {
 	return nil
 }
 
-// foldOutcome summarizes one fold for the history row and the observer feed.
-type foldOutcome struct {
-	global    *nn.Params // nil when nothing folded (quorum skip handles it)
-	folded    int
-	trainLoss float64
-	staleP99  float64
-	parties   []obs.PartyObservation
-}
-
 // statsShapeOK screens an update's statistics payload against a reference
 // before the fold touches any matrix math (shape mismatches would otherwise
 // panic inside the in-place kernels).
@@ -442,7 +419,7 @@ func statsShapeOK(u *asyncUpdate, ref *asyncUpdate) bool {
 // is returned; on lost quorum the survivors are pushed back into the buffer
 // and an ErrQuorumLost-wrapping error returned, so QuorumSkip keeps them for
 // the next round.
-func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*foldOutcome, error) {
+func (eng *asyncEngine) fold(round int, global *nn.Params) (*roundOutcome, error) {
 	st := eng.st
 	take := eng.buffer
 	if len(take) > eng.k {
@@ -450,7 +427,7 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 	}
 	rest := eng.buffer[len(take):]
 	if len(rest) > 0 {
-		eng.rec.Count(MetricAsyncCarried, int64(len(rest)))
+		st.rec.Count(MetricAsyncCarried, int64(len(rest)))
 	}
 	eng.buffer = append([]*asyncUpdate(nil), rest...)
 
@@ -460,12 +437,12 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 		if st.benched(u.party, round) {
 			// Benched while in flight: the bench already penalized the
 			// party, so the update is rejected without a fresh strike.
-			eng.rec.Count(MetricAsyncRejected, 1)
+			st.rec.Count(MetricAsyncRejected, 1)
 			eng.discard(u)
 			continue
 		}
 		if s := round - u.dispatch; s > eng.maxStale {
-			eng.rec.Count(MetricAsyncEvicted, 1)
+			st.rec.Count(MetricAsyncEvicted, 1)
 			ferr := st.fail(u.party, fmt.Errorf("fed: update from %s dispatched round %d folded round %d: %w",
 				st.clients[u.party].Name(), u.dispatch, round, ErrStaleUpdate))
 			eng.discard(u)
@@ -475,7 +452,7 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 			continue
 		}
 		badShape := global.Compatible(u.params)
-		if badShape == nil && eng.allMoment && u.means != nil {
+		if badShape == nil && st.allMoment && u.means != nil {
 			if statsRef == nil {
 				statsRef = u
 			} else if !statsShapeOK(u, statsRef) {
@@ -508,7 +485,7 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 		return kept[a].party < kept[b].party
 	})
 
-	out := &foldOutcome{folded: len(kept)}
+	out := &roundOutcome{folded: len(kept)}
 	sets := make([]*nn.Params, len(kept))
 	ws := make([]float64, len(kept))
 	stales := make([]float64, len(kept))
@@ -522,14 +499,10 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 		lossSum += w * u.loss
 		lossW += w
 		st.touched[u.party] = true
-		eng.rec.Observe(MetricAsyncStaleness, float64(s))
-		out.parties = append(out.parties, obs.PartyObservation{
-			Name:         st.clients[u.party].Name(),
-			TrainSeconds: u.trainSecs,
-			Dropped:      st.dropped[u.party],
-		})
+		st.rec.Observe(MetricAsyncStaleness, float64(s))
+		out.trained = append(out.trained, trained{party: u.party, secs: u.trainSecs})
 	}
-	eng.rec.Count(MetricAsyncFolded, int64(len(kept)))
+	st.rec.Count(MetricAsyncFolded, int64(len(kept)))
 	if lossW > 0 {
 		out.trainLoss = lossSum / lossW
 	}
@@ -542,7 +515,7 @@ func (eng *asyncEngine) fold(round int, global *nn.Params, stats *RoundStats) (*
 	}
 	out.global = agg
 
-	if eng.allMoment {
+	if st.allMoment {
 		eng.foldStats(kept, round)
 	}
 	if err := eng.foldAux(kept, round); err != nil {
@@ -636,291 +609,116 @@ func (eng *asyncEngine) foldAux(kept []*asyncUpdate, round int) error {
 	return nil
 }
 
-// runAsync is the buffered no-barrier round loop. Run has already validated
-// the config, built the shared run state, and published the run span; this
-// loop replaces only the barriered phase sequence.
-func runAsync(cfg *Config, st *runState, cs *codecState, rec telemetry.Recorder, tr *obs.Tracer, runSpan *obs.Span, global *nn.Params, res *Result, sampler *rand.Rand, evalEvery int, allMoment bool) (*Result, error) {
-	clients := st.clients
-	eng := newAsyncEngine(cfg, st, cs, rec, tr, allMoment)
-	runSpan.SetAttr(obs.AttrAggregation, AggAsync.String())
+// round is the middle of a no-barrier logical round: bootstrap the
+// statistics once, score the global entering the round on the idle parties,
+// dispatch to every idle sampled party, collect up to K arrivals and fold
+// them into a new global.
+func (eng *asyncEngine) round(parent obs.SpanContext, round int, global *nn.Params, stats *RoundStats, out *roundOutcome) error {
+	st := eng.st
+	// Updates in flight or buffered, whatever path leaves the round.
+	defer func() { out.active = eng.nFlight + len(eng.buffer) }()
+	reach := st.reachable(round)
+	if err := st.quorum(round, len(reach)); err != nil {
+		return err
+	}
 
-	badRounds := 0
-	startRound, samplerDraws := 0, 0
-	if cfg.Resume != nil {
-		g, err := st.restore(cfg.Resume, res, &badRounds, &startRound, &samplerDraws)
+	// Bootstrap the statistics state with one synchronous exchange
+	// (broadcast + Algorithm 1's two legs) the first time through:
+	// dispatches need global means to center moments on, and a resumed run
+	// restores them from the checkpoint instead.
+	if st.allMoment && eng.stats.means == nil {
+		if err := st.broadcast(parent, reach, global, stats); err != nil {
+			return err
+		}
+		gm, gc, err := st.momentExchange(parent, round, st.aliveOf(reach), stats)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		global = g
-		for i := 0; i < samplerDraws; i++ {
-			sampler.Perm(len(clients)) // replay the sampler to its saved state
+		eng.stats.means, eng.stats.central = gm, gc
+	}
+
+	// Score the global entering the round on the idle parties (an in-flight
+	// party cannot be probed without violating the one-call-at-a-time
+	// contract). Installs are not byte-charged: this is scoring, not
+	// protocol traffic.
+	if st.evalDue(round) {
+		evalIdx := make([]int, 0, len(reach))
+		for _, i := range reach {
+			if eng.inflight[i] || st.dropped[i] {
+				continue
+			}
+			c := st.clients[i]
+			if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
+				continue // lenient, like st.evaluate
+			}
+			evalIdx = append(evalIdx, i)
 		}
-		if err := eng.restore(cfg.Resume); err != nil {
-			return nil, err
+		if len(evalIdx) > 0 {
+			st.score(parent, round, evalIdx, stats)
+			out.evaluated = true
 		}
 	}
 
-	for round := startRound; round < cfg.Rounds; round++ {
-		stats := RoundStats{Round: round, Start: time.Now()}
-		roundSpan := telemetry.StartSpan(rec, MetricRoundSeconds)
-		rsp := tr.Start(runSpan.Context(), obs.SpanRound)
-		rsp.SetAttr(obs.AttrRound, round)
-		tr.SetActive(rsp.Context())
-		resets0 := wireResets.Value()
-		evaluated := false
-		stalled := false
-		var fold *foldOutcome
-		st.beginRound()
-
-		roundErr := func() error {
-			reach := st.reachable(round)
-			if err := st.quorum(round, len(reach)); err != nil {
-				return err
-			}
-
-			// Bootstrap the statistics state with one synchronous exchange
-			// (broadcast + Algorithm 1's two legs) the first time through:
-			// dispatches need global means to center moments on, and a
-			// resumed run restores them from the checkpoint instead.
-			if allMoment && eng.stats.means == nil {
-				sp := telemetry.StartSpan(rec, MetricBroadcastSeconds)
-				osp := tr.Start(rsp.Context(), obs.SpanBroadcast)
-				for _, i := range reach {
-					c := clients[i]
-					st.touched[i] = true
-					if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-						if ferr := st.fail(i, fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)); ferr != nil {
-							sp.End()
-							osp.End()
-							return ferr
-						}
-						continue
-					}
-					if cs != nil && !transportCoded(c) {
-						n, err := cs.broadcast(i, global)
-						if err != nil {
-							sp.End()
-							osp.End()
-							return err
-						}
-						stats.BytesDown += n
-					} else {
-						stats.BytesDown += int64(global.Bytes())
-					}
-				}
-				sp.End()
-				osp.End()
-				sp = telemetry.StartSpan(rec, MetricMomentsSeconds)
-				osp = tr.Start(rsp.Context(), obs.SpanMoments)
-				up, down, gm, gc, err := st.momentExchange(round, st.aliveOf(reach))
-				sp.End()
-				osp.End()
-				if err != nil {
-					return err
-				}
-				stats.BytesUp += up
-				stats.BytesDown += down
-				eng.stats.means = gm
-				eng.stats.central = gc
-			}
-
-			// Evaluate the global entering the round on the idle parties
-			// (an in-flight party cannot be probed without violating the
-			// one-call-at-a-time contract). Installs are not byte-charged:
-			// this is scoring, not protocol traffic.
-			if round%evalEvery == 0 || round == cfg.Rounds-1 {
-				evalIdx := make([]int, 0, len(reach))
-				for _, i := range reach {
-					if eng.inflight[i] || st.dropped[i] {
-						continue
-					}
-					c := clients[i]
-					if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-						continue // lenient, like st.evaluate
-					}
-					evalIdx = append(evalIdx, i)
-				}
-				if len(evalIdx) > 0 {
-					sp := telemetry.StartSpan(rec, MetricEvalSeconds)
-					osp := tr.Start(rsp.Context(), obs.SpanEval)
-					stats.ValAcc, stats.TestAcc = st.evaluate(evalIdx, cfg.Sequential)
-					sp.End()
-					osp.End()
-					evaluated = true
-					rec.Gauge(MetricValAcc, stats.ValAcc)
-					rec.Gauge(MetricTestAcc, stats.TestAcc)
-					if stats.ValAcc > res.BestValAcc || res.BestRound < 0 {
-						res.BestValAcc = stats.ValAcc
-						res.TestAtBestVal = stats.TestAcc
-						res.BestRound = round
-						badRounds = 0
-					} else {
-						badRounds++
-					}
-				}
-			}
-
-			// Dispatch to every sampled party that is idle and holds no
-			// buffered update (so a fold-time Encoder.Reset can never race
-			// the party's own uplink encoder).
-			activeIdx := reach
-			if cfg.ClientFraction > 0 && cfg.ClientFraction < 1 {
-				k := ceilFraction(cfg.ClientFraction, len(clients))
-				perm := sampler.Perm(len(clients))
-				samplerDraws++
-				sel := make([]int, 0, k)
-				for _, idx := range perm {
-					if st.benched(idx, round) {
-						continue
-					}
-					sel = append(sel, idx)
-					if len(sel) == k {
-						break
-					}
-				}
-				sort.Ints(sel)
-				activeIdx = sel
-			}
-			buffered := make([]bool, len(clients))
-			for _, u := range eng.buffer {
-				buffered[u.party] = true
-			}
-			for _, i := range activeIdx {
-				if eng.inflight[i] || buffered[i] || st.dropped[i] {
-					continue
-				}
-				eng.dispatch(rsp.Context(), i, round, global)
-			}
-
-			// Collect until the buffer holds K updates, nothing more can
-			// arrive, or the round deadline expires.
-			waitSpan := telemetry.StartSpan(rec, MetricAsyncBufferWait)
-			var deadline <-chan time.Time
-			var timer *time.Timer
-			if cfg.BufferTimeout > 0 {
-				timer = time.NewTimer(cfg.BufferTimeout)
-				deadline = timer.C
-			}
-		collect:
-			for len(eng.buffer) < eng.k && eng.nFlight > 0 {
-				select {
-				case u := <-eng.arrivals:
-					if err := eng.absorb(u, &stats); err != nil {
-						if timer != nil {
-							timer.Stop()
-						}
-						waitSpan.End()
-						return err
-					}
-				case <-deadline:
-					stalled = true
-					rec.Count(MetricAsyncStalls, 1)
-					break collect
-				}
-			}
-			if timer != nil {
-				timer.Stop()
-			}
-			waitSpan.End()
-
-			// Fold the buffer into a new global.
-			sp := telemetry.StartSpan(rec, MetricAggregateSeconds)
-			osp := tr.Start(rsp.Context(), obs.SpanFold)
-			out, err := eng.fold(round, global, &stats)
-			if out != nil {
-				osp.SetAttr(obs.AttrBufferFill, out.folded)
-				osp.SetAttr(obs.AttrBufferTarget, eng.k)
-				osp.SetAttr(obs.AttrStalenessP99, out.staleP99)
-			}
-			sp.End()
-			osp.End()
-			if err != nil {
-				return err
-			}
-			fold = out
-			stats.TrainLoss = out.trainLoss
-			global = out.global
-			return nil
-		}()
-		if roundErr != nil {
-			if !errors.Is(roundErr, ErrQuorumLost) || cfg.QuorumPolicy != QuorumSkip {
-				// Aborting mid-round: emit the trace record, drop the
-				// latency sample, and reap the in-flight workers.
-				roundSpan.Cancel()
-				rsp.End()
-				eng.shutdown()
-				return nil, roundErr
-			}
-			stats.Degraded = true
+	// Dispatch to every sampled party that is idle and holds no buffered
+	// update (so a fold-time Encoder.Reset can never race the party's own
+	// uplink encoder).
+	buffered := make([]bool, len(st.clients))
+	for _, u := range eng.buffer {
+		buffered[u.party] = true
+	}
+	for _, i := range st.cohort(round, reach) {
+		if eng.inflight[i] || buffered[i] || st.dropped[i] {
+			continue
 		}
+		eng.dispatch(parent, i, round, global)
+	}
 
-		st.endRound(round, &stats)
-		stats.End = time.Now()
-		roundSpan.End()
-		rec.Count(MetricRounds, 1)
-		rec.Count(MetricActiveClients, int64(eng.nFlight+len(eng.buffer)))
-		rec.Count(MetricBytesUp, stats.BytesUp)
-		rec.Count(MetricBytesDown, stats.BytesDown)
+	stalled, err := eng.collect(stats)
+	out.stalled = stalled
+	if err != nil {
+		return err
+	}
 
-		res.History = append(res.History, stats)
-		res.TotalBytesUp += stats.BytesUp
-		res.TotalBytesDown += stats.BytesDown
+	sp := telemetry.StartSpan(st.rec, MetricAggregateSeconds)
+	osp := st.tr.Start(parent, obs.SpanFold)
+	f, err := eng.fold(round, global)
+	if f != nil {
+		osp.SetAttr(obs.AttrBufferFill, f.folded)
+		osp.SetAttr(obs.AttrBufferTarget, eng.k)
+		osp.SetAttr(obs.AttrStalenessP99, f.staleP99)
+	}
+	sp.End()
+	osp.End()
+	if err != nil {
+		return err
+	}
+	out.global, out.trainLoss, out.trained = f.global, f.trainLoss, f.trained
+	out.folded, out.staleP99 = f.folded, f.staleP99
+	return nil
+}
 
-		if cfg.Observer != nil {
-			benchedNow := 0
-			for i := range clients {
-				if st.benched(i, round+1) {
-					benchedNow++
-				}
+// collect absorbs arrivals until the buffer holds K updates, nothing more
+// can arrive, or the round deadline expires; it reports whether the
+// deadline did.
+func (eng *asyncEngine) collect(stats *RoundStats) (stalled bool, err error) {
+	waitSpan := telemetry.StartSpan(eng.st.rec, MetricAsyncBufferWait)
+	defer waitSpan.End()
+	var deadline <-chan time.Time
+	if eng.st.cfg.BufferTimeout > 0 {
+		timer := time.NewTimer(eng.st.cfg.BufferTimeout)
+		defer timer.Stop()
+		deadline = timer.C
+	}
+	for len(eng.buffer) < eng.k && eng.nFlight > 0 {
+		select {
+		case u := <-eng.arrivals:
+			if err := eng.absorb(u, stats); err != nil {
+				return false, err
 			}
-			o := obs.RoundObservation{
-				Round:          round,
-				TrainLoss:      stats.TrainLoss,
-				ValAcc:         stats.ValAcc,
-				TestAcc:        stats.TestAcc,
-				BestValAcc:     res.BestValAcc,
-				Evaluated:      evaluated,
-				Degraded:       stats.Degraded,
-				Dropped:        stats.Dropped,
-				Quarantined:    benchedNow,
-				NonFinite:      st.nonFinite,
-				CodecResets:    int(wireResets.Value() - resets0),
-				BytesUp:        stats.BytesUp,
-				BytesDown:      stats.BytesDown,
-				Async:          true,
-				BufferTarget:   eng.k,
-				BufferStalled:  stalled,
-				StalenessLimit: float64(eng.maxStale),
-			}
-			if fold != nil {
-				o.BufferFill = fold.folded
-				o.StalenessP99 = fold.staleP99
-				o.Parties = fold.parties
-			}
-			cfg.Observer.ObserveRound(rsp.Context(), o)
-		}
-		rsp.End()
-
-		if cfg.CheckpointEvery > 0 && cfg.CheckpointWriter != nil && (round+1)%cfg.CheckpointEvery == 0 {
-			ck := st.snapshot(round+1, samplerDraws, global, res, badRounds)
-			eng.snapshotInto(ck)
-			if err := cfg.CheckpointWriter(ck); err != nil {
-				eng.shutdown()
-				return nil, fmt.Errorf("fed: checkpoint after round %d: %w", round, err)
-			}
-		}
-		if cfg.Patience > 0 && badRounds >= cfg.Patience {
-			break
+		case <-deadline:
+			eng.st.rec.Count(MetricAsyncStalls, 1)
+			return true, nil
 		}
 	}
-	eng.shutdown()
-	res.FinalParams = global
-	res.ClientFailures = st.failures
-
-	tr.SetActive(runSpan.Context()) // as in Run: the final broadcast is outside every round
-	if err := finalScore(cfg, st, rec, res, global); err != nil {
-		return nil, err
-	}
-	res.End = time.Now()
-	return res, nil
+	return false, nil
 }

@@ -150,11 +150,7 @@ func asyncHarness(t *testing.T, cfg *Config, clients []Client, rec telemetry.Rec
 	}
 	rec = telemetry.Or(rec)
 	st := newRunState(cfg, clients, weights, rec)
-	var cs *codecState
-	if cfg.Codec.Enabled() {
-		cs = newCodecState(cfg.Codec, len(clients), rec)
-	}
-	return st, newAsyncEngine(cfg, st, cs, rec, nil, false)
+	return st, newAsyncEngine(st)
 }
 
 func paramsAt(v float64) *nn.Params {
@@ -176,7 +172,7 @@ func TestAsyncFoldStalenessWeights(t *testing.T) {
 		{party: 0, dispatch: 5, params: paramsAt(3), loss: 3, encBytes: -1},
 		{party: 1, dispatch: 4, params: paramsAt(0), loss: 0, encBytes: -1},
 	}
-	out, err := eng.fold(5, paramsAt(0), &RoundStats{})
+	out, err := eng.fold(5, paramsAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +204,7 @@ func TestAsyncFoldRejectsBenched(t *testing.T) {
 		{party: 0, dispatch: 5, params: paramsAt(100), encBytes: -1},
 		{party: 1, dispatch: 5, params: paramsAt(7), encBytes: -1},
 	}
-	out, err := eng.fold(5, paramsAt(0), &RoundStats{})
+	out, err := eng.fold(5, paramsAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +240,7 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 		m.Set(0, j, 0.1*float64(j)+0.037)
 	}
 	p.Add("w", m)
-	if _, err := eng.cs.up[0].EncodeParams(nil, p, nil); err != nil {
+	if _, err := st.cs.up[0].EncodeParams(nil, p, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -252,7 +248,7 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 		{party: 0, dispatch: 2, params: paramsAt(100), encoded: true, encBytes: 9},
 		{party: 1, dispatch: 5, params: paramsAt(7), encBytes: -1},
 	}
-	out, err := eng.fold(5, paramsAt(0), &RoundStats{}) // staleness 3 > 2
+	out, err := eng.fold(5, paramsAt(0)) // staleness 3 > 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +262,7 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 		t.Fatalf("eviction must register a policy failure, got %v", st.failures)
 	}
 	// Residuals dropped: the post-eviction frame matches a fresh encoder's.
-	after, err := eng.cs.up[0].EncodeParams(nil, p, nil)
+	after, err := st.cs.up[0].EncodeParams(nil, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +277,7 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 	cfgFF := &Config{Rounds: 40, Aggregation: AggAsync, MaxStaleness: 2}
 	_, engFF := asyncHarness(t, cfgFF, []Client{newFakeClient("a", 1, 0)}, nil)
 	engFF.buffer = []*asyncUpdate{{party: 0, dispatch: 0, params: paramsAt(1), encBytes: -1}}
-	if _, err := engFF.fold(5, paramsAt(0), &RoundStats{}); !errors.Is(err, ErrStaleUpdate) {
+	if _, err := engFF.fold(5, paramsAt(0)); !errors.Is(err, ErrStaleUpdate) {
 		t.Fatalf("FailFast eviction error = %v want ErrStaleUpdate", err)
 	}
 }
@@ -299,7 +295,7 @@ func TestAsyncFoldQuorumLoss(t *testing.T) {
 		{party: 0, dispatch: 1, params: paramsAt(3), encBytes: -1}, // stale, evicted
 		survivor,
 	}
-	_, err := eng.fold(5, paramsAt(0), &RoundStats{})
+	_, err := eng.fold(5, paramsAt(0))
 	if !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("fold error = %v want ErrQuorumLost", err)
 	}

@@ -111,17 +111,18 @@ type AsyncBufferedUpdate struct {
 }
 
 // snapshot captures the coordinator state entering round nextRound.
-func (st *runState) snapshot(nextRound, samplerDraws int, global *nn.Params, res *Result, badRounds int) *Checkpoint {
+func (st *runState) snapshot(nextRound int, global *nn.Params) *Checkpoint {
+	res := st.res
 	ck := &Checkpoint{
 		Round:          nextRound,
-		SamplerDraws:   samplerDraws,
+		SamplerDraws:   st.samplerDraws,
 		Global:         paramsToWire(global),
-		Spec:           st.spec,
+		Spec:           st.cfg.Spec,
 		History:        append([]RoundStats(nil), res.History...),
 		BestValAcc:     res.BestValAcc,
 		TestAtBestVal:  res.TestAtBestVal,
 		BestRound:      res.BestRound,
-		BadRounds:      badRounds,
+		BadRounds:      st.badRounds,
 		TotalBytesUp:   res.TotalBytesUp,
 		TotalBytesDown: res.TotalBytesDown,
 	}
@@ -150,9 +151,10 @@ func (st *runState) snapshot(nextRound, samplerDraws int, global *nn.Params, res
 	return ck
 }
 
-// restore rebuilds the coordinator state from a checkpoint, returning the
-// global model to enter ck.Round with. The caller replays the sampler.
-func (st *runState) restore(ck *Checkpoint, res *Result, badRounds, startRound, samplerDraws *int) (*nn.Params, error) {
+// restore rebuilds the coordinator state from a checkpoint, replaying the
+// cohort sampler to its saved state, and returns the global model to enter
+// ck.Round with.
+func (st *runState) restore(ck *Checkpoint) (*nn.Params, error) {
 	if ck.Global == nil {
 		return nil, errors.New("fed: resume checkpoint has no global model")
 	}
@@ -163,9 +165,12 @@ func (st *runState) restore(ck *Checkpoint, res *Result, badRounds, startRound, 
 	if err := st.clients[0].Params().Compatible(global); err != nil {
 		return nil, fmt.Errorf("fed: resume: checkpointed model incompatible with fleet: %w", err)
 	}
-	*startRound = ck.Round
-	*samplerDraws = ck.SamplerDraws
-	*badRounds = ck.BadRounds
+	for st.samplerDraws < ck.SamplerDraws {
+		st.sampler.Perm(len(st.clients))
+		st.samplerDraws++
+	}
+	st.badRounds = ck.BadRounds
+	res := st.res
 	res.History = append([]RoundStats(nil), ck.History...)
 	res.BestValAcc = ck.BestValAcc
 	res.TestAtBestVal = ck.TestAtBestVal

@@ -12,12 +12,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"fedomd/internal/mat"
 	"fedomd/internal/nn"
+	"fedomd/internal/obs"
 	"fedomd/internal/telemetry"
 )
 
@@ -97,15 +99,19 @@ var (
 	ErrNonFinite = errors.New("non-finite values in upload")
 )
 
-// runState carries the per-run fault-tolerance bookkeeping Run threads
-// through its phases.
+// runState carries what one run threads through its rounds: the fleet and
+// its telemetry, the progress a checkpoint records, and the fault-tolerance
+// bookkeeping.
 type runState struct {
+	cfg        *Config
 	clients    []Client
 	weights    []float64
 	rec        telemetry.Recorder
-	spec       *ModelSpec
+	tr         *obs.Tracer
+	cs         *codecState // nil: parameters are charged at raw size
+	allMoment  bool        // every client takes part in the statistics exchange
+	evalEvery  int
 	policy     FailurePolicy
-	timeout    time.Duration
 	minClients int
 	maxStrikes int
 	cooldown   int
@@ -122,6 +128,12 @@ type runState struct {
 
 	failures map[string]int // total failures per client name, lazily built
 
+	// Run progress, saved and restored by checkpoints.
+	res          *Result
+	sampler      *rand.Rand // partial-participation cohorts
+	samplerDraws int
+	badRounds    int // scored rounds since the last validation improvement
+
 	// Per-round scratch, reset by beginRound.
 	dropped      []bool
 	touched      []bool
@@ -132,12 +144,14 @@ type runState struct {
 
 func newRunState(cfg *Config, clients []Client, weights []float64, rec telemetry.Recorder) *runState {
 	st := &runState{
+		cfg:          cfg,
 		clients:      clients,
 		weights:      weights,
 		rec:          rec,
-		spec:         cfg.Spec,
+		tr:           cfg.Tracer,
+		allMoment:    true,
+		evalEvery:    cfg.EvalEvery,
 		policy:       cfg.Policy,
-		timeout:      cfg.ClientTimeout,
 		minClients:   cfg.MinClients,
 		maxStrikes:   cfg.MaxStrikes,
 		cooldown:     cfg.CooldownRounds,
@@ -147,6 +161,20 @@ func newRunState(cfg *Config, clients []Client, weights []float64, rec telemetry
 		benchCount:   make([]int, len(clients)),
 		dropped:      make([]bool, len(clients)),
 		touched:      make([]bool, len(clients)),
+		res:          &Result{BestRound: -1},
+		sampler:      rand.New(rand.NewSource(cfg.SampleSeed)),
+	}
+	for _, c := range clients {
+		if _, ok := c.(MomentClient); !ok {
+			st.allMoment = false
+		}
+	}
+	if cfg.Codec.Enabled() {
+		st.cs = newCodecState(cfg.Codec, len(clients), rec)
+		st.cs.setTrace(st.tr)
+	}
+	if st.evalEvery <= 0 {
+		st.evalEvery = 1
 	}
 	if st.minClients < 1 {
 		st.minClients = 1
@@ -217,7 +245,7 @@ func (st *runState) call(i int, f func() error) error {
 	if !st.busy[i].CompareAndSwap(false, true) {
 		return fmt.Errorf("fed: client %s: %w", st.clients[i].Name(), ErrClientBusy)
 	}
-	if st.timeout <= 0 {
+	if st.cfg.ClientTimeout <= 0 {
 		err := f()
 		st.busy[i].Store(false)
 		return err
@@ -228,13 +256,13 @@ func (st *runState) call(i int, f func() error) error {
 		st.busy[i].Store(false)
 		done <- err
 	}()
-	timer := time.NewTimer(st.timeout)
+	timer := time.NewTimer(st.cfg.ClientTimeout)
 	defer timer.Stop()
 	select {
 	case err := <-done:
 		return err
 	case <-timer.C:
-		return fmt.Errorf("fed: client %s: %w after %v", st.clients[i].Name(), ErrClientTimeout, st.timeout)
+		return fmt.Errorf("fed: client %s: %w after %v", st.clients[i].Name(), ErrClientTimeout, st.cfg.ClientTimeout)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -266,19 +265,21 @@ type Result struct {
 	ClientFailures map[string]int
 }
 
-// Run executes synchronous federated training over the clients. All clients
-// must be non-nil; if every client implements MomentClient the FedOMD
-// statistics exchange runs each round before local training.
+// Run executes federated training over the clients, in barriered rounds
+// (AggSync) or in buffered no-barrier rounds (AggAsync, see async.go). All
+// clients must be non-nil; if every client implements MomentClient the
+// FedOMD statistics exchange runs each round before local training.
+//
+// Run holds the one round loop: each round's prologue and epilogue, the
+// abort and quorum-skip handling, the history, counters and observer feed,
+// checkpointing, patience and the final score are shared, and only the
+// middle of the round depends on the schedule.
 func Run(cfg Config, clients []Client) (*Result, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("fed: no clients")
 	}
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("fed: Rounds must be positive, got %d", cfg.Rounds)
-	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
 	}
 	if cfg.ClientFraction < 0 || cfg.ClientFraction > 1 {
 		return nil, fmt.Errorf("fed: ClientFraction must be 0 (full participation) or in (0, 1], got %v", cfg.ClientFraction)
@@ -301,27 +302,17 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	if cfg.StalenessAlpha < 0 {
 		return nil, fmt.Errorf("fed: StalenessAlpha must be non-negative, got %v", cfg.StalenessAlpha)
 	}
+	for _, c := range clients {
+		if c == nil {
+			return nil, errors.New("fed: nil client")
+		}
+	}
 	rec := telemetry.Or(cfg.Recorder)
 	tr := cfg.Tracer
 	runID := cfg.RunID
 	if runID == "" {
 		runID = obs.NewRunID()
 	}
-	var cs *codecState
-	if cfg.Codec.Enabled() {
-		cs = newCodecState(cfg.Codec, len(clients), rec)
-		cs.setTrace(tr)
-	}
-	allMoment := true
-	for _, c := range clients {
-		if c == nil {
-			return nil, errors.New("fed: nil client")
-		}
-		if _, ok := c.(MomentClient); !ok {
-			allMoment = false
-		}
-	}
-
 	weights := make([]float64, len(clients))
 	for i, c := range clients {
 		w := c.NumSamples()
@@ -330,6 +321,7 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 		}
 		weights[i] = float64(w)
 	}
+	st := newRunState(&cfg, clients, weights, rec)
 
 	runSpan := tr.Root(obs.SpanRun)
 	runSpan.SetAttr(obs.AttrRunID, runID)
@@ -341,38 +333,34 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	// pre-round work (the initial get_params, codec encodes outside any
 	// round) anchors under fed/run rather than starting orphan traces.
 	tr.SetActive(runSpan.Context())
-
-	global := clients[0].Params().Clone()
-	res := &Result{BestRound: -1, RunID: runID, Start: time.Now()}
-	badRounds := 0
-	sampler := rand.New(rand.NewSource(cfg.SampleSeed))
-	st := newRunState(&cfg, clients, weights, rec)
-
 	defer func() {
 		tr.SetActive(obs.SpanContext{})
 		runSpan.End()
 	}()
 
+	global := clients[0].Params().Clone()
+	res := st.res
+	res.RunID, res.Start = runID, time.Now()
+	var eng *asyncEngine
 	if cfg.Aggregation == AggAsync {
-		// The buffered no-barrier engine owns its own round loop (async.go);
-		// everything above — validation, weights, codec state, run span — is
-		// shared, and the sync loop below is untouched by the mode.
-		return runAsync(&cfg, st, cs, rec, tr, runSpan, global, res, sampler, evalEvery, allMoment)
+		eng = newAsyncEngine(st)
+		runSpan.SetAttr(obs.AttrAggregation, AggAsync.String())
 	}
-
-	startRound, samplerDraws := 0, 0
+	startRound := 0
 	if cfg.Resume != nil {
-		g, err := st.restore(cfg.Resume, res, &badRounds, &startRound, &samplerDraws)
+		g, err := st.restore(cfg.Resume)
 		if err != nil {
 			return nil, err
 		}
-		global = g
-		for i := 0; i < samplerDraws; i++ {
-			sampler.Perm(len(clients)) // replay the sampler to its saved state
+		if eng != nil {
+			if err := eng.restore(cfg.Resume); err != nil {
+				return nil, err
+			}
 		}
+		global, startRound = g, cfg.Resume.Round
 	}
 
-	needObs := cfg.Observer != nil || tr != nil
+	var runErr error
 	for round := startRound; round < cfg.Rounds; round++ {
 		stats := RoundStats{Round: round, Start: time.Now()}
 		roundSpan := telemetry.StartSpan(rec, MetricRoundSeconds)
@@ -380,268 +368,40 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 		rsp.SetAttr(obs.AttrRound, round)
 		tr.SetActive(rsp.Context())
 		resets0 := wireResets.Value()
-		evaluated := false
-		var trainIdx []int
-		var trainSecs []float64
 		st.beginRound()
 
-		reach := st.reachable(round)
-
-		// Partial participation: the round's active cohort, the first
-		// ⌈fraction·M⌉ reachable clients in permutation order (identical to
-		// the historical perm[:k] when nothing is benched).
-		activeIdx := reach
-		if cfg.ClientFraction > 0 && cfg.ClientFraction < 1 {
-			k := ceilFraction(cfg.ClientFraction, len(clients))
-			perm := sampler.Perm(len(clients))
-			samplerDraws++
-			sel := make([]int, 0, k)
-			for _, idx := range perm {
-				if st.benched(idx, round) {
-					continue
-				}
-				sel = append(sel, idx)
-				if len(sel) == k {
-					break
-				}
-			}
-			sort.Ints(sel)
-			activeIdx = sel
+		var out roundOutcome
+		var err error
+		if eng != nil {
+			err = eng.round(rsp.Context(), round, global, &stats, &out)
+		} else {
+			err = st.syncRound(rsp.Context(), round, global, &stats, &out)
 		}
-
-		roundErr := func() error {
-			if err := st.quorum(round, len(reach)); err != nil {
-				return err
-			}
-
-			// Broadcast global weights (Phase 1/3 of §3) to every
-			// reachable client.
-			sp := telemetry.StartSpan(rec, MetricBroadcastSeconds)
-			osp := tr.Start(rsp.Context(), obs.SpanBroadcast)
-			for _, i := range reach {
-				c := clients[i]
-				st.touched[i] = true
-				if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-					if ferr := st.fail(i, fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)); ferr != nil {
-						sp.End()
-						osp.End()
-						return ferr
-					}
-					continue
-				}
-				if cs != nil && !transportCoded(c) {
-					n, err := cs.broadcast(i, global)
-					if err != nil {
-						sp.End()
-						osp.End()
-						return err
-					}
-					stats.BytesDown += n
-				} else {
-					stats.BytesDown += int64(global.Bytes())
-				}
-			}
-			sp.End()
-			osp.End()
-			if err := st.quorum(round, len(st.aliveOf(activeIdx))); err != nil {
-				return err
-			}
-
-			// Evaluate the freshly broadcast global model.
-			if round%evalEvery == 0 || round == cfg.Rounds-1 {
-				sp = telemetry.StartSpan(rec, MetricEvalSeconds)
-				osp = tr.Start(rsp.Context(), obs.SpanEval)
-				stats.ValAcc, stats.TestAcc = st.evaluate(st.aliveOf(reach), cfg.Sequential)
-				sp.End()
-				osp.End()
-				evaluated = true
-				rec.Gauge(MetricValAcc, stats.ValAcc)
-				rec.Gauge(MetricTestAcc, stats.TestAcc)
-				if stats.ValAcc > res.BestValAcc || res.BestRound < 0 {
-					res.BestValAcc = stats.ValAcc
-					res.TestAtBestVal = stats.TestAcc
-					res.BestRound = round
-					badRounds = 0
-				} else {
-					badRounds++
-				}
-			}
-
-			// FedOMD statistics exchange (Algorithm 1 lines 3-18), over the
-			// round's active cohort.
-			if allMoment {
-				sp = telemetry.StartSpan(rec, MetricMomentsSeconds)
-				osp = tr.Start(rsp.Context(), obs.SpanMoments)
-				up, down, _, _, err := st.momentExchange(round, st.aliveOf(activeIdx))
-				sp.End()
-				osp.End()
-				if err != nil {
-					return err
-				}
-				stats.BytesUp += up
-				stats.BytesDown += down
-			}
-
-			// Local training, concurrently across surviving active parties.
-			sp = telemetry.StartSpan(rec, MetricTrainSeconds)
-			osp = tr.Start(rsp.Context(), obs.SpanTrain)
-			trainIdx = st.aliveOf(activeIdx)
-			losses := make([]float64, len(trainIdx))
-			if needObs {
-				trainSecs = make([]float64, len(trainIdx))
-			}
-			sub := st.clientsAt(trainIdx)
-			errs := forEachClient(sub, cfg.Sequential, st.policy == FailFast, func(s int, c Client) error {
-				clientSpan := telemetry.StartSpan(rec, MetricClientTrainSecs)
-				tsp := tr.Start(rsp.Context(), obs.SpanClientTrain)
-				tsp.SetAttr(obs.AttrParty, c.Name())
-				var t0 time.Time
-				if needObs {
-					t0 = time.Now()
-				}
-				var loss float64
-				err := st.call(trainIdx[s], func() error {
-					l, e := c.TrainLocal(round)
-					loss = l
-					return e
-				})
-				if needObs {
-					trainSecs[s] = time.Since(t0).Seconds()
-				}
-				clientSpan.End()
-				tsp.End()
-				if err != nil {
-					return fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
-				}
-				losses[s] = loss
-				return nil
-			})
-			sp.End()
-			osp.End()
-			if st.policy == FailFast {
-				if err := collapseErrs(errs, cfg.Sequential || len(sub) == 1); err != nil {
-					return err
-				}
-			} else {
-				for s, e := range errs {
-					if e != nil {
-						_ = st.fail(trainIdx[s], e)
-					}
-				}
-			}
-			var lossSum, wSum float64
-			for s, i := range trainIdx {
-				if st.dropped[i] {
-					continue
-				}
-				lossSum += weights[i] * losses[s]
-				wSum += weights[i]
-			}
-			if wSum > 0 {
-				stats.TrainLoss = lossSum / wSum
-			}
-
-			// Auxiliary state aggregation (e.g. SCAFFOLD control variates).
-			sp = telemetry.StartSpan(rec, MetricAuxSeconds)
-			err := st.auxExchange(st.aliveOf(activeIdx), &stats)
-			sp.End()
-			if err != nil {
-				return err
-			}
-
-			// Upload and FedAvg (eq. 2 / Algorithm 1 lines 26-29) over the
-			// survivors; nn.Average renormalizes their weights.
-			sp = telemetry.StartSpan(rec, MetricAggregateSeconds)
-			defer sp.End()
-			osp = tr.Start(rsp.Context(), obs.SpanAggregate)
-			defer osp.End()
-			aggIdx := st.aliveOf(activeIdx)
-			sets := make([]*nn.Params, 0, len(aggIdx))
-			aggWeights := make([]float64, 0, len(aggIdx))
-			// Decoded uploads borrow pooled matrices; they are consumed by
-			// nn.Average (which writes a fresh aggregate), so release them
-			// when the phase ends, on success and error paths alike.
-			var pooled []*nn.Params
-			defer func() {
-				for _, p := range pooled {
-					codec.PutParams(p)
-				}
-			}()
-			for _, i := range aggIdx {
-				c := clients[i]
-				usp := tr.Start(rsp.Context(), obs.SpanClientUpload)
-				usp.SetAttr(obs.AttrParty, c.Name())
-				var p *nn.Params
-				err := st.call(i, func() error { p = c.Params(); return nil })
-				var encBytes int64 = -1
-				if err == nil && cs != nil && !transportCoded(c) {
-					// Round-trip the upload through the codec: the server
-					// aggregates what the wire delivers, so lossy tiers
-					// shape the aggregate here exactly as in deployment.
-					var dec *nn.Params
-					dec, encBytes, err = cs.upload(i, p)
-					if err == nil {
-						p = dec
-						pooled = append(pooled, dec)
-					}
-				}
-				if err == nil && !finiteParams(p) {
-					err = ErrNonFinite
-				}
-				if err == nil && st.policy != FailFast {
-					// Screen shape mismatches per client so one bad upload
-					// cannot abort the whole aggregation. FailFast keeps the
-					// historical aggregate-time error below.
-					err = global.Compatible(p)
-				}
-				if err != nil {
-					usp.SetAttr(obs.AttrErr, err.Error())
-					usp.End()
-					if ferr := st.fail(i, fmt.Errorf("fed: upload from %s: %w", c.Name(), err)); ferr != nil {
-						return ferr
-					}
-					continue
-				}
-				sets = append(sets, p)
-				aggWeights = append(aggWeights, weights[i])
-				if encBytes >= 0 {
-					stats.BytesUp += encBytes
-					usp.SetAttr(obs.AttrBytesEnc, encBytes)
-				} else {
-					stats.BytesUp += int64(p.Bytes())
-				}
-				usp.End()
-			}
-			if err := st.quorum(round, len(sets)); err != nil {
-				return err
-			}
-			agg, err := nn.Average(sets, aggWeights)
-			if err != nil {
-				return fmt.Errorf("fed: aggregation: %w", err)
-			}
-			global = agg
-			return nil
-		}()
-		if roundErr != nil {
-			if !errors.Is(roundErr, ErrQuorumLost) || cfg.QuorumPolicy != QuorumSkip {
+		if err != nil {
+			if !errors.Is(err, ErrQuorumLost) || cfg.QuorumPolicy != QuorumSkip {
 				// The run is aborting mid-round: emit the round's trace record
 				// (partial rounds still belong in the trace tree) but drop its
 				// latency sample — an aborted round is not a round-duration
 				// observation.
 				roundSpan.Cancel()
 				rsp.End()
-				return nil, roundErr
+				runErr = err
+				break
 			}
 			// QuorumSkip: abandon the round's aggregation, keep the
 			// previous global model, and carry on.
 			stats.Degraded = true
 		}
+		if out.global != nil {
+			global = out.global
+		}
+		stats.TrainLoss = out.trainLoss
 
 		st.endRound(round, &stats)
 		stats.End = time.Now()
 		roundSpan.End()
 		rec.Count(MetricRounds, 1)
-		rec.Count(MetricActiveClients, int64(len(activeIdx)))
+		rec.Count(MetricActiveClients, int64(out.active))
 		rec.Count(MetricBytesUp, stats.BytesUp)
 		rec.Count(MetricBytesDown, stats.BytesDown)
 
@@ -662,7 +422,7 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 				ValAcc:      stats.ValAcc,
 				TestAcc:     stats.TestAcc,
 				BestValAcc:  res.BestValAcc,
-				Evaluated:   evaluated,
+				Evaluated:   out.evaluated,
 				Degraded:    stats.Degraded,
 				Dropped:     stats.Dropped,
 				Quarantined: benchedNow,
@@ -671,11 +431,19 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 				BytesUp:     stats.BytesUp,
 				BytesDown:   stats.BytesDown,
 			}
-			for s, i := range trainIdx {
+			if eng != nil {
+				o.Async = true
+				o.BufferTarget = eng.k
+				o.BufferFill = out.folded
+				o.BufferStalled = out.stalled
+				o.StalenessP99 = out.staleP99
+				o.StalenessLimit = float64(eng.maxStale)
+			}
+			for _, p := range out.trained {
 				o.Parties = append(o.Parties, obs.PartyObservation{
-					Name:         clients[i].Name(),
-					TrainSeconds: trainSecs[s],
-					Dropped:      st.dropped[i],
+					Name:         clients[p.party].Name(),
+					TrainSeconds: p.secs,
+					Dropped:      st.dropped[p.party],
 				})
 			}
 			cfg.Observer.ObserveRound(rsp.Context(), o)
@@ -683,13 +451,27 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 		rsp.End()
 
 		if cfg.CheckpointEvery > 0 && cfg.CheckpointWriter != nil && (round+1)%cfg.CheckpointEvery == 0 {
-			if err := cfg.CheckpointWriter(st.snapshot(round+1, samplerDraws, global, res, badRounds)); err != nil {
-				return nil, fmt.Errorf("fed: checkpoint after round %d: %w", round, err)
+			ck := st.snapshot(round+1, global)
+			if eng != nil {
+				eng.snapshotInto(ck)
+			}
+			if err := cfg.CheckpointWriter(ck); err != nil {
+				runErr = fmt.Errorf("fed: checkpoint after round %d: %w", round, err)
+				break
 			}
 		}
-		if cfg.Patience > 0 && badRounds >= cfg.Patience {
+		if cfg.Patience > 0 && st.badRounds >= cfg.Patience {
 			break
 		}
+	}
+	if eng != nil {
+		// Reap the in-flight workers on every way out of the loop: no
+		// goroutine outlives the run, and the final broadcast below finds
+		// every party idle.
+		eng.shutdown()
+	}
+	if runErr != nil {
+		return nil, runErr
 	}
 	res.FinalParams = global
 	res.ClientFailures = st.failures
@@ -697,20 +479,302 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	// The final broadcast runs outside every round: anchor its RPC and codec
 	// spans under fed/run, not the last fed/round.
 	tr.SetActive(runSpan.Context())
-	if err := finalScore(&cfg, st, rec, res, global); err != nil {
+	if err := st.finalScore(global); err != nil {
 		return nil, err
 	}
 	res.End = time.Now()
 	return res, nil
 }
 
+// roundOutcome is what the middle of a round, sync or async, hands the
+// shared epilogue. A middle fills it as it goes, so a round skipped on lost
+// quorum still reports what it got done.
+type roundOutcome struct {
+	global    *nn.Params // the new global model; nil keeps the previous one
+	trainLoss float64
+	evaluated bool
+	active    int       // parties counted by MetricActiveClients
+	trained   []trained // per-party training, for the observer feed
+	// Async only: how many updates the fold took, their staleness p99, and
+	// whether the collect deadline expired before the buffer filled.
+	folded   int
+	staleP99 float64
+	stalled  bool
+}
+
+// trained is one party's local training in a round.
+type trained struct {
+	party int
+	secs  float64
+}
+
+// syncRound is the middle of a barriered round (Algorithm 1): broadcast to
+// every reachable party, score the broadcast model, exchange statistics,
+// train, exchange aux state, and aggregate over the surviving cohort.
+func (st *runState) syncRound(parent obs.SpanContext, round int, global *nn.Params, stats *RoundStats, out *roundOutcome) error {
+	reach := st.reachable(round)
+	activeIdx := st.cohort(round, reach)
+	out.active = len(activeIdx)
+	if err := st.quorum(round, len(reach)); err != nil {
+		return err
+	}
+	// Broadcast global weights (Phase 1/3 of §3) to every reachable client.
+	if err := st.broadcast(parent, reach, global, stats); err != nil {
+		return err
+	}
+	if err := st.quorum(round, len(st.aliveOf(activeIdx))); err != nil {
+		return err
+	}
+	if st.evalDue(round) {
+		st.score(parent, round, st.aliveOf(reach), stats)
+		out.evaluated = true
+	}
+	// FedOMD statistics exchange (Algorithm 1 lines 3-18), over the round's
+	// active cohort.
+	if st.allMoment {
+		if _, _, err := st.momentExchange(parent, round, st.aliveOf(activeIdx), stats); err != nil {
+			return err
+		}
+	}
+	if err := st.train(parent, round, st.aliveOf(activeIdx), out); err != nil {
+		return err
+	}
+	// Auxiliary state aggregation (e.g. SCAFFOLD control variates).
+	sp := telemetry.StartSpan(st.rec, MetricAuxSeconds)
+	err := st.auxExchange(st.aliveOf(activeIdx), stats)
+	sp.End()
+	if err != nil {
+		return err
+	}
+	out.global, err = st.aggregate(parent, round, st.aliveOf(activeIdx), global, stats)
+	return err
+}
+
+// cohort returns the round's active parties: every reachable one, or under
+// partial participation the first ⌈fraction·M⌉ unbenched parties of a fresh
+// permutation (identical to the historical perm[:k] when nothing is
+// benched), in client order.
+func (st *runState) cohort(round int, reach []int) []int {
+	f := st.cfg.ClientFraction
+	if f <= 0 || f >= 1 {
+		return reach
+	}
+	k := ceilFraction(f, len(st.clients))
+	perm := st.sampler.Perm(len(st.clients))
+	st.samplerDraws++
+	sel := make([]int, 0, k)
+	for _, idx := range perm {
+		if st.benched(idx, round) {
+			continue
+		}
+		sel = append(sel, idx)
+		if len(sel) == k {
+			break
+		}
+	}
+	sort.Ints(sel)
+	return sel
+}
+
+// broadcast installs global on every indexed party and charges the
+// download; a party that cannot take it goes to the failure policy.
+func (st *runState) broadcast(parent obs.SpanContext, idx []int, global *nn.Params, stats *RoundStats) error {
+	sp := telemetry.StartSpan(st.rec, MetricBroadcastSeconds)
+	defer sp.End()
+	osp := st.tr.Start(parent, obs.SpanBroadcast)
+	defer osp.End()
+	for _, i := range idx {
+		c := st.clients[i]
+		st.touched[i] = true
+		if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
+			if ferr := st.fail(i, fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)); ferr != nil {
+				return ferr
+			}
+			continue
+		}
+		if st.cs != nil && !transportCoded(c) {
+			n, err := st.cs.broadcast(i, global)
+			if err != nil {
+				return err
+			}
+			stats.BytesDown += n
+		} else {
+			stats.BytesDown += int64(global.Bytes())
+		}
+	}
+	return nil
+}
+
+// evalDue reports whether the round scores its global model.
+func (st *runState) evalDue(round int) bool {
+	return round%st.evalEvery == 0 || round == st.cfg.Rounds-1
+}
+
+// score evaluates the global model the indexed parties hold, reports the
+// accuracies, and keeps the best-validation bookkeeping.
+func (st *runState) score(parent obs.SpanContext, round int, idx []int, stats *RoundStats) {
+	sp := telemetry.StartSpan(st.rec, MetricEvalSeconds)
+	osp := st.tr.Start(parent, obs.SpanEval)
+	stats.ValAcc, stats.TestAcc = st.evaluate(idx, st.cfg.Sequential)
+	sp.End()
+	osp.End()
+	st.rec.Gauge(MetricValAcc, stats.ValAcc)
+	st.rec.Gauge(MetricTestAcc, stats.TestAcc)
+	st.noteBest(round, stats.ValAcc, stats.TestAcc)
+}
+
+// noteBest records a round's validation score: a new best (or the first
+// score) becomes the reported result and resets the patience count, any
+// other score adds to it.
+func (st *runState) noteBest(round int, val, test float64) {
+	if val > st.res.BestValAcc || st.res.BestRound < 0 {
+		st.res.BestValAcc, st.res.TestAtBestVal, st.res.BestRound = val, test, round
+		st.badRounds = 0
+	} else {
+		st.badRounds++
+	}
+}
+
+// train runs local training concurrently across the indexed parties and
+// records the sample-weighted training loss over those that survive.
+func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *roundOutcome) error {
+	sp := telemetry.StartSpan(st.rec, MetricTrainSeconds)
+	osp := st.tr.Start(parent, obs.SpanTrain)
+	losses := make([]float64, len(idx))
+	out.trained = make([]trained, len(idx))
+	for s, i := range idx {
+		out.trained[s].party = i
+	}
+	sub := st.clientsAt(idx)
+	errs := forEachClient(sub, st.cfg.Sequential, st.policy == FailFast, func(s int, c Client) error {
+		clientSpan := telemetry.StartSpan(st.rec, MetricClientTrainSecs)
+		tsp := st.tr.Start(parent, obs.SpanClientTrain)
+		tsp.SetAttr(obs.AttrParty, c.Name())
+		t0 := time.Now()
+		var loss float64
+		err := st.call(idx[s], func() error {
+			l, e := c.TrainLocal(round)
+			loss = l
+			return e
+		})
+		out.trained[s].secs = time.Since(t0).Seconds()
+		clientSpan.End()
+		tsp.End()
+		if err != nil {
+			return fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
+		}
+		losses[s] = loss
+		return nil
+	})
+	sp.End()
+	osp.End()
+	if st.policy == FailFast {
+		if err := collapseErrs(errs, st.cfg.Sequential || len(sub) == 1); err != nil {
+			return err
+		}
+	} else {
+		for s, e := range errs {
+			if e != nil {
+				_ = st.fail(idx[s], e)
+			}
+		}
+	}
+	var lossSum, wSum float64
+	for s, i := range idx {
+		if st.dropped[i] {
+			continue
+		}
+		lossSum += st.weights[i] * losses[s]
+		wSum += st.weights[i]
+	}
+	if wSum > 0 {
+		out.trainLoss = lossSum / wSum
+	}
+	return nil
+}
+
+// aggregate collects the indexed parties' uploads and averages them (eq. 2 /
+// Algorithm 1 lines 26-29) over the survivors; nn.Average renormalizes their
+// weights.
+func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, global *nn.Params, stats *RoundStats) (*nn.Params, error) {
+	sp := telemetry.StartSpan(st.rec, MetricAggregateSeconds)
+	defer sp.End()
+	osp := st.tr.Start(parent, obs.SpanAggregate)
+	defer osp.End()
+	sets := make([]*nn.Params, 0, len(idx))
+	aggWeights := make([]float64, 0, len(idx))
+	// Decoded uploads borrow pooled matrices; they are consumed by
+	// nn.Average (which writes a fresh aggregate), so release them when the
+	// phase ends, on success and error paths alike.
+	var pooled []*nn.Params
+	defer func() {
+		for _, p := range pooled {
+			codec.PutParams(p)
+		}
+	}()
+	for _, i := range idx {
+		c := st.clients[i]
+		usp := st.tr.Start(parent, obs.SpanClientUpload)
+		usp.SetAttr(obs.AttrParty, c.Name())
+		var p *nn.Params
+		err := st.call(i, func() error { p = c.Params(); return nil })
+		var encBytes int64 = -1
+		if err == nil && st.cs != nil && !transportCoded(c) {
+			// Round-trip the upload through the codec: the server
+			// aggregates what the wire delivers, so lossy tiers shape the
+			// aggregate here exactly as in deployment.
+			var dec *nn.Params
+			dec, encBytes, err = st.cs.upload(i, p)
+			if err == nil {
+				p = dec
+				pooled = append(pooled, dec)
+			}
+		}
+		if err == nil && !finiteParams(p) {
+			err = ErrNonFinite
+		}
+		if err == nil && st.policy != FailFast {
+			// Screen shape mismatches per client so one bad upload cannot
+			// abort the whole aggregation. FailFast keeps the historical
+			// aggregate-time error below.
+			err = global.Compatible(p)
+		}
+		if err != nil {
+			usp.SetAttr(obs.AttrErr, err.Error())
+			usp.End()
+			if ferr := st.fail(i, fmt.Errorf("fed: upload from %s: %w", c.Name(), err)); ferr != nil {
+				return nil, ferr
+			}
+			continue
+		}
+		sets = append(sets, p)
+		aggWeights = append(aggWeights, st.weights[i])
+		if encBytes >= 0 {
+			stats.BytesUp += encBytes
+			usp.SetAttr(obs.AttrBytesEnc, encBytes)
+		} else {
+			stats.BytesUp += int64(p.Bytes())
+		}
+		usp.End()
+	}
+	if err := st.quorum(round, len(sets)); err != nil {
+		return nil, err
+	}
+	agg, err := nn.Average(sets, aggWeights)
+	if err != nil {
+		return nil, fmt.Errorf("fed: aggregation: %w", err)
+	}
+	return agg, nil
+}
+
 // finalScore installs and scores the last aggregated global model: the last
 // nn.Average output was never installed or evaluated inside the round loop,
 // so without this pass the best model could silently be missed. It is a
 // scoring pass outside the round accounting — no history row, no byte
-// counters — and is shared by the sync and async engines.
-func finalScore(cfg *Config, st *runState, rec telemetry.Recorder, res *Result, global *nn.Params) error {
-	sp := telemetry.StartSpan(rec, MetricFinalEvalSeconds)
+// counters.
+func (st *runState) finalScore(global *nn.Params) error {
+	res := st.res
+	sp := telemetry.StartSpan(st.rec, MetricFinalEvalSeconds)
 	finalIdx := make([]int, 0, len(st.clients))
 	for i := range st.clients {
 		c := st.clients[i]
@@ -724,7 +788,7 @@ func finalScore(cfg *Config, st *runState, rec telemetry.Recorder, res *Result, 
 		finalIdx = append(finalIdx, i)
 	}
 	if len(finalIdx) > 0 {
-		res.FinalValAcc, res.FinalTestAcc = st.evaluate(finalIdx, cfg.Sequential)
+		res.FinalValAcc, res.FinalTestAcc = st.evaluate(finalIdx, st.cfg.Sequential)
 	}
 	sp.End()
 	if res.FinalValAcc > res.BestValAcc || res.BestRound < 0 {
@@ -749,8 +813,11 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("fed: Rounds must be positive, got %d", cfg.Rounds)
 	}
-	res := &Result{BestRound: -1}
-	badRounds := 0
+	// A bare run state: it scores the clients and keeps the best round, with
+	// no telemetry, tracing or codec.
+	st := newRunState(&Config{}, clients, nil, telemetry.Or(nil))
+	all := st.reachable(0)
+	res := st.res
 	for round := 0; round < cfg.Rounds; round++ {
 		stats := RoundStats{Round: round}
 		losses := make([]float64, len(clients))
@@ -768,17 +835,10 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 			stats.TrainLoss += l
 		}
 		stats.TrainLoss /= float64(len(clients))
-		stats.ValAcc, stats.TestAcc = evaluate(clients, cfg.Sequential)
-		if stats.ValAcc > res.BestValAcc || res.BestRound < 0 {
-			res.BestValAcc = stats.ValAcc
-			res.TestAtBestVal = stats.TestAcc
-			res.BestRound = round
-			badRounds = 0
-		} else {
-			badRounds++
-		}
+		stats.ValAcc, stats.TestAcc = st.evaluate(all, cfg.Sequential)
+		st.noteBest(round, stats.ValAcc, stats.TestAcc)
 		res.History = append(res.History, stats)
-		if cfg.Patience > 0 && badRounds >= cfg.Patience {
+		if cfg.Patience > 0 && st.badRounds >= cfg.Patience {
 			break
 		}
 	}
@@ -793,16 +853,21 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 }
 
 // momentExchange runs Algorithm 1's two upload/download rounds over the
-// indexed clients and installs the global statistics on the survivors. A
-// party failing either stage — including a non-finite upload — is handled
-// by the failure policy, and both aggregations renormalize over whoever is
-// left. It returns the bytes moved plus the aggregated global statistics
-// (nil when no party survived a stage) — the async engine bootstraps its
-// stats state from one synchronous exchange; the sync loop ignores them.
-func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans []*mat.Dense, gCentral [][]*mat.Dense, err error) {
+// indexed clients as one phase and installs the global statistics on the
+// survivors. A party failing either stage — including a non-finite upload —
+// is handled by the failure policy, and both aggregations renormalize over
+// whoever is left. It charges the bytes moved to stats and returns the
+// aggregated global statistics (nil when no party survived a stage) — the
+// async engine bootstraps its stats state from one synchronous exchange;
+// the sync round ignores them.
+func (st *runState) momentExchange(parent obs.SpanContext, round int, idx []int, stats *RoundStats) ([]*mat.Dense, [][]*mat.Dense, error) {
+	sp := telemetry.StartSpan(st.rec, MetricMomentsSeconds)
+	defer sp.End()
+	osp := st.tr.Start(parent, obs.SpanMoments)
+	defer osp.End()
 	m := len(idx)
 	if m == 0 {
-		return 0, 0, nil, nil, nil
+		return nil, nil, nil
 	}
 	allMeans := make([][]*mat.Dense, m) // [slot][layer]
 	counts := make([]int, m)
@@ -822,14 +887,14 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		}
 		if cerr != nil {
 			if ferr := st.fail(i, fmt.Errorf("fed: means from %s: %w", c.Name(), cerr)); ferr != nil {
-				return up, down, nil, nil, ferr
+				return nil, nil, ferr
 			}
 			continue
 		}
 		allMeans[s] = means
 		counts[s] = n
 		ok[s] = true
-		up += bytesOfVecs(means) + 8
+		stats.BytesUp += bytesOfVecs(means) + 8
 	}
 	layers := -1
 	for s := range idx {
@@ -843,13 +908,13 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		if len(allMeans[s]) != layers {
 			mismatch := fmt.Errorf("fed: client %s reports %d layers, want %d", st.clients[idx[s]].Name(), len(allMeans[s]), layers)
 			if ferr := st.fail(idx[s], mismatch); ferr != nil {
-				return up, down, nil, nil, ferr
+				return nil, nil, ferr
 			}
 			ok[s] = false
 		}
 	}
 	if layers < 0 {
-		return up, down, nil, nil, nil // no party survived the first stage
+		return nil, nil, nil // no party survived the first stage
 	}
 	globalMeans := make([]*mat.Dense, layers)
 	for l := 0; l < layers; l++ {
@@ -863,7 +928,7 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		}
 		gm, err := moments.AggregateMeans(layerMeans, cnt)
 		if err != nil {
-			return up, down, nil, nil, fmt.Errorf("fed: aggregating layer %d means: %w", l, err)
+			return nil, nil, fmt.Errorf("fed: aggregating layer %d means: %w", l, err)
 		}
 		globalMeans[l] = gm
 	}
@@ -875,7 +940,7 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		}
 		c := st.clients[i]
 		mc := c.(MomentClient)
-		down += bytesOfVecs(globalMeans)
+		stats.BytesDown += bytesOfVecs(globalMeans)
 		var moms [][]*mat.Dense
 		var n int
 		cerr := st.call(i, func() error {
@@ -888,7 +953,7 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		}
 		if cerr != nil {
 			if ferr := st.fail(i, fmt.Errorf("fed: moments from %s: %w", c.Name(), cerr)); ferr != nil {
-				return up, down, nil, nil, ferr
+				return nil, nil, ferr
 			}
 			ok[s] = false
 			continue
@@ -896,9 +961,9 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		allMoms[s] = moms
 		counts[s] = n
 		for _, layer := range moms {
-			up += bytesOfVecs(layer)
+			stats.BytesUp += bytesOfVecs(layer)
 		}
-		up += 8
+		stats.BytesUp += 8
 	}
 	for s := range idx {
 		if !ok[s] {
@@ -907,7 +972,7 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		if len(allMoms[s]) != layers {
 			mismatch := fmt.Errorf("fed: client %s moment layers %d, want %d", st.clients[idx[s]].Name(), len(allMoms[s]), layers)
 			if ferr := st.fail(idx[s], mismatch); ferr != nil {
-				return up, down, nil, nil, ferr
+				return nil, nil, ferr
 			}
 			ok[s] = false
 		}
@@ -919,7 +984,7 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		}
 	}
 	if survivors == 0 {
-		return up, down, globalMeans, nil, nil
+		return globalMeans, nil, nil
 	}
 	globalCentral := make([][]*mat.Dense, layers)
 	for l := 0; l < layers; l++ {
@@ -933,7 +998,7 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		}
 		gc, err := moments.AggregateCentral(perClient, cnt)
 		if err != nil {
-			return up, down, nil, nil, fmt.Errorf("fed: aggregating layer %d moments: %w", l, err)
+			return nil, nil, fmt.Errorf("fed: aggregating layer %d moments: %w", l, err)
 		}
 		globalCentral[l] = gc
 	}
@@ -949,15 +1014,15 @@ func (st *runState) momentExchange(round int, idx []int) (up, down int64, gMeans
 		})
 		if cerr != nil {
 			if ferr := st.fail(i, fmt.Errorf("fed: global stats to %s: %w", c.Name(), cerr)); ferr != nil {
-				return up, down, nil, nil, ferr
+				return nil, nil, ferr
 			}
 			continue
 		}
 		for _, layer := range globalCentral {
-			down += bytesOfVecs(layer)
+			stats.BytesDown += bytesOfVecs(layer)
 		}
 	}
-	return up, down, globalMeans, globalCentral, nil
+	return globalMeans, globalCentral, nil
 }
 
 // auxExchange averages any auxiliary uploads from the indexed clients with
@@ -1010,32 +1075,6 @@ func (st *runState) auxExchange(idx []int, stats *RoundStats) error {
 		stats.BytesDown += int64(globalAux.Bytes())
 	}
 	return nil
-}
-
-// evaluate returns the sample-weighted global validation and test accuracy.
-func evaluate(clients []Client, sequential bool) (valAcc, testAcc float64) {
-	type counts struct{ vc, vt, tc, tt int }
-	results := make([]counts, len(clients))
-	forEachClient(clients, sequential, false, func(i int, c Client) error {
-		vc, vt := c.EvalVal()
-		tc, tt := c.EvalTest()
-		results[i] = counts{vc, vt, tc, tt}
-		return nil
-	})
-	var vc, vt, tc, tt int
-	for _, r := range results {
-		vc += r.vc
-		vt += r.vt
-		tc += r.tc
-		tt += r.tt
-	}
-	if vt > 0 {
-		valAcc = float64(vc) / float64(vt)
-	}
-	if tt > 0 {
-		testAcc = float64(tc) / float64(tt)
-	}
-	return valAcc, testAcc
 }
 
 // forEachClient runs f over clients, concurrently unless sequential, with at
