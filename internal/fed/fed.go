@@ -816,7 +816,7 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 	// A bare run state: it scores the clients and keeps the best round, with
 	// no telemetry, tracing or codec.
 	st := newRunState(&Config{}, clients, nil, telemetry.Or(nil))
-	all := st.reachable(0)
+	all := st.reachable(0) // every client: nothing is benched without a policy
 	res := st.res
 	for round := 0; round < cfg.Rounds; round++ {
 		stats := RoundStats{Round: round}
