@@ -154,8 +154,8 @@ type Config struct {
 	// header-less snapshots, matching the pre-spec format.
 	Spec *ModelSpec
 
-	// Aggregation selects the round topology. The zero value, AggSync, is
-	// the barriered loop above — bit-identical to the historical behavior.
+	// Aggregation selects the round topology. The zero value, AggSync, runs
+	// barriered rounds — bit-identical to the historical behavior.
 	// AggAsync is the buffered no-barrier mode of async.go: stragglers slow
 	// only themselves, and their late updates fold into later rounds with a
 	// staleness-discounted weight.
