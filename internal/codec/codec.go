@@ -5,12 +5,14 @@
 // the lossy tiers carrying per-client error-feedback residuals so dropped
 // information re-enters the next round instead of being lost.
 //
-// The wire artefact is a self-describing v1 blob: a fixed header (magic,
+// The wire artefact is a self-describing v2 blob: a fixed header (magic,
 // version, codec kind, quantization bits, tensor count, reference checksum)
 // followed by one length-delimited frame per tensor. A blob whose reference
 // checksum is zero is absolute and decodes without any shared state; a
-// nonzero checksum names the exact reference parameter set (by FNV-1a over
-// names and float bit patterns) the decoder must hold.
+// nonzero checksum names the exact reference parameter set the decoder must
+// hold, by RefSum: a word-wide XXH64-based hash over names, lengths and
+// float bit patterns. Encoders write v2 only; the decoder still reads a v1
+// blob, whose checksum is the byte-wise FNV-1a it used before.
 package codec
 
 import (
@@ -161,10 +163,11 @@ const (
 	MetricRatioPrefix      = "codec/ratio"
 )
 
-// WireV1 is the framed-blob protocol version parties advertise in the
-// transport hello handshake. A peer that advertises nothing (or an unknown
-// set) falls back to the v0 raw-gob format.
-const WireV1 uint8 = 1
+// WireV2 is the framed-blob protocol version parties advertise in the
+// transport hello handshake. A peer that advertises nothing, or only v1
+// (whose blobs carry the old checksum, which this build's encoders no longer
+// write), falls back to the v0 raw-gob format.
+const WireV2 uint8 = blobVersion
 
 // WireVersions lists the protocol versions this build speaks, newest last.
-func WireVersions() []uint8 { return []uint8{WireV1} }
+func WireVersions() []uint8 { return []uint8{WireV2} }

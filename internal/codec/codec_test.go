@@ -2,16 +2,19 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"fedomd/internal/mat"
 	"fedomd/internal/nn"
 	"fedomd/internal/obs"
+	"fedomd/internal/sparse"
 )
 
 func paramsFrom(names []string, mats []*mat.Dense) *nn.Params {
@@ -391,11 +394,46 @@ func TestParseAndValidate(t *testing.T) {
 	}
 }
 
-// Golden wire-format test: the v1 byte layout is pinned so a future change
-// to the framing is a deliberate version bump, not a silent break.
+// goldenW and goldenRef are the tensor and the reference of the pinned
+// wire-format blobs: the reference differs from w only in the last element
+// (0.5 → 0.75 flips one exponent-area byte).
+func goldenW() *nn.Params {
+	return paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, 3, []float64{1.0, -2.5, 0.5})})
+}
+
+func goldenRef() *nn.Params {
+	return paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, 3, []float64{1.0, -2.5, 0.75})})
+}
+
+// The blobs a v1 encoder wrote for goldenW, absolute and against goldenRef.
+// They differ from the v2 blobs in the version byte and, for the delta
+// blob, in the checksum, which is the byte-wise FNV-1a of goldenRef.
+const (
+	goldenAbsV1 = "" +
+		"fd010100" + "01000000" + "0000000000000000" + // header: magic, v1, kind=delta, bits=0, count=1, refsum=0
+		"18000000" + "01000000" + "03000000" + "00" + "01" + "77" + // frame: 24-byte body, 1x3, mode=raw, name "w"
+		"000000000000f03f" + "00000000000004c0" + "000000000000e03f" // 1.0, -2.5, 0.5 LE
+	goldenDeltaV1 = "" +
+		"fd010100" + "01000000" + "1246a5327a862a1e" + // header: v1, refsum = refSumV1(goldenRef) LE
+		"09000000" + "01000000" + "03000000" + "01" + "01" + "77" + // 9-byte body, 1x3, mode=xor, "w"
+		"0007" + "00000000000008"
+)
+
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// Golden wire-format test: the v2 byte layout is pinned so a future change
+// to the framing is a deliberate version bump, not a silent break, and the
+// pinned v1 blobs still decode.
 func TestGoldenWireFormat(t *testing.T) {
-	w := mat.NewFromData(1, 3, []float64{1.0, -2.5, 0.5})
-	p := paramsFrom([]string{"w"}, []*mat.Dense{w})
+	p, ref := goldenW(), goldenRef()
+	w := p.At(0)
 
 	// Absolute blob (no reference): one raw-float64 frame.
 	blob, err := NewEncoder(Options{Kind: Delta}).EncodeParams(nil, p, nil)
@@ -403,61 +441,151 @@ func TestGoldenWireFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantAbs := "" +
-		"fd010100" + "01000000" + "0000000000000000" + // header: magic, v1, kind=delta, bits=0, count=1, refsum=0
+		"fd020100" + "01000000" + "0000000000000000" + // header: magic, v2, kind=delta, bits=0, count=1, refsum=0
 		"18000000" + "01000000" + "03000000" + "00" + "01" + "77" + // frame: 24-byte body, 1x3, mode=raw, name "w"
 		"000000000000f03f" + "00000000000004c0" + "000000000000e03f" // 1.0, -2.5, 0.5 LE
 	if got := hex.EncodeToString(blob); got != wantAbs {
-		t.Fatalf("absolute blob drifted from the pinned v1 layout:\n got %s\nwant %s", got, wantAbs)
+		t.Fatalf("absolute blob drifted from the pinned v2 layout:\n got %s\nwant %s", got, wantAbs)
 	}
 
-	// Delta blob: same tensor against a reference differing only in the
-	// last element (0.5 → 0.75 flips one exponent-area byte).
-	ref := paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, 3, []float64{1.0, -2.5, 0.75})})
+	// Delta blob against goldenRef.
 	blob, err = NewEncoder(Options{Kind: Delta}).EncodeParams(nil, p, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refsum := RefSum(ref)
-	head := blob[:8]
-	wantHead := "fd010100" + "01000000"
-	if got := hex.EncodeToString(head); got != wantHead {
-		t.Fatalf("delta blob header drifted: got %s want %s", got, wantHead)
-	}
-	var sumBytes [8]byte
-	for i := range sumBytes {
-		sumBytes[i] = byte(refsum >> (8 * i))
-	}
-	if !bytes.Equal(blob[8:16], sumBytes[:]) {
-		t.Fatalf("refsum field %x does not match RefSum %016x", blob[8:16], refsum)
-	}
-	wantFrame := "09000000" + "01000000" + "03000000" + "01" + "01" + "77" + // 9-byte body, 1x3, mode=xor, "w"
+	wantDelta := "" +
+		"fd020100" + "01000000" + "dc9152e11346e233" + // header: v2, refsum = RefSum(goldenRef) LE
+		"09000000" + "01000000" + "03000000" + "01" + "01" + "77" + // 9-byte body, 1x3, mode=xor, "w"
 		"0007" + // nibble table: elements 0,1 identical (0 bytes), element 2 has 7 significant bytes
 		"00000000000008" // xor of 0.5 and 0.75 bit patterns, low bytes first
-	if got := hex.EncodeToString(blob[16:]); got != wantFrame {
-		t.Fatalf("xor frame drifted from the pinned v1 layout:\n got %s\nwant %s", got, wantFrame)
+	if got := hex.EncodeToString(blob); got != wantDelta {
+		t.Fatalf("delta blob drifted from the pinned v2 layout:\n got %s\nwant %s", got, wantDelta)
+	}
+	if got := binary.LittleEndian.Uint64(blob[8:]); got != RefSum(ref) {
+		t.Fatalf("refsum field %016x does not match RefSum %016x", got, RefSum(ref))
 	}
 
-	// Decode both ways to prove the pinned bytes are live, not a fossil.
-	dec, err := DecodeParams(blob, ref)
-	if err != nil {
-		t.Fatal(err)
+	// Decode every pinned blob to prove the bytes are live, not a fossil:
+	// the v2 pair, and the v1 pair an older peer sends.
+	for _, c := range []struct {
+		name string
+		blob []byte
+	}{{"v2 absolute", unhex(t, wantAbs)}, {"v2 delta", blob}, {"v1 absolute", unhex(t, goldenAbsV1)}, {"v1 delta", unhex(t, goldenDeltaV1)}} {
+		dec, err := DecodeParams(c.blob, ref)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !dec.At(0).Equal(w) {
+			t.Fatalf("%s: pinned blob decodes to the wrong values", c.name)
+		}
+		PutParams(dec)
 	}
-	if !dec.At(0).Equal(w) {
-		t.Fatal("pinned delta blob decodes to the wrong values")
+	// A v1 delta blob names its reference by the v1 checksum: another
+	// reference is still refused.
+	if _, err := DecodeParams(unhex(t, goldenDeltaV1), goldenW()); err == nil {
+		t.Fatal("v1 delta blob decoded against the wrong reference")
 	}
-	PutParams(dec)
+	for _, v := range []byte{0, 3} {
+		b := unhex(t, wantAbs)
+		b[1] = v
+		if _, err := DecodeParams(b, nil); err == nil || err.Error() != fmt.Sprintf("codec: unsupported wire version %d", v) {
+			t.Fatalf("version %d: %v", v, err)
+		}
+	}
 }
 
-// The refsum definition itself is pinned: it is half of the wire contract
-// (both peers must hash references identically forever).
+// The refsum definitions are pinned: each is half of its version's wire
+// contract (both peers must hash references identically forever).
 func TestGoldenRefSum(t *testing.T) {
 	ref := paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, 2, []float64{1.0, -2.5})})
-	const want = 0x3a36ef4153fecdc3 // regenerate only on a deliberate wire version bump
-	if got := RefSum(ref); got != want {
-		t.Fatalf("RefSum = %016x, want %016x", got, want)
+	const wantV1 = 0x3a36ef4153fecdc3 // the v1 format's; never changes
+	if got := refSumV1(ref); got != wantV1 {
+		t.Fatalf("refSumV1 = %016x, want %016x", got, wantV1)
 	}
-	if RefSum(nil) != 0 {
+	const wantV2 = 0x4eb31a783cfb99d5 // regenerate only on a deliberate wire version bump
+	if got := RefSum(ref); got != wantV2 {
+		t.Fatalf("RefSum = %016x, want %016x", got, wantV2)
+	}
+	if RefSum(nil) != 0 || refSumV1(nil) != 0 {
 		t.Fatal("RefSum(nil) must be 0 (absolute blob marker)")
+	}
+	// The per-tensor pass is XXH64 itself: the published digest of the
+	// empty input at seed 0, and a seeded input with four-lane stripes and
+	// a tail.
+	if got := xxh64Words(0, nil); got != 0xef46db3751d8e999 {
+		t.Fatalf("xxh64Words(0, nil) = %016x, want the XXH64 empty digest ef46db3751d8e999", got)
+	}
+	if got := xxh64Words(0x1234, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}); got != 0x1a0a5a2bf835e279 {
+		t.Fatalf("xxh64Words(0x1234, 1..9) = %016x, want 1a0a5a2bf835e279", got)
+	}
+}
+
+// fnvOverWords is FNV-1a taken a 64-bit word at a time: the cheap word-wide
+// hash that does not do. Flipping the top bit of a word flips only the top
+// bit of the state, which the odd multiplier keeps, so two flips cancel.
+func fnvOverWords(vals []float64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range vals {
+		h = (h ^ math.Float64bits(v)) * 1099511628211
+	}
+	return h
+}
+
+// RefSum changes under every edit a stale or misrouted reference makes: the
+// sign (top) bit flipped in two words, in one lane and across lanes and the
+// tail; two elements swapped; two tensors' contents swapped; a tensor
+// renamed; one value moved across a tensor boundary.
+func TestRefSumDetects(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	vals := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	a, b := vals(10), vals(10)
+	set := func(names []string, data ...[]float64) *nn.Params {
+		mats := make([]*mat.Dense, len(data))
+		for i, d := range data {
+			mats[i] = mat.NewFromData(1, len(d), append([]float64(nil), d...))
+		}
+		return paramsFrom(names, mats)
+	}
+	base := RefSum(set([]string{"a", "b"}, a, b))
+	edited := func(edit func(x []float64)) []float64 {
+		x := append([]float64(nil), a...)
+		edit(x)
+		return x
+	}
+	flip := func(i, j int) func([]float64) {
+		return func(x []float64) { x[i], x[j] = -x[i], -x[j] }
+	}
+	swap := func(i, j int) func([]float64) {
+		return func(x []float64) { x[i], x[j] = x[j], x[i] }
+	}
+	cases := map[string]*nn.Params{}
+	// 0 and 4 share a lane, 0 and 1 do not, 8 and 9 are the tail.
+	for _, ij := range [][2]int{{0, 4}, {0, 1}, {3, 8}, {8, 9}} {
+		i, j := ij[0], ij[1]
+		cases[fmt.Sprintf("top bit of words %d and %d", i, j)] = set([]string{"a", "b"}, edited(flip(i, j)), b)
+		cases[fmt.Sprintf("elements %d and %d swapped", i, j)] = set([]string{"a", "b"}, edited(swap(i, j)), b)
+		if x := edited(flip(i, j)); fnvOverWords(x) != fnvOverWords(a) {
+			t.Fatalf("top bits of %d and %d: FNV over words was meant to cancel", i, j)
+		}
+	}
+	ab := append([]float64(nil), a...)
+	ab[0] = -ab[0]
+	bb := append([]float64(nil), b...)
+	bb[0] = -bb[0]
+	cases["top bit of a word in each tensor"] = set([]string{"a", "b"}, ab, bb)
+	cases["tensors' contents swapped"] = set([]string{"a", "b"}, b, a)
+	cases["tensor renamed"] = set([]string{"a", "c"}, a, b)
+	cases["value moved across the boundary"] = set([]string{"a", "b"}, a[:9], append([]float64{a[9]}, b...))
+	for name, p := range cases {
+		if RefSum(p) == base {
+			t.Errorf("%s: RefSum unchanged", name)
+		}
 	}
 }
 
@@ -800,6 +928,418 @@ func BenchmarkXorBody(b *testing.B) {
 				if err := c.decode(body, ref, out); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// multiPassEncoder is the lossy uplink encoder the one-pass encodeLossy
+// replaced, kept as the oracle it must match byte for byte and residual for
+// residual. It makes separate passes for the delta, the residual add, the
+// range, the quantise-and-reconstruct and the residual store, over two
+// n-sized scratch slices, and appends one body value at a time.
+type multiPassEncoder struct {
+	opts         Options
+	residual     map[string][]float64
+	delta, recon []float64
+}
+
+func newMultiPassEncoder(o Options) *multiPassEncoder {
+	return &multiPassEncoder{opts: o, residual: map[string][]float64{}}
+}
+
+// encode appends the blob of p against ref, as EncodeRef does.
+func (e *multiPassEncoder) encode(dst []byte, p *nn.Params, ref Ref) []byte {
+	dst = append(dst, blobMagic, blobVersion, byte(e.opts.Kind), byte(e.opts.Bits))
+	dst = appendU32(dst, uint32(p.Len()))
+	dst = appendU64(dst, ref.sum)
+	for i, name := range p.Names() {
+		cur := p.At(i)
+		hdr := len(dst)
+		dst = appendU32(dst, 0)
+		dst = appendU32(dst, uint32(cur.Rows()))
+		dst = appendU32(dst, uint32(cur.Cols()))
+		dst = append(dst, 0, byte(len(name)))
+		dst = append(dst, name...)
+		bodyStart := len(dst)
+		var refT *mat.Dense
+		if ref.params != nil {
+			refT = ref.params.Get(name)
+		}
+		mode := modeRawF64
+		if refT == nil || !finite(cur.Data()) {
+			delete(e.residual, name)
+			for _, v := range cur.Data() {
+				dst = appendF64(dst, v)
+			}
+		} else {
+			dst, mode = e.encodeLossy(dst, name, cur.Data(), refT.Data(), cur.Cols())
+		}
+		dst[hdr+12] = mode
+		binary.LittleEndian.PutUint32(dst[hdr:], uint32(len(dst)-bodyStart))
+	}
+	return dst
+}
+
+func (e *multiPassEncoder) encodeLossy(dst []byte, name string, cur, ref []float64, cols int) ([]byte, byte) {
+	n := len(cur)
+	if cap(e.delta) < n {
+		e.delta, e.recon = make([]float64, n), make([]float64, n)
+	}
+	e.delta, e.recon = e.delta[:n], e.recon[:n]
+	v := e.delta
+	for i := range v {
+		v[i] = cur[i] - ref[i]
+	}
+	r, hasResidual := e.residual[name]
+	if hasResidual {
+		for i := range v {
+			v[i] += r[i]
+		}
+	}
+	var mode byte
+	if e.opts.TopK > 0 {
+		mode = modeTopK
+		k := int(math.Ceil(e.opts.TopK * float64(n)))
+		if k > n {
+			k = n
+		}
+		inner := modeRawF64
+		switch e.opts.Kind {
+		case Float32:
+			inner = modeF32
+		case Quant:
+			inner = modeQuant
+		}
+		for i := range e.recon {
+			e.recon[i] = 0
+		}
+		dst = appendTopKBodyMultiPass(dst, v, cols, k, inner, e.opts.Bits, e.recon)
+	} else if e.opts.Kind == Float32 {
+		mode = modeF32
+		dst = appendF32BodyMultiPass(dst, v, e.recon)
+	} else {
+		mode = modeQuant
+		dst = appendQuantBodyMultiPass(dst, v, e.opts.Bits, e.recon)
+	}
+	if !hasResidual {
+		r = make([]float64, n)
+		e.residual[name] = r
+	}
+	for i := range r {
+		r[i] = v[i] - e.recon[i]
+	}
+	return dst, mode
+}
+
+func appendF32BodyMultiPass(dst []byte, vals, recon []float64) []byte {
+	for i, v := range vals {
+		f := float32(v)
+		dst = appendU32(dst, math.Float32bits(f))
+		recon[i] = float64(f)
+	}
+	return dst
+}
+
+func appendQuantBodyMultiPass(dst []byte, vals []float64, qbits int, recon []float64) []byte {
+	if len(vals) == 0 {
+		return appendF64(appendF64(dst, 0), 0)
+	}
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	levels := float64(uint64(1)<<qbits - 1)
+	scale := (hi - lo) / levels
+	dst = appendF64(dst, lo)
+	dst = appendF64(dst, scale)
+	quantize := func(v float64) uint64 {
+		if scale <= 0 {
+			return 0
+		}
+		q := math.Round((v - lo) / scale)
+		if q < 0 {
+			q = 0
+		} else if q > levels {
+			q = levels
+		}
+		return uint64(q)
+	}
+	if qbits == 8 {
+		for i, v := range vals {
+			q := quantize(v)
+			dst = append(dst, byte(q))
+			recon[i] = lo + scale*float64(q)
+		}
+		return dst
+	}
+	for i := 0; i < len(vals); i += 2 {
+		q0 := quantize(vals[i])
+		b := byte(q0)
+		recon[i] = lo + scale*float64(q0)
+		if i+1 < len(vals) {
+			q1 := quantize(vals[i+1])
+			b |= byte(q1) << 4
+			recon[i+1] = lo + scale*float64(q1)
+		}
+		dst = append(dst, b)
+	}
+	return dst
+}
+
+func appendTopKBodyMultiPass(dst []byte, vals []float64, cols, k int, inner byte, qbits int, recon []float64) []byte {
+	idx := make([]int, len(vals))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		va, vb := math.Abs(vals[idx[a]]), math.Abs(vals[idx[b]])
+		if va != vb {
+			return va > vb
+		}
+		return idx[a] < idx[b]
+	})
+	idx = idx[:k]
+	sort.Ints(idx)
+	coords := make([]sparse.Coord, k)
+	for i, flat := range idx {
+		coords[i] = sparse.Coord{Row: flat / cols, Col: flat % cols, Val: vals[flat]}
+	}
+	dst = append(dst, inner)
+	dst = appendU32(dst, uint32(len(coords)))
+	kept := make([]float64, len(coords))
+	for i, c := range coords {
+		dst = appendU32(dst, uint32(c.Row*cols+c.Col))
+		kept[i] = c.Val
+	}
+	keptRecon := make([]float64, len(kept))
+	switch inner {
+	case modeRawF64:
+		for _, v := range kept {
+			dst = appendF64(dst, v)
+		}
+		copy(keptRecon, kept)
+	case modeF32:
+		dst = appendF32BodyMultiPass(dst, kept, keptRecon)
+	case modeQuant:
+		dst = appendQuantBodyMultiPass(dst, kept, qbits, keptRecon)
+	}
+	for i, c := range coords {
+		recon[c.Row*cols+c.Col] = keptRecon[i]
+	}
+	return dst
+}
+
+// lossyRound returns one round's reference and upload: drifting tensors of
+// 0, 1, 2, 3 and 97,000 elements, a constant delta (scale 0), and deltas of
+// −0 that a zero residual added to them would turn into +0.
+func lossyRound(rng *rand.Rand) (ref, cur *nn.Params) {
+	ref, cur = nn.NewParams(), nn.NewParams()
+	add := func(name string, r, c []float64) {
+		ref.Add(name, mat.NewFromData(1, len(r), r))
+		cur.Add(name, mat.NewFromData(1, len(c), c))
+	}
+	for _, n := range []int{0, 1, 2, 3, 97000} {
+		r, c := make([]float64, n), make([]float64, n)
+		for i := range r {
+			r[i] = rng.NormFloat64()
+			c[i] = r[i] + 1e-3*rng.NormFloat64()
+		}
+		add(fmt.Sprintf("drift%d", n), r, c)
+	}
+	r, c := make([]float64, 7), make([]float64, 7)
+	for i := range r {
+		r[i] = float64(rng.Intn(8))
+		c[i] = r[i] + 0.5
+	}
+	add("constant", r, c)
+	negZero := math.Copysign(0, -1)
+	add("negzero", []float64{0, 0, 0, 0}, []float64{negZero, 0, negZero, 1e-3 * rng.NormFloat64()})
+	add("negzero_const", []float64{0, 0, 0}, []float64{negZero, negZero, negZero})
+	return ref, cur
+}
+
+// The one-pass lossy encoder writes the multi-pass oracle's blob and leaves
+// its residuals bit for bit, over five error-feedback rounds (the first
+// without a residual), on every lossy tier, into a recycled dst whose spare
+// capacity holds junk.
+func TestLossyEncodeMatchesMultiPassOracle(t *testing.T) {
+	for _, o := range []Options{
+		{Kind: Quant, Bits: 8}, {Kind: Quant, Bits: 4}, {Kind: Float32},
+		{Kind: Quant, Bits: 8, TopK: 0.1}, {Kind: Quant, Bits: 4, TopK: 0.25},
+		{Kind: Float32, TopK: 0.1}, {Kind: Delta, TopK: 0.1},
+	} {
+		rng := rand.New(rand.NewSource(25))
+		got, want := NewEncoder(o), newMultiPassEncoder(o)
+		prefix := []byte{0xAA, 0xBB, 0xCC}
+		for round := 0; round < 5; round++ {
+			ref, cur := lossyRound(rng)
+			r := NewRef(ref)
+			wantBlob := want.encode(append([]byte(nil), prefix...), cur, r)
+			junk := bytes.Repeat([]byte{0xFF}, len(wantBlob)+64)
+			gotBlob, err := got.EncodeRef(append(junk[:0], prefix...), cur, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBlob, wantBlob) {
+				t.Fatalf("%s round %d: blob differs from the multi-pass oracle's", o.Name(), round)
+			}
+			if len(got.residual) != len(want.residual) {
+				t.Fatalf("%s round %d: %d residuals, oracle %d", o.Name(), round, len(got.residual), len(want.residual))
+			}
+			for name, w := range want.residual {
+				if !sameBits(got.residual[name], w) {
+					t.Fatalf("%s round %d: residual %q differs from the oracle's", o.Name(), round, name)
+				}
+			}
+		}
+	}
+}
+
+// roundIndex is the multi-pass encoder's math.Round-and-clamp on every
+// quotient the quantiser can meet: −0, the largest double below a half
+// (which x + 0.5 would round up), halves, values a rounding error past the
+// top level, and random quotients at both widths.
+func TestRoundIndexMatchesMathRound(t *testing.T) {
+	oracle := func(y, levels float64) int {
+		q := math.Round(y)
+		if q < 0 {
+			q = 0
+		} else if q > levels {
+			q = levels
+		}
+		return int(uint64(q))
+	}
+	ys := []float64{math.Copysign(0, -1), 0, 0x1p-1074, math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1),
+		math.Nextafter(1.5, 0), 1.5, 2.5, 7.5, 14.5, 15, math.Nextafter(15, 16), 15.5,
+		127.5, math.Nextafter(254.5, 0), 254.5, 255, math.Nextafter(255, 256), 255.5}
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 100000; i++ {
+		ys = append(ys, 256*rng.Float64(), float64(rng.Intn(256))+0.5)
+	}
+	for _, levels := range []float64{255, 15} {
+		for _, y := range ys {
+			if got, want := roundIndex(y, int(levels)), oracle(y, levels); got != want {
+				t.Fatalf("roundIndex(%v, %v) = %d, math.Round gives %d", y, levels, got, want)
+			}
+		}
+	}
+}
+
+// A finite upload whose compensated delta, or its lossy reconstruction,
+// overflows goes absolute and drops its residual: it decodes exactly, and
+// the benign rounds after it decode finite and close, where a residual
+// holding the overflow would make every later round decode NaN. The q8
+// probe spans more than the float64 range (hi − lo = +Inf); the float32
+// probe is a delta float32 cannot hold. Top-k drops entries by design, so
+// its benign rounds need only be finite.
+func TestLossyOverflowDoesNotPoisonResidual(t *testing.T) {
+	for _, c := range []struct {
+		opts  Options
+		probe []float64
+	}{
+		{Options{Kind: Quant, Bits: 8}, []float64{-9e307, 9e307, 0}},
+		{Options{Kind: Float32}, []float64{1e39, 0, 0}},
+		{Options{Kind: Quant, Bits: 8, TopK: 0.5}, []float64{-9e307, 9e307, 0}},
+	} {
+		ref := paramsFrom([]string{"w"}, []*mat.Dense{mat.New(1, 3)})
+		enc := NewEncoder(c.opts)
+		upload := func(vals []float64) []float64 {
+			p := paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, 3, append([]float64(nil), vals...))})
+			blob, err := enc.EncodeParams(nil, p, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeParams(blob, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := append([]float64(nil), dec.At(0).Data()...)
+			PutParams(dec)
+			return out
+		}
+		if got := upload(c.probe); !sameBits(got, c.probe) {
+			t.Fatalf("%s: overflowing upload decoded as %v, want %v exactly", c.opts.Name(), got, c.probe)
+		}
+		if r, ok := enc.residual["w"]; ok {
+			t.Fatalf("%s: overflowing upload left residual %v", c.opts.Name(), r)
+		}
+		benign := []float64{1, 2, 3}
+		for round := 0; round < 3; round++ {
+			for j, v := range upload(benign) {
+				if math.IsNaN(v) || math.IsInf(v, 0) || c.opts.TopK == 0 && math.Abs(v-benign[j]) > 0.05 {
+					t.Fatalf("%s: benign round %d decoded [%d] = %v, want about %v", c.opts.Name(), round, j, v, benign[j])
+				}
+			}
+		}
+	}
+}
+
+// benchRound is one model-sized tensor one round of drift from its
+// reference.
+func benchRound(n int) (cur *nn.Params, ref Ref) {
+	rng := rand.New(rand.NewSource(26))
+	r, c := make([]float64, n), make([]float64, n)
+	for i := range r {
+		r[i] = rng.NormFloat64()
+		c[i] = r[i] + 1e-3*rng.NormFloat64()
+	}
+	cur = paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, n, c)})
+	return cur, NewRef(paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, n, r)}))
+}
+
+// BenchmarkRefSum times the reference checksum of a model-sized tensor: the
+// v2 word-wide hash against the v1 byte-wise FNV-1a.
+//
+//	go test -run '^$' -bench RefSum ./internal/codec
+func BenchmarkRefSum(b *testing.B) {
+	const n = 97000
+	_, ref := benchRound(n)
+	var sink uint64
+	for _, c := range []struct {
+		name string
+		sum  func(*nn.Params) uint64
+	}{{"v2", RefSum}, {"v1", refSumV1}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				sink ^= c.sum(ref.Params())
+			}
+		})
+	}
+	_ = sink
+}
+
+// BenchmarkEncodeQuant times one error-feedback round of the q8 and q4
+// uplink encoder on a model-sized tensor, one-pass against the multi-pass
+// oracle, each into a reused dst:
+//
+//	go test -run '^$' -bench EncodeQuant ./internal/codec
+func BenchmarkEncodeQuant(b *testing.B) {
+	const n = 97000
+	cur, ref := benchRound(n)
+	for _, qbits := range []int{8, 4} {
+		o := Options{Kind: Quant, Bits: qbits}
+		onePass, multiPass := NewEncoder(o), newMultiPassEncoder(o)
+		var dst []byte
+		b.Run(fmt.Sprintf("q%d/onepass", qbits), func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				var err error
+				if dst, err = onePass.EncodeRef(dst[:0], cur, ref); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("q%d/multipass", qbits), func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for i := 0; i < b.N; i++ {
+				dst = multiPass.encode(dst[:0], cur, ref)
 			}
 		})
 	}

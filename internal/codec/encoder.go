@@ -3,7 +3,6 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"fedomd/internal/mat"
@@ -11,7 +10,7 @@ import (
 	"fedomd/internal/obs"
 )
 
-// Encoder turns parameter sets into v1 blobs. It is stateful per sender:
+// Encoder turns parameter sets into v2 blobs. It is stateful per sender:
 // the lossy tiers keep one error-feedback residual per tensor, so each
 // uplink (or downlink) direction of each connection needs its own Encoder.
 // Not safe for concurrent use.
@@ -23,8 +22,6 @@ type Encoder struct {
 	// quantization and sparsification error re-enters the next round
 	// instead of being lost (memory-compensated compression).
 	residual map[string][]float64
-	delta    []float64 // scratch, reused across tensors and calls
-	recon    []float64 // scratch for the decoder-side reconstruction
 
 	// tracer/parent are the optional obs hooks (see SetTrace); nil when
 	// tracing is off, which keeps EncodeParams span-free.
@@ -50,35 +47,6 @@ func (e *Encoder) Reset() {
 	}
 }
 
-// RefSum fingerprints a reference parameter set: FNV-1a over each tensor's
-// name and float64 bit patterns, forced nonzero (zero means "no reference"
-// on the wire). Every blob carries the sum of the reference it was encoded
-// against, and the decoder refuses it unless its own reference sums the
-// same, so a blob can never silently be applied against the wrong base. The
-// hash reads every byte of the set, so it is taken once, when a set becomes
-// a reference (NewRef), and travels with it as a Ref; it is not recomputed
-// per blob.
-func RefSum(ref *nn.Params) uint64 {
-	if ref == nil {
-		return 0
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	names := ref.Names()
-	for i := 0; i < ref.Len(); i++ {
-		h.Write([]byte(names[i]))
-		for _, v := range ref.At(i).Data() {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
-	s := h.Sum64()
-	if s == 0 {
-		s = 1
-	}
-	return s
-}
-
 // Ref is a reference parameter set together with its RefSum, taken once by
 // NewRef. Holders keep the Ref rather than the bare set, so encoding or
 // decoding any number of blobs against it hashes nothing; clearing the Ref
@@ -102,13 +70,14 @@ func (e *Encoder) EncodeParams(dst []byte, p, ref *nn.Params) ([]byte, error) {
 	return e.EncodeRef(dst, p, NewRef(ref))
 }
 
-// EncodeRef appends a v1 blob holding p, encoded against ref, to dst and
+// EncodeRef appends a v2 blob holding p, encoded against ref, to dst and
 // returns the extended slice (pass nil to allocate fresh). The zero Ref — or
 // a tensor missing from the reference — falls back to absolute raw-float64
 // frames, so the first exchange of a connection needs no shared state.
 // Tensors holding non-finite values are also sent absolute: quantizing a
 // NaN would poison the scale and the residual, and the server's non-finite
-// screen needs to see the genuine values to attribute the failure.
+// screen needs to see the genuine values to attribute the failure. So is a
+// tensor whose compensated delta or its lossy reconstruction overflows.
 func (e *Encoder) EncodeRef(dst []byte, p *nn.Params, ref Ref) ([]byte, error) {
 	if err := e.opts.Validate(); err != nil {
 		return nil, err
@@ -165,49 +134,52 @@ func (e *Encoder) encodeTensor(dst []byte, name string, cur, ref *mat.Dense) ([]
 	bodyStart := len(dst)
 
 	data := cur.Data()
-	mode := modeRawF64
+	mode, ok := modeRawF64, false
 	switch {
-	case ref == nil || !finite(data):
-		// Absolute frame; a stale residual for this tensor no longer
-		// matches any reference state, so drop it.
-		delete(e.residual, name)
-		dst = appendRawF64Body(dst, data)
+	case ref == nil:
 	case e.opts.Kind == Delta && e.opts.TopK == 0:
-		mode = modeXor
-		dst = appendXorBody(dst, data, ref.Data())
+		if finite(data) {
+			mode, ok = modeXor, true
+			dst = appendXorBody(dst, data, ref.Data())
+		}
 	default:
-		dst, mode = e.encodeLossy(dst, name, data, ref.Data(), cur.Cols())
+		// A non-finite value in data makes its compensated delta
+		// non-finite, so encodeLossy refuses it without a pass of its own.
+		dst, mode, ok = e.encodeLossy(dst, name, data, ref.Data())
+	}
+	if !ok {
+		// Absolute frame, over whatever a failed lossy encode wrote; a
+		// stale residual for this tensor no longer matches any reference
+		// state, so drop it.
+		delete(e.residual, name)
+		mode = modeRawF64
+		dst = appendRawF64Body(dst[:bodyStart], data)
 	}
 	dst[hdr+12] = mode
 	binary.LittleEndian.PutUint32(dst[hdr:], uint32(len(dst)-bodyStart))
 	return dst, nil
 }
 
-// encodeLossy handles the float32/quant/top-k tiers: build the compensated
-// delta v = (cur − ref) + residual, encode it, and store the new residual
-// v − decoded(v).
-func (e *Encoder) encodeLossy(dst []byte, name string, cur, ref []float64, cols int) ([]byte, byte) {
+// encodeLossy handles the float32/quant/top-k tiers. It builds the
+// compensated delta v = (cur − ref) + residual in the residual slice itself,
+// encodes v, and leaves the new residual v − decoded(v) in its place. ok is
+// false when v or its reconstruction is not finite (a delta that overflows
+// the tier): the caller then sends the tensor absolute and drops the
+// residual, which would otherwise carry the overflow into every later round.
+func (e *Encoder) encodeLossy(dst []byte, name string, cur, ref []float64) ([]byte, byte, bool) {
 	n := len(cur)
-	e.delta = resize(e.delta, n)
-	e.recon = resize(e.recon, n)
-	v := e.delta
-	for i := range v {
-		v[i] = cur[i] - ref[i]
-	}
 	r, hasResidual := e.residual[name]
-	if hasResidual {
-		for i := range v {
-			v[i] += r[i]
-		}
+	if !hasResidual || len(r) != n {
+		r, hasResidual = make([]float64, n), false
+		e.residual[name] = r
 	}
-
-	var mode byte
-	if e.opts.TopK > 0 {
-		mode = modeTopK
-		k := int(math.Ceil(e.opts.TopK * float64(n)))
-		if k > n {
-			k = n
-		}
+	lo, hi, ok := compensate(r, cur, ref, hasResidual)
+	if !ok {
+		return dst, 0, false
+	}
+	switch {
+	case e.opts.TopK > 0:
+		k := min(int(math.Ceil(e.opts.TopK*float64(n))), n)
 		inner := modeRawF64
 		switch e.opts.Kind {
 		case Float32:
@@ -215,26 +187,45 @@ func (e *Encoder) encodeLossy(dst []byte, name string, cur, ref []float64, cols 
 		case Quant:
 			inner = modeQuant
 		}
-		for i := range e.recon {
-			e.recon[i] = 0
-		}
-		dst = appendTopKBody(dst, topKSelect(v, cols, k), cols, inner, e.opts.Bits, e.recon)
-	} else if e.opts.Kind == Float32 {
-		mode = modeF32
-		dst = appendF32Body(dst, v, e.recon)
-	} else {
-		mode = modeQuant
-		dst = appendQuantBody(dst, v, e.opts.Bits, e.recon)
+		dst, ok = appendTopKBody(dst, r, k, inner, e.opts.Bits)
+		return dst, modeTopK, ok
+	case e.opts.Kind == Float32:
+		dst, ok = appendF32Body(dst, r)
+		return dst, modeF32, ok
+	default:
+		dst, ok = appendQuantBody(dst, r, lo, hi, e.opts.Bits)
+		return dst, modeQuant, ok
 	}
+}
 
-	if !hasResidual {
-		r = make([]float64, n)
-		e.residual[name] = r
+// compensate writes v = (cur − ref) + r into r, or v = cur − ref when
+// withResidual is false (adding a zero residual would turn −0 into +0), and
+// returns v's least and greatest elements, 0 and 0 when it is empty. Of
+// equal extremes the first wins. ok is false when some v is not finite.
+func compensate(r, cur, ref []float64, withResidual bool) (lo, hi float64, ok bool) {
+	if len(cur) == 0 {
+		return 0, 0, true
 	}
-	for i := range r {
-		r[i] = v[i] - e.recon[i]
+	ref, r = ref[:len(cur)], r[:len(cur)]
+	lo, hi = math.Inf(1), math.Inf(-1)
+	nan := false
+	for i, c := range cur {
+		v := c - ref[i]
+		if withResidual {
+			v += r[i]
+		}
+		r[i] = v
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		if math.IsNaN(v) {
+			nan = true
+		}
 	}
-	return dst, mode
+	return lo, hi, !nan && !math.IsInf(lo, 0) && !math.IsInf(hi, 0)
 }
 
 // DecodeParams is decodeRef against NewRef(ref): it hashes ref on every
@@ -244,12 +235,13 @@ func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
 	return decodeRef(blob, NewRef(ref))
 }
 
-// decodeRef reconstructs a parameter set from a v1 blob. A blob with a
-// nonzero reference checksum requires ref's sum to be exactly that value;
-// an absolute blob (checksum 0) ignores ref. Output matrices are drawn from
-// the mat buffer pool without zeroing (a top-k frame clears its own) —
-// ownership transfers to the caller, who may PutDense them once the values
-// have been consumed (or let the GC take them).
+// decodeRef reconstructs a parameter set from a v2 or v1 blob. A blob with a
+// nonzero reference checksum requires ref's sum, taken by its version's
+// checksum, to be exactly that value; an absolute blob (checksum 0) ignores
+// ref. Output matrices are drawn from the mat buffer pool without zeroing (a
+// top-k frame clears its own) — ownership transfers to the caller, who may
+// PutDense them once the values have been consumed (or let the GC take
+// them).
 func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 	if len(blob) < blobHeaderLen {
 		return nil, fmt.Errorf("codec: blob is %d bytes, want at least %d", len(blob), blobHeaderLen)
@@ -257,7 +249,7 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 	if blob[0] != blobMagic {
 		return nil, fmt.Errorf("codec: bad magic 0x%02X", blob[0])
 	}
-	if blob[1] != blobVersion {
+	if blob[1] != blobVersion && blob[1] != blobVersionV1 {
 		return nil, fmt.Errorf("codec: unsupported wire version %d", blob[1])
 	}
 	qbits := int(blob[3])
@@ -268,8 +260,14 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 		if ref == nil {
 			return nil, fmt.Errorf("codec: blob needs a reference but decoder has none")
 		}
-		if r.sum != refsum {
-			return nil, fmt.Errorf("codec: reference checksum mismatch: blob %016x, local %016x", refsum, r.sum)
+		local := r.sum
+		if blob[1] == blobVersionV1 {
+			// Only an old peer's blob names its reference by the v1
+			// checksum; the Ref carries the v2 one, so hash again.
+			local = refSumV1(ref)
+		}
+		if local != refsum {
+			return nil, fmt.Errorf("codec: reference checksum mismatch: blob %016x, local %016x", refsum, local)
 		}
 	}
 	out := nn.NewParams()
@@ -370,11 +368,4 @@ func finite(vals []float64) bool {
 		}
 	}
 	return true
-}
-
-func resize(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

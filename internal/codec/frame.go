@@ -1,10 +1,10 @@
 package codec
 
-// frame.go is the byte layer of the v1 wire format. A blob is:
+// frame.go is the byte layer of the v2 wire format. A blob is:
 //
 //	offset  size  field
 //	0       1     magic 0xFD
-//	1       1     version (1)
+//	1       1     version (2; the decoder also reads 1)
 //	2       1     codec kind
 //	3       1     quantization bits (0 unless kind == Quant)
 //	4       4     tensor count, uint32 LE
@@ -24,6 +24,10 @@ package codec
 // Frame modes: 0 raw float64 (absolute values — also the non-finite escape
 // hatch inside delta blobs), 1 XOR delta, 2 float32 delta, 3 quantized
 // delta, 4 top-k sparse delta. All integers are little-endian.
+//
+// The checksum is RefSum of the reference, a word-wide XXH64-based hash. A
+// v1 blob carries the byte-wise FNV-1a sum instead (refSumV1); its frames
+// are those of v2.
 
 import (
 	"encoding/binary"
@@ -32,13 +36,14 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-
-	"fedomd/internal/sparse"
 )
 
 const (
-	blobMagic      = 0xFD
-	blobVersion    = 1
+	blobMagic = 0xFD
+	// blobVersion is the only version encoders write; blobVersionV1 blobs
+	// still decode.
+	blobVersion    = 2
+	blobVersionV1  = 1
 	blobHeaderLen  = 16
 	frameHeaderLen = 14
 )
@@ -164,18 +169,22 @@ func decodeXorBody(body []byte, ref, out []float64) error {
 	return nil
 }
 
-// appendF32Body writes delta values downcast to float32. When recon is
-// non-nil it receives the value the decoder will reconstruct, for error
-// feedback.
-func appendF32Body(dst []byte, vals, recon []float64) []byte {
-	for i, v := range vals {
-		f := float32(v)
-		dst = appendU32(dst, math.Float32bits(f))
-		if recon != nil {
-			recon[i] = float64(f)
+// appendF32Body writes the values of v downcast to float32 and leaves in v
+// what the downcast dropped, v − float64(float32(v)), for error feedback. ok
+// is false when some value overflows float32.
+func appendF32Body(dst []byte, v []float64) ([]byte, bool) {
+	start := len(dst)
+	dst = slices.Grow(dst, 4*len(v))[:start+4*len(v)]
+	ok := true
+	for i, x := range v {
+		f := float32(x)
+		binary.LittleEndian.PutUint32(dst[start+4*i:], math.Float32bits(f))
+		if math.IsInf(float64(f), 0) {
+			ok = false
 		}
+		v[i] = x - float64(f)
 	}
-	return dst
+	return dst, ok
 }
 
 func decodeF32Body(body []byte, out []float64) error {
@@ -188,66 +197,53 @@ func decodeF32Body(body []byte, out []float64) error {
 	return nil
 }
 
-// appendQuantBody writes vals under q-bit uniform quantization: a float64
+// appendQuantBody writes v under q-bit uniform quantization: a float64
 // offset (lo) and step (scale) head the body, then one index per value —
 // one byte at 8 bits, packed two-per-byte (low nibble first) at 4 bits.
-// Quantization error per element is at most scale/2. recon, when non-nil,
-// receives the dequantized values for error feedback.
-func appendQuantBody(dst []byte, vals []float64, qbits int, recon []float64) []byte {
-	if len(vals) == 0 {
-		return appendF64(appendF64(dst, 0), 0)
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
+// lo and hi are v's least and greatest elements (0 and 0 when v is empty).
+// Quantization error per element is at most scale/2. v receives what the
+// quantization dropped, v − (lo + scale·q), for error feedback, in the same
+// pass. dst grows once and the index bytes are cleared first, so whatever
+// its spare capacity held never reaches the body. ok is false when the
+// scale or the greatest reconstruction, lo + scale·(2^q − 1), is not finite.
+func appendQuantBody(dst []byte, v []float64, lo, hi float64, qbits int) ([]byte, bool) {
 	levels := float64(uint64(1)<<qbits - 1)
 	scale := (hi - lo) / levels
-	dst = appendF64(dst, lo)
-	dst = appendF64(dst, scale)
-	quantize := func(v float64) uint64 {
-		if scale <= 0 {
-			return 0
-		}
-		q := math.Round((v - lo) / scale)
-		if q < 0 {
-			q = 0
-		} else if q > levels {
-			q = levels
-		}
-		return uint64(q)
+	if math.IsNaN(scale) || math.IsInf(scale, 0) || math.IsInf(lo+scale*levels, 0) {
+		return dst, false
 	}
-	if qbits == 8 {
-		for i, v := range vals {
-			q := quantize(v)
-			dst = append(dst, byte(q))
-			if recon != nil {
-				recon[i] = lo + scale*float64(q)
-			}
+	start := len(dst)
+	size := quantBodyLen(len(v), qbits)
+	dst = slices.Grow(dst, size)[:start+size]
+	binary.LittleEndian.PutUint64(dst[start:], math.Float64bits(lo))
+	binary.LittleEndian.PutUint64(dst[start+8:], math.Float64bits(scale))
+	idx := dst[start+16:]
+	clear(idx) // q4 ORs its nibbles in
+	for i, x := range v {
+		q := 0 // a zero scale means every value is lo
+		if scale > 0 {
+			q = roundIndex((x-lo)/scale, int(levels))
 		}
-		return dst
+		if qbits == 8 {
+			idx[i] = byte(q)
+		} else {
+			idx[i>>1] |= byte(q) << (4 * (i & 1))
+		}
+		v[i] = x - (lo + scale*float64(q))
 	}
-	for i := 0; i < len(vals); i += 2 {
-		q0 := quantize(vals[i])
-		b := byte(q0)
-		if recon != nil {
-			recon[i] = lo + scale*float64(q0)
-		}
-		if i+1 < len(vals) {
-			q1 := quantize(vals[i+1])
-			b |= byte(q1) << 4
-			if recon != nil {
-				recon[i+1] = lo + scale*float64(q1)
-			}
-		}
-		dst = append(dst, b)
+	return dst, true
+}
+
+// roundIndex is math.Round(y) clamped to [0, levels], for y ≥ 0 (−0
+// included) and below 2^52: the integer part plus one when the fraction,
+// which the subtraction takes exactly, is at least a half. It spares
+// math.Round's bit manipulation and a float-to-uint64 round trip.
+func roundIndex(y float64, levels int) int {
+	q := int(y)
+	if y-float64(q) >= 0.5 {
+		q++
 	}
-	return dst
+	return min(q, levels)
 }
 
 func quantBodyLen(n, qbits int) int {
@@ -282,10 +278,10 @@ func decodeQuantBody(body []byte, qbits int, out []float64) error {
 	return nil
 }
 
-// topKSelect returns the k entries of vals largest by magnitude as COO
-// coordinates, ordered by ascending flat index. Ties break toward the lower
-// index so the selection — and therefore the wire bytes — is deterministic.
-func topKSelect(vals []float64, cols, k int) []sparse.Coord {
+// topKSelect returns the flat indices of the k entries of vals largest by
+// magnitude, ascending. Ties break toward the lower index so the selection —
+// and therefore the wire bytes — is deterministic.
+func topKSelect(vals []float64, k int) []int {
 	idx := make([]int, len(vals))
 	for i := range idx {
 		idx[i] = i
@@ -299,45 +295,52 @@ func topKSelect(vals []float64, cols, k int) []sparse.Coord {
 	})
 	idx = idx[:k]
 	sort.Ints(idx)
-	coords := make([]sparse.Coord, k)
-	for i, flat := range idx {
-		coords[i] = sparse.Coord{Row: flat / cols, Col: flat % cols, Val: vals[flat]}
-	}
-	return coords
+	return idx
 }
 
-// appendTopKBody writes a sparse delta: an inner-mode byte (rawF64, f32, or
-// quant), the kept-entry count, the ascending flat indices as uint32, and
-// the kept values under the inner encoding. recon, when non-nil, must be
-// zeroed by the caller; kept positions receive their reconstructed values
-// (dropped positions stay zero, so the residual update absorbs them).
-func appendTopKBody(dst []byte, coords []sparse.Coord, cols int, inner byte, qbits int, recon []float64) []byte {
+// appendTopKBody writes the k entries of v largest by magnitude as a sparse
+// delta: an inner-mode byte (rawF64, f32, or quant), the kept-entry count,
+// the ascending flat indices as uint32, and the kept values under the inner
+// encoding. v receives the new error-feedback residual: each kept entry
+// minus its reconstruction, each dropped entry whole. ok is false when the
+// inner encoding's reconstruction is not finite.
+func appendTopKBody(dst []byte, v []float64, k int, inner byte, qbits int) ([]byte, bool) {
+	idx := topKSelect(v, k)
 	dst = append(dst, inner)
-	dst = appendU32(dst, uint32(len(coords)))
-	kept := make([]float64, len(coords))
-	for i, c := range coords {
-		dst = appendU32(dst, uint32(c.Row*cols+c.Col))
-		kept[i] = c.Val
+	dst = appendU32(dst, uint32(k))
+	kept := make([]float64, k)
+	for i, flat := range idx {
+		dst = appendU32(dst, uint32(flat))
+		kept[i] = v[flat]
 	}
-	var keptRecon []float64
-	if recon != nil {
-		keptRecon = make([]float64, len(kept))
-	}
+	ok := true
 	switch inner {
 	case modeRawF64:
 		dst = appendRawF64Body(dst, kept)
-		copy(keptRecon, kept)
+		clear(kept) // sent exactly: nothing carries over
 	case modeF32:
-		dst = appendF32Body(dst, kept, keptRecon)
+		dst, ok = appendF32Body(dst, kept)
 	case modeQuant:
-		dst = appendQuantBody(dst, kept, qbits, keptRecon)
-	}
-	if recon != nil {
-		for i, c := range coords {
-			recon[c.Row*cols+c.Col] = keptRecon[i]
+		lo, hi := 0.0, 0.0
+		if k > 0 {
+			// The first of equal extremes wins, as in compensate: unlike
+			// the min builtin, this keeps a leading +0 against a later −0.
+			lo, hi = kept[0], kept[0]
+			for _, x := range kept[1:] {
+				if x < lo {
+					lo = x
+				}
+				if x > hi {
+					hi = x
+				}
+			}
 		}
+		dst, ok = appendQuantBody(dst, kept, lo, hi, qbits)
 	}
-	return dst
+	for i, flat := range idx {
+		v[flat] = kept[i]
+	}
+	return dst, ok
 }
 
 // decodeTopKBody fills out (which the caller zeroes) with the kept delta

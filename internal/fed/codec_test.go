@@ -1,10 +1,13 @@
 package fed
 
 import (
+	"bufio"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -194,15 +197,25 @@ func TestDistributedCodecQuant(t *testing.T) {
 	}
 }
 
-// oldServeClient is a v0 binary in effigy: it speaks the pre-codec wire
-// format — a hello without the Codecs field, requests without Blob — so it
-// never advertises and must be left on raw gob by the negotiation.
-func oldServeClient(conn net.Conn, c Client) error {
+// oldServeClient is an older binary in effigy: it speaks the raw-gob wire
+// format — requests without Blob — and advertises the wire versions in
+// codecs: nil for a v0 binary, whose hello has no Codecs field at all, or [1]
+// for a v1 binary, whose blobs carry a checksum this build no longer writes.
+// Either way the negotiation must leave it on raw gob: it ends the run on a
+// request it does not know, NegotiateCodec included.
+func oldServeClient(conn net.Conn, c Client, codecs []uint8) error {
 	type oldHello struct {
 		Name       string
 		NumSamples int
 		Moment     bool
 		Aux        bool
+	}
+	type v1Hello struct {
+		Name       string
+		NumSamples int
+		Moment     bool
+		Aux        bool
+		Codecs     []uint8
 	}
 	type oldRequest struct {
 		Op     string
@@ -217,7 +230,11 @@ func oldServeClient(conn net.Conn, c Client) error {
 	}
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(oldHello{Name: c.Name(), NumSamples: c.NumSamples()}); err != nil {
+	var h any = oldHello{Name: c.Name(), NumSamples: c.NumSamples()}
+	if codecs != nil {
+		h = v1Hello{Name: c.Name(), NumSamples: c.NumSamples(), Codecs: codecs}
+	}
+	if err := enc.Encode(h); err != nil {
 		return err
 	}
 	for {
@@ -246,7 +263,7 @@ func oldServeClient(conn net.Conn, c Client) error {
 		case opGetParams:
 			resp.Params = paramsToWire(c.Params())
 		default:
-			resp.Err = fmt.Sprintf("old peer: unknown op %q", req.Op)
+			return fmt.Errorf("old peer: unknown op %q", req.Op)
 		}
 		if err := enc.Encode(resp); err != nil {
 			return err
@@ -254,48 +271,155 @@ func oldServeClient(conn net.Conn, c Client) error {
 	}
 }
 
+// runMixedFleet runs a current party and an old one (see oldServeClient)
+// under cfg over loopback and fails the test on any serve error.
+func runMixedFleet(t *testing.T, cfg Config, oldCodecs []uint8) *Result {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a := newWideFakeClient("a", 3, 0, 32)
+	a.trainVal = 1
+	b := newWideFakeClient("b", 1, 0, 32)
+	b.trainVal = 5
+	newErr := make(chan error, 1)
+	oldErr := make(chan error, 1)
+	go func() { newErr <- ServeClient(ln.Addr().String(), a) }()
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			oldErr <- err
+			return
+		}
+		defer conn.Close()
+		oldErr <- oldServeClient(conn, b, oldCodecs)
+	}()
+	res, err := RunDistributed(cfg, ln, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-newErr; err != nil {
+		t.Fatalf("current party serve error: %v", err)
+	}
+	if err := <-oldErr; err != nil {
+		t.Fatalf("old party serve error: %v", err)
+	}
+	return res
+}
+
 // A mixed fleet — one current party, one v0 peer — must complete a
 // codec-enabled run: the new connection negotiates, the old one gracefully
 // stays raw, and the result matches the all-raw run exactly (Delta tier).
 func TestDistributedCodecOldPeerFallback(t *testing.T) {
-	run := func(cfg Config) *Result {
-		t.Helper()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		a := newWideFakeClient("a", 3, 0, 32)
-		a.trainVal = 1
-		b := newWideFakeClient("b", 1, 0, 32)
-		b.trainVal = 5
-		newErr := make(chan error, 1)
-		oldErr := make(chan error, 1)
-		go func() { newErr <- ServeClient(ln.Addr().String(), a) }()
-		go func() {
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				oldErr <- err
-				return
-			}
-			defer conn.Close()
-			oldErr <- oldServeClient(conn, b)
-		}()
-		res, err := RunDistributed(cfg, ln, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := <-newErr; err != nil {
-			t.Fatalf("current party serve error: %v", err)
-		}
-		if err := <-oldErr; err != nil {
-			t.Fatalf("v0 party serve error: %v", err)
-		}
-		return res
-	}
-	raw := run(Config{Rounds: 3, Sequential: true})
-	mixed := run(Config{Rounds: 3, Sequential: true, Codec: codec.Options{Kind: codec.Delta}})
+	raw := runMixedFleet(t, Config{Rounds: 3, Sequential: true}, nil)
+	mixed := runMixedFleet(t, Config{Rounds: 3, Sequential: true, Codec: codec.Options{Kind: codec.Delta}}, nil)
 	if !raw.FinalParams.Get("w").Equal(mixed.FinalParams.Get("w")) {
 		t.Fatal("mixed-fleet codec run diverged from the raw run")
 	}
+}
+
+// A party whose hello advertises only wire v1 is left on raw gob too (it
+// would reject every v2 broadcast), while the current party negotiates; the
+// run completes and matches the all-raw run exactly (Delta tier).
+func TestDistributedCodecV1PeerFallback(t *testing.T) {
+	raw := runMixedFleet(t, Config{Rounds: 3, Sequential: true}, []uint8{1})
+	agg := telemetry.NewAggregator()
+	mixed := runMixedFleet(t, Config{Rounds: 3, Sequential: true, Recorder: agg,
+		Codec: codec.Options{Kind: codec.Delta}}, []uint8{1})
+	if !raw.FinalParams.Get("w").Equal(mixed.FinalParams.Get("w")) {
+		t.Fatal("mixed-fleet codec run diverged from the raw run")
+	}
+	if agg.Counter(codec.MetricBytesEncoded) == 0 {
+		t.Fatal("the current party did not negotiate the codec")
+	}
+}
+
+// The party encodes each GetParams blob into one buffer per connection, so
+// a q8 upload allocates far less than the blob it sends.
+func TestGetParamsReusesUplinkBuffer(t *testing.T) {
+	const n = 1 << 15
+	party, coord := net.Pipe()
+	defer coord.Close()
+	c := newWideFakeClient("a", 1, 0, n)
+	served := make(chan error, 1)
+	go func() { served <- ServeClientConnOpts(party, c, ServeOptions{}) }()
+	br := bufio.NewReader(coord)
+	enc, dec := gob.NewEncoder(coord), gob.NewDecoder(br)
+	var h hello
+	if err := dec.Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	var resp rpcResponse
+	call := func(req rpcRequest) {
+		t.Helper()
+		if err := enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		resp = rpcResponse{}
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err != "" {
+			t.Fatalf("%s: %s", req.Op, resp.Err)
+		}
+	}
+	call(negotiateRequest(codec.Options{Kind: codec.Quant, Bits: 8}))
+	blob, err := codec.NewEncoder(codec.Options{Kind: codec.Delta}).EncodeParams(nil, c.Params().Clone(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call(rpcRequest{Op: opSetParams, Blob: blob})
+	for i := 0; i < 3; i++ {
+		call(rpcRequest{Op: opGetParams})
+	}
+	blobLen := uint64(len(resp.Blob))
+	// The measured replies are read as raw gob messages (a length, then
+	// that many bytes) into one buffer: gob's decoder would allocate each
+	// message anew on this side of the pipe.
+	var msg []byte
+	getParams := func() {
+		t.Helper()
+		if err := enc.Encode(rpcRequest{Op: opGetParams}); err != nil {
+			t.Fatal(err)
+		}
+		// The length is a gob uint: one byte below 128, else a byte
+		// holding the negated count of big-endian bytes that follow.
+		b, err := br.ReadByte()
+		size := uint64(b)
+		if b > 0x7f {
+			size = 0
+			for k := -int8(b); k > 0 && err == nil; k-- {
+				b, err = br.ReadByte()
+				size = size<<8 | uint64(b)
+			}
+		}
+		if err == nil && uint64(cap(msg)) < size {
+			msg = make([]byte, size)
+		}
+		if err == nil {
+			_, err = io.ReadFull(br, msg[:size])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	getParams()
+	const ops = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		getParams()
+	}
+	runtime.ReadMemStats(&after)
+	call(rpcRequest{Op: opShutdown})
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+	if blobLen < n || perOp > blobLen/4 {
+		t.Fatalf("get_params allocated %d bytes per request for a %d-byte blob; want under a quarter of it", perOp, blobLen)
+	}
+	t.Logf("get_params allocated %d bytes per request for a %d-byte blob", perOp, blobLen)
 }

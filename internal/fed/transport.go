@@ -71,11 +71,11 @@ type TransportOptions struct {
 	Reconnect func(name string) (net.Conn, error)
 	// Codec requests a wire codec for parameter payloads. During the hello
 	// handshake each party advertises the protocol versions it speaks; a
-	// party advertising v1 is sent the codec choice and both sides switch
+	// party advertising v2 is sent the codec choice and both sides switch
 	// SetParams/GetParams to length-delimited codec blobs (see
-	// internal/codec). A party advertising nothing — an old binary — keeps
-	// the v0 raw-gob format on its connection; the two formats coexist
-	// per-connection. The zero value disables negotiation entirely.
+	// internal/codec). A party advertising nothing or only v1 — an old
+	// binary — keeps the v0 raw-gob format on its connection; the formats
+	// coexist per-connection. The zero value disables negotiation entirely.
 	Codec codec.Options
 }
 
@@ -260,7 +260,7 @@ type hello struct {
 	Moment     bool // implements MomentClient
 	Aux        bool // implements AuxClient
 	// Codecs advertises the wire protocol versions this party speaks
-	// (codec.WireVersions). Empty on v0 binaries.
+	// (codec.WireVersions). Empty on v0 binaries, [1] on v1 ones.
 	Codecs []uint8
 }
 
@@ -344,6 +344,10 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 	// a desync heals within one exchange.
 	var wcEnc *codec.Encoder
 	var wcRef codec.Ref
+	// upBuf is the uplink blob's buffer, reused by every GetParams: the
+	// response is written in full before the next request is read, and gob
+	// keeps no reference to it.
+	var upBuf []byte
 	for {
 		if opts.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
@@ -422,11 +426,12 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 		case opGetParams:
 			if wcEnc != nil {
 				p := c.Params()
-				blob, err := wcEnc.EncodeRef(nil, p, wcRef)
+				blob, err := wcEnc.EncodeRef(upBuf[:0], p, wcRef)
 				if err != nil {
 					resp.Err = err.Error()
 					break
 				}
+				upBuf = blob
 				resp.Blob = blob
 				if rec.Enabled() {
 					rec.Count(codec.MetricBytesRaw, int64(p.Bytes()))
@@ -642,9 +647,9 @@ func (r *remoteClient) reconnect() error {
 	}
 	r.lastSent = codec.Ref{}
 	if r.codecOn {
-		if !wireSupported(h.Codecs, codec.WireV1) {
+		if !wireSupported(h.Codecs, codec.WireV2) {
 			r.conn.Close()
-			return fmt.Errorf("party %s no longer advertises wire v1", r.name)
+			return fmt.Errorf("party %s no longer advertises wire v2", r.name)
 		}
 		if _, err := r.callOnce(negotiateRequest(r.opts.Codec)); err != nil {
 			r.conn.Close()
@@ -876,7 +881,7 @@ func AcceptClientsOpts(ln net.Listener, n int, opts TransportOptions) ([]Client,
 		}
 		base := remoteClient{name: h.Name, samples: h.NumSamples, enc: enc, dec: dec,
 			conn: cc, rec: telemetry.Or(opts.Recorder), tracer: opts.Tracer, opts: opts}
-		if opts.Codec.Enabled() && wireSupported(h.Codecs, codec.WireV1) {
+		if opts.Codec.Enabled() && wireSupported(h.Codecs, codec.WireV2) {
 			if _, err := base.callOnce(negotiateRequest(opts.Codec)); err != nil {
 				var ae appError
 				if !errors.As(err, &ae) {
