@@ -11,8 +11,8 @@
 // checksum is zero is absolute and decodes without any shared state; a
 // nonzero checksum names the exact reference parameter set the decoder must
 // hold, by RefSum: a word-wide XXH64-based hash over names, lengths and
-// float bit patterns. Encoders write v2 only; the decoder still reads a v1
-// blob, whose checksum is the byte-wise FNV-1a it used before.
+// float bit patterns. v2 is the only version encoders write and the
+// decoder reads.
 package codec
 
 import (
@@ -165,8 +165,8 @@ const (
 
 // WireV2 is the framed-blob protocol version parties advertise in the
 // transport hello handshake. A peer that advertises nothing, or only v1
-// (whose blobs carry the old checksum, which this build's encoders no longer
-// write), falls back to the v0 raw-gob format.
+// (whose blobs carry the old checksum, which this build neither writes nor
+// reads), falls back to the v0 raw-gob format.
 const WireV2 uint8 = blobVersion
 
 // WireVersions lists the protocol versions this build speaks, newest last.

@@ -405,20 +405,6 @@ func goldenRef() *nn.Params {
 	return paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, 3, []float64{1.0, -2.5, 0.75})})
 }
 
-// The blobs a v1 encoder wrote for goldenW, absolute and against goldenRef.
-// They differ from the v2 blobs in the version byte and, for the delta
-// blob, in the checksum, which is the byte-wise FNV-1a of goldenRef.
-const (
-	goldenAbsV1 = "" +
-		"fd010100" + "01000000" + "0000000000000000" + // header: magic, v1, kind=delta, bits=0, count=1, refsum=0
-		"18000000" + "01000000" + "03000000" + "00" + "01" + "77" + // frame: 24-byte body, 1x3, mode=raw, name "w"
-		"000000000000f03f" + "00000000000004c0" + "000000000000e03f" // 1.0, -2.5, 0.5 LE
-	goldenDeltaV1 = "" +
-		"fd010100" + "01000000" + "1246a5327a862a1e" + // header: v1, refsum = refSumV1(goldenRef) LE
-		"09000000" + "01000000" + "03000000" + "01" + "01" + "77" + // 9-byte body, 1x3, mode=xor, "w"
-		"0007" + "00000000000008"
-)
-
 func unhex(t testing.TB, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
@@ -429,8 +415,7 @@ func unhex(t testing.TB, s string) []byte {
 }
 
 // Golden wire-format test: the v2 byte layout is pinned so a future change
-// to the framing is a deliberate version bump, not a silent break, and the
-// pinned v1 blobs still decode.
+// to the framing is a deliberate version bump, not a silent break.
 func TestGoldenWireFormat(t *testing.T) {
 	p, ref := goldenW(), goldenRef()
 	w := p.At(0)
@@ -465,12 +450,11 @@ func TestGoldenWireFormat(t *testing.T) {
 		t.Fatalf("refsum field %016x does not match RefSum %016x", got, RefSum(ref))
 	}
 
-	// Decode every pinned blob to prove the bytes are live, not a fossil:
-	// the v2 pair, and the v1 pair an older peer sends.
+	// Decode both pinned blobs to prove the bytes are live, not a fossil.
 	for _, c := range []struct {
 		name string
 		blob []byte
-	}{{"v2 absolute", unhex(t, wantAbs)}, {"v2 delta", blob}, {"v1 absolute", unhex(t, goldenAbsV1)}, {"v1 delta", unhex(t, goldenDeltaV1)}} {
+	}{{"absolute", unhex(t, wantAbs)}, {"delta", blob}} {
 		dec, err := DecodeParams(c.blob, ref)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -480,12 +464,8 @@ func TestGoldenWireFormat(t *testing.T) {
 		}
 		PutParams(dec)
 	}
-	// A v1 delta blob names its reference by the v1 checksum: another
-	// reference is still refused.
-	if _, err := DecodeParams(unhex(t, goldenDeltaV1), goldenW()); err == nil {
-		t.Fatal("v1 delta blob decoded against the wrong reference")
-	}
-	for _, v := range []byte{0, 3} {
+	// Every other version is refused, v1 included.
+	for _, v := range []byte{0, 1, 3} {
 		b := unhex(t, wantAbs)
 		b[1] = v
 		if _, err := DecodeParams(b, nil); err == nil || err.Error() != fmt.Sprintf("codec: unsupported wire version %d", v) {
@@ -494,19 +474,15 @@ func TestGoldenWireFormat(t *testing.T) {
 	}
 }
 
-// The refsum definitions are pinned: each is half of its version's wire
-// contract (both peers must hash references identically forever).
+// The refsum definition is pinned: it is half of the wire contract (both
+// peers must hash references identically).
 func TestGoldenRefSum(t *testing.T) {
 	ref := paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, 2, []float64{1.0, -2.5})})
-	const wantV1 = 0x3a36ef4153fecdc3 // the v1 format's; never changes
-	if got := refSumV1(ref); got != wantV1 {
-		t.Fatalf("refSumV1 = %016x, want %016x", got, wantV1)
+	const want = 0x4eb31a783cfb99d5 // regenerate only on a deliberate wire version bump
+	if got := RefSum(ref); got != want {
+		t.Fatalf("RefSum = %016x, want %016x", got, want)
 	}
-	const wantV2 = 0x4eb31a783cfb99d5 // regenerate only on a deliberate wire version bump
-	if got := RefSum(ref); got != wantV2 {
-		t.Fatalf("RefSum = %016x, want %016x", got, wantV2)
-	}
-	if RefSum(nil) != 0 || refSumV1(nil) != 0 {
+	if RefSum(nil) != 0 {
 		t.Fatal("RefSum(nil) must be 0 (absolute blob marker)")
 	}
 	// The per-tensor pass is XXH64 itself: the published digest of the
@@ -1201,36 +1177,6 @@ func TestLossyEncodeMatchesMultiPassOracle(t *testing.T) {
 	}
 }
 
-// roundIndex is the multi-pass encoder's math.Round-and-clamp on every
-// quotient the quantiser can meet: −0, the largest double below a half
-// (which x + 0.5 would round up), halves, values a rounding error past the
-// top level, and random quotients at both widths.
-func TestRoundIndexMatchesMathRound(t *testing.T) {
-	oracle := func(y, levels float64) int {
-		q := math.Round(y)
-		if q < 0 {
-			q = 0
-		} else if q > levels {
-			q = levels
-		}
-		return int(uint64(q))
-	}
-	ys := []float64{math.Copysign(0, -1), 0, 0x1p-1074, math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1),
-		math.Nextafter(1.5, 0), 1.5, 2.5, 7.5, 14.5, 15, math.Nextafter(15, 16), 15.5,
-		127.5, math.Nextafter(254.5, 0), 254.5, 255, math.Nextafter(255, 256), 255.5}
-	rng := rand.New(rand.NewSource(27))
-	for i := 0; i < 100000; i++ {
-		ys = append(ys, 256*rng.Float64(), float64(rng.Intn(256))+0.5)
-	}
-	for _, levels := range []float64{255, 15} {
-		for _, y := range ys {
-			if got, want := roundIndex(y, int(levels)), oracle(y, levels); got != want {
-				t.Fatalf("roundIndex(%v, %v) = %d, math.Round gives %d", y, levels, got, want)
-			}
-		}
-	}
-}
-
 // A finite upload whose compensated delta, or its lossy reconstruction,
 // overflows goes absolute and drops its residual: it decodes exactly, and
 // the benign rounds after it decode finite and close, where a residual
@@ -1280,6 +1226,29 @@ func TestLossyOverflowDoesNotPoisonResidual(t *testing.T) {
 	}
 }
 
+// EncodeRef into a dst with room takes nothing from the heap for the blob,
+// which lets the transport's party encode every upload into one buffer; the
+// one allocation left is the copy of the tensor names.
+func TestEncodeRefIntoReusedDstAllocatesOnlyNames(t *testing.T) {
+	cur, ref := benchRound(4096)
+	for _, o := range []Options{{Kind: Delta}, {Kind: Float32}, {Kind: Quant, Bits: 8}, {Kind: Quant, Bits: 4}} {
+		enc := NewEncoder(o)
+		dst, err := enc.EncodeRef(nil, cur, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			dst, err = enc.EncodeRef(dst[:0], cur, ref)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs > 1 {
+			t.Fatalf("%s: EncodeRef into a reused dst allocated %v times, want 1 (the name list)", o.Name(), allocs)
+		}
+	}
+}
+
 // benchRound is one model-sized tensor one round of drift from its
 // reference.
 func benchRound(n int) (cur *nn.Params, ref Ref) {
@@ -1293,24 +1262,16 @@ func benchRound(n int) (cur *nn.Params, ref Ref) {
 	return cur, NewRef(paramsFrom([]string{"w"}, []*mat.Dense{mat.NewFromData(1, n, r)}))
 }
 
-// BenchmarkRefSum times the reference checksum of a model-sized tensor: the
-// v2 word-wide hash against the v1 byte-wise FNV-1a.
+// BenchmarkRefSum times the reference checksum of a model-sized tensor:
 //
 //	go test -run '^$' -bench RefSum ./internal/codec
 func BenchmarkRefSum(b *testing.B) {
 	const n = 97000
 	_, ref := benchRound(n)
 	var sink uint64
-	for _, c := range []struct {
-		name string
-		sum  func(*nn.Params) uint64
-	}{{"v2", RefSum}, {"v1", refSumV1}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(8 * n)
-			for i := 0; i < b.N; i++ {
-				sink ^= c.sum(ref.Params())
-			}
-		})
+	b.SetBytes(8 * n)
+	for i := 0; i < b.N; i++ {
+		sink ^= RefSum(ref.Params())
 	}
 	_ = sink
 }

@@ -200,8 +200,9 @@ func (e *Encoder) encodeLossy(dst []byte, name string, cur, ref []float64) ([]by
 
 // compensate writes v = (cur − ref) + r into r, or v = cur − ref when
 // withResidual is false (adding a zero residual would turn −0 into +0), and
-// returns v's least and greatest elements, 0 and 0 when it is empty. Of
-// equal extremes the first wins. ok is false when some v is not finite.
+// returns v's least and greatest elements, 0 and 0 when it is empty. ok is
+// false when some v is not finite; the range is what tells an infinity, so
+// the float32 and top-k tiers take it too.
 func compensate(r, cur, ref []float64, withResidual bool) (lo, hi float64, ok bool) {
 	if len(cur) == 0 {
 		return 0, 0, true
@@ -215,17 +216,25 @@ func compensate(r, cur, ref []float64, withResidual bool) (lo, hi float64, ok bo
 			v += r[i]
 		}
 		r[i] = v
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
+		lo, hi = widen(lo, hi, v)
 		if math.IsNaN(v) {
 			nan = true
 		}
 	}
 	return lo, hi, !nan && !math.IsInf(lo, 0) && !math.IsInf(hi, 0)
+}
+
+// widen extends the range [lo, hi] to take in x. Of equal extremes the first
+// wins (a leading +0 stays against a later −0, where the min builtin would
+// take −0); lo goes on the wire, so the rule fixes the blob's bytes.
+func widen(lo, hi, x float64) (float64, float64) {
+	if x < lo {
+		lo = x
+	}
+	if x > hi {
+		hi = x
+	}
+	return lo, hi
 }
 
 // DecodeParams is decodeRef against NewRef(ref): it hashes ref on every
@@ -235,13 +244,12 @@ func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
 	return decodeRef(blob, NewRef(ref))
 }
 
-// decodeRef reconstructs a parameter set from a v2 or v1 blob. A blob with a
-// nonzero reference checksum requires ref's sum, taken by its version's
-// checksum, to be exactly that value; an absolute blob (checksum 0) ignores
-// ref. Output matrices are drawn from the mat buffer pool without zeroing (a
-// top-k frame clears its own) — ownership transfers to the caller, who may
-// PutDense them once the values have been consumed (or let the GC take
-// them).
+// decodeRef reconstructs a parameter set from a v2 blob. A blob with a
+// nonzero reference checksum requires ref's sum to be exactly that value;
+// an absolute blob (checksum 0) ignores ref. Output matrices are drawn from
+// the mat buffer pool without zeroing (a top-k frame clears its own) —
+// ownership transfers to the caller, who may PutDense them once the values
+// have been consumed (or let the GC take them).
 func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 	if len(blob) < blobHeaderLen {
 		return nil, fmt.Errorf("codec: blob is %d bytes, want at least %d", len(blob), blobHeaderLen)
@@ -249,7 +257,7 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 	if blob[0] != blobMagic {
 		return nil, fmt.Errorf("codec: bad magic 0x%02X", blob[0])
 	}
-	if blob[1] != blobVersion && blob[1] != blobVersionV1 {
+	if blob[1] != blobVersion {
 		return nil, fmt.Errorf("codec: unsupported wire version %d", blob[1])
 	}
 	qbits := int(blob[3])
@@ -260,14 +268,8 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 		if ref == nil {
 			return nil, fmt.Errorf("codec: blob needs a reference but decoder has none")
 		}
-		local := r.sum
-		if blob[1] == blobVersionV1 {
-			// Only an old peer's blob names its reference by the v1
-			// checksum; the Ref carries the v2 one, so hash again.
-			local = refSumV1(ref)
-		}
-		if local != refsum {
-			return nil, fmt.Errorf("codec: reference checksum mismatch: blob %016x, local %016x", refsum, local)
+		if r.sum != refsum {
+			return nil, fmt.Errorf("codec: reference checksum mismatch: blob %016x, local %016x", refsum, r.sum)
 		}
 	}
 	out := nn.NewParams()

@@ -4,7 +4,7 @@ package codec
 //
 //	offset  size  field
 //	0       1     magic 0xFD
-//	1       1     version (2; the decoder also reads 1)
+//	1       1     version (2)
 //	2       1     codec kind
 //	3       1     quantization bits (0 unless kind == Quant)
 //	4       4     tensor count, uint32 LE
@@ -25,9 +25,7 @@ package codec
 // hatch inside delta blobs), 1 XOR delta, 2 float32 delta, 3 quantized
 // delta, 4 top-k sparse delta. All integers are little-endian.
 //
-// The checksum is RefSum of the reference, a word-wide XXH64-based hash. A
-// v1 blob carries the byte-wise FNV-1a sum instead (refSumV1); its frames
-// are those of v2.
+// The checksum is RefSum of the reference, a word-wide XXH64-based hash.
 
 import (
 	"encoding/binary"
@@ -40,10 +38,8 @@ import (
 
 const (
 	blobMagic = 0xFD
-	// blobVersion is the only version encoders write; blobVersionV1 blobs
-	// still decode.
+	// blobVersion is the only version encoders write and decoders read.
 	blobVersion    = 2
-	blobVersionV1  = 1
 	blobHeaderLen  = 16
 	frameHeaderLen = 14
 )
@@ -222,7 +218,8 @@ func appendQuantBody(dst []byte, v []float64, lo, hi float64, qbits int) ([]byte
 	for i, x := range v {
 		q := 0 // a zero scale means every value is lo
 		if scale > 0 {
-			q = roundIndex((x-lo)/scale, int(levels))
+			// x ≥ lo, so only a rounding error past the top needs a clamp.
+			q = int(min(math.Round((x-lo)/scale), levels))
 		}
 		if qbits == 8 {
 			idx[i] = byte(q)
@@ -232,18 +229,6 @@ func appendQuantBody(dst []byte, v []float64, lo, hi float64, qbits int) ([]byte
 		v[i] = x - (lo + scale*float64(q))
 	}
 	return dst, true
-}
-
-// roundIndex is math.Round(y) clamped to [0, levels], for y ≥ 0 (−0
-// included) and below 2^52: the integer part plus one when the fraction,
-// which the subtraction takes exactly, is at least a half. It spares
-// math.Round's bit manipulation and a float-to-uint64 round trip.
-func roundIndex(y float64, levels int) int {
-	q := int(y)
-	if y-float64(q) >= 0.5 {
-		q++
-	}
-	return min(q, levels)
 }
 
 func quantBodyLen(n, qbits int) int {
@@ -323,16 +308,9 @@ func appendTopKBody(dst []byte, v []float64, k int, inner byte, qbits int) ([]by
 	case modeQuant:
 		lo, hi := 0.0, 0.0
 		if k > 0 {
-			// The first of equal extremes wins, as in compensate: unlike
-			// the min builtin, this keeps a leading +0 against a later −0.
 			lo, hi = kept[0], kept[0]
 			for _, x := range kept[1:] {
-				if x < lo {
-					lo = x
-				}
-				if x > hi {
-					hi = x
-				}
+				lo, hi = widen(lo, hi, x)
 			}
 		}
 		dst, ok = appendQuantBody(dst, kept, lo, hi, qbits)

