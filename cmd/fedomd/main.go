@@ -53,62 +53,69 @@ func debugHandler(agg *fedomd.TelemetryAggregator, build *fedomd.BuildInfo) http
 }
 
 func main() {
-	ds := flag.String("dataset", "cora", "dataset preset: cora, citeseer, computer, photo, coauthor-cs")
-	divisor := flag.Int("divisor", 8, "dataset shrink divisor (1 = paper scale)")
-	model := flag.String("model", fedomd.FedOMD, "model to train (see -list)")
-	parties := flag.Int("parties", 3, "number of federated parties M")
-	resolution := flag.Float64("resolution", 0, "Louvain resolution (0 = paper default per dataset)")
-	rounds := flag.Int("rounds", 100, "communication rounds")
-	patience := flag.Int("patience", 25, "early-stopping patience (0 = off)")
-	seed := flag.Int64("seed", 1, "random seed")
-	hidden := flag.Int("hidden", 64, "hidden width (FedOMD)")
-	layers := flag.Int("layers", 2, "hidden layers (FedOMD)")
-	alpha := flag.Float64("alpha", 0.0005, "orthogonality loss weight (FedOMD)")
-	beta := flag.Float64("beta", 10, "CMD loss weight (FedOMD)")
-	dpEps := flag.Float64("dp-epsilon", 0, "if > 0, apply (ε, δ)-DP to FedOMD statistic uploads")
-	dpDelta := flag.Float64("dp-delta", 1e-5, "DP δ (with -dp-epsilon)")
-	dpClip := flag.Float64("dp-clip", 1, "DP L2 clip bound (with -dp-epsilon)")
-	policy := flag.String("policy", "failfast", "failure policy: failfast, drop-round, or quarantine")
-	clientTimeout := flag.Duration("client-timeout", 0, "per-call client timeout (0 = unbounded)")
-	minClients := flag.Int("min-clients", 1, "per-round survivor quorum")
-	skipQuorum := flag.Bool("skip-on-quorum-loss", false, "skip a round losing quorum instead of aborting")
-	maxStrikes := flag.Int("max-strikes", 3, "consecutive failed rounds before quarantine benches a party")
-	cooldown := flag.Int("cooldown", 1, "base quarantine bench duration in rounds (doubles per re-bench)")
-	checkpoint := flag.String("checkpoint", "", "snapshot the server state to this file during the run")
-	checkpointEvery := flag.Int("checkpoint-every", 10, "rounds between checkpoints (with -checkpoint)")
-	resume := flag.String("resume", "", "resume from a checkpoint file written by -checkpoint")
-	chaosOn := flag.Bool("chaos", false, "wrap every party in a deterministic fault injector (FedOMD in-process runs)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (with -chaos)")
-	chaosErrRate := flag.Float64("chaos-err-rate", 0, "per-call transient failure probability (with -chaos)")
-	chaosCrashFrac := flag.Float64("chaos-crash-frac", 0, "fraction of parties crashing permanently (with -chaos)")
-	chaosCrashRound := flag.Int("chaos-crash-round", 3, "round the chosen parties crash at (with -chaos)")
-	chaosNaNRate := flag.Float64("chaos-nan-rate", 0, "per-upload NaN-poisoning probability (with -chaos)")
-	chaosLatency := flag.Duration("chaos-latency", 0, "injected per-call latency (with -chaos)")
-	chaosSlowFrac := flag.Float64("chaos-slow-frac", 0, "fraction of parties degraded to sustained stragglers (with -chaos)")
-	chaosSlowLatency := flag.Duration("chaos-slow-latency", 0, "per-call latency at the sustained-slow parties (with -chaos-slow-frac)")
-	aggregation := flag.String("aggregation", "", "round topology: sync (barriered, default) or async (buffered no-barrier)")
-	bufferK := flag.Int("buffer-k", 0, "async buffer threshold K (0 = half the fleet, rounded up)")
-	maxStaleness := flag.Int("max-staleness", 0, "async staleness eviction bound in rounds (0 = 8)")
-	stalenessAlpha := flag.Float64("staleness-alpha", 0, "async staleness discount exponent (0 = 1)")
-	bufferTimeout := flag.Duration("buffer-timeout", 0, "async per-round collect deadline (0 = wait for K or exhaustion)")
-	codecName := flag.String("codec", "", "parameter-payload codec: raw (default), delta (lossless), float32, quant, q8, q4")
-	quantBits := flag.Int("quant-bits", 0, "quantization width with -codec quant (8 or 4; 0 = 8)")
-	topK := flag.Float64("topk", 0, "keep only this fraction of delta entries per tensor (0 = off; needs a non-raw -codec)")
-	list := flag.Bool("list", false, "list models and datasets, then exit")
-	report := flag.Bool("report", false, "print a per-phase timing and comms report after the run")
-	trace := flag.String("trace", "", "write machine-readable JSONL telemetry events and trace spans to this file")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. :6060) for live profiling")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "fedomd:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, trains one configuration and prints its report. The trace
+// file and the debug server close on every return, failed runs included.
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("fedomd", flag.ExitOnError)
+	ds := fs.String("dataset", "cora", "dataset preset: cora, citeseer, computer, photo, coauthor-cs")
+	divisor := fs.Int("divisor", 8, "dataset shrink divisor (1 = paper scale)")
+	model := fs.String("model", fedomd.FedOMD, "model to train (see -list)")
+	parties := fs.Int("parties", 3, "number of federated parties M")
+	resolution := fs.Float64("resolution", 0, "Louvain resolution (0 = paper default per dataset)")
+	rounds := fs.Int("rounds", 100, "communication rounds")
+	patience := fs.Int("patience", 25, "early-stopping patience (0 = off)")
+	seed := fs.Int64("seed", 1, "random seed")
+	hidden := fs.Int("hidden", 64, "hidden width (FedOMD)")
+	layers := fs.Int("layers", 2, "hidden layers (FedOMD)")
+	alpha := fs.Float64("alpha", 0.0005, "orthogonality loss weight (FedOMD)")
+	beta := fs.Float64("beta", 10, "CMD loss weight (FedOMD)")
+	dpEps := fs.Float64("dp-epsilon", 0, "if > 0, apply (ε, δ)-DP to FedOMD statistic uploads")
+	dpDelta := fs.Float64("dp-delta", 1e-5, "DP δ (with -dp-epsilon)")
+	dpClip := fs.Float64("dp-clip", 1, "DP L2 clip bound (with -dp-epsilon)")
+	policy := fs.String("policy", "failfast", "failure policy: failfast, drop-round, or quarantine")
+	clientTimeout := fs.Duration("client-timeout", 0, "per-call client timeout (0 = unbounded)")
+	minClients := fs.Int("min-clients", 1, "per-round survivor quorum")
+	skipQuorum := fs.Bool("skip-on-quorum-loss", false, "skip a round losing quorum instead of aborting")
+	maxStrikes := fs.Int("max-strikes", 3, "consecutive failed rounds before quarantine benches a party")
+	cooldown := fs.Int("cooldown", 1, "base quarantine bench duration in rounds (doubles per re-bench)")
+	checkpoint := fs.String("checkpoint", "", "snapshot the server state to this file during the run")
+	checkpointEvery := fs.Int("checkpoint-every", 10, "rounds between checkpoints (with -checkpoint)")
+	resume := fs.String("resume", "", "resume from a checkpoint file written by -checkpoint")
+	chaosOn := fs.Bool("chaos", false, "wrap every party in a deterministic fault injector")
+	chaosSeed := fs.Int64("chaos-seed", 1, "fault-injection seed (with -chaos)")
+	chaosErrRate := fs.Float64("chaos-err-rate", 0, "per-call transient failure probability (with -chaos)")
+	chaosCrashFrac := fs.Float64("chaos-crash-frac", 0, "fraction of parties crashing permanently (with -chaos)")
+	chaosCrashRound := fs.Int("chaos-crash-round", 3, "round the chosen parties crash at (with -chaos)")
+	chaosNaNRate := fs.Float64("chaos-nan-rate", 0, "per-upload NaN-poisoning probability (with -chaos)")
+	chaosLatency := fs.Duration("chaos-latency", 0, "injected per-call latency (with -chaos)")
+	chaosSlowFrac := fs.Float64("chaos-slow-frac", 0, "fraction of parties degraded to sustained stragglers (with -chaos)")
+	chaosSlowLatency := fs.Duration("chaos-slow-latency", 0, "per-call latency at the sustained-slow parties (with -chaos-slow-frac)")
+	aggregation := fs.String("aggregation", "", "round topology: sync (barriered, default) or async (buffered no-barrier)")
+	bufferK := fs.Int("buffer-k", 0, "async buffer threshold K (0 = half the fleet, rounded up)")
+	maxStaleness := fs.Int("max-staleness", 0, "async staleness eviction bound in rounds (0 = 8)")
+	stalenessAlpha := fs.Float64("staleness-alpha", 0, "async staleness discount exponent (0 = 1)")
+	bufferTimeout := fs.Duration("buffer-timeout", 0, "async per-round collect deadline (0 = wait for K or exhaustion)")
+	codecName := fs.String("codec", "", "parameter-payload codec: raw (default), delta (lossless), float32, quant, q8, q4")
+	quantBits := fs.Int("quant-bits", 0, "quantization width with -codec quant (8 or 4; 0 = 8)")
+	topK := fs.Float64("topk", 0, "keep only this fraction of delta entries per tensor (0 = off; needs a non-raw -codec)")
+	list := fs.Bool("list", false, "list models and datasets, then exit")
+	report := fs.Bool("report", false, "print a per-phase timing and comms report after the run")
+	trace := fs.String("trace", "", "write machine-readable JSONL telemetry events and trace spans to this file")
+	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof, expvar and /metrics on this address (e.g. :6060) for live profiling")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		fmt.Println("models: ", fedomd.Models())
 		fmt.Println("datasets:", fedomd.Datasets())
-		return
-	}
-
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "fedomd:", err)
-		os.Exit(1)
+		return nil
 	}
 
 	// Telemetry sinks: an in-memory aggregator for -report and -debug-addr
@@ -122,12 +129,17 @@ func main() {
 	}
 	var traceFile *fedomd.TraceWriter
 	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			fail(err)
+		f, ferr := os.Create(*trace)
+		if ferr != nil {
+			return ferr
 		}
 		traceFile = fedomd.NewTraceWriter(f)
 		sinks = append(sinks, traceFile)
+		defer func() { // err is run's result: a failed Close fails a run that succeeded
+			if cerr := traceFile.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	recorder := fedomd.MultiRecorder(sinks...)
 
@@ -160,7 +172,7 @@ func main() {
 	if *debugAddr != "" {
 		srv, err := fedomd.StartHTTPServer(*debugAddr, debugHandler(agg, &build))
 		if err != nil {
-			fail(fmt.Errorf("debug server: %w", err))
+			return fmt.Errorf("debug server: %w", err)
 		}
 		fmt.Printf("debug server on %s (/debug/pprof, /debug/vars, /metrics)\n", srv.Addr())
 		// Drain the listener at exit, and on SIGINT before dying, so
@@ -173,16 +185,19 @@ func main() {
 		defer shutdown()
 		sigc := make(chan os.Signal, 1)
 		signal.Notify(sigc, os.Interrupt)
+		defer close(sigc) // after Stop, which guarantees no further sends
+		defer signal.Stop(sigc)
 		go func() {
-			<-sigc
-			shutdown()
-			os.Exit(130)
+			if _, ok := <-sigc; ok {
+				shutdown()
+				os.Exit(130)
+			}
 		}()
 	}
 
 	g, err := fedomd.GenerateDataset(*ds, *divisor, *seed)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Printf("dataset %s: %s\n", *ds, g.Summary())
 
@@ -195,14 +210,14 @@ func main() {
 	}
 	partiesList, err := fedomd.Partition(g, *parties, res, *seed+1)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Printf("partitioned into %d parties (non-iid score %.3f)\n",
 		len(partiesList), fedomd.NonIIDScore(partiesList, g.NumClasses))
 
 	failPolicy, err := fedomd.ParseFailurePolicy(*policy)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	opts := fedomd.RunOptions{
 		Rounds:          *rounds,
@@ -275,7 +290,7 @@ func main() {
 		result, err = fedomd.TrainBaseline(*model, partiesList, opts, *seed+2)
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	step := len(result.History) / 10
@@ -322,11 +337,6 @@ func main() {
 	if tracer != nil {
 		spans, events := tracer.Counts()
 		fmt.Printf("\nrun %s traced: %d spans, %d events\n", result.RunID, spans, events)
-	}
-	if traceFile != nil {
-		if err := traceFile.Close(); err != nil {
-			fail(err)
-		}
 		fmt.Printf("trace written to %s\n", *trace)
 	}
 	if *report {
@@ -334,4 +344,5 @@ func main() {
 		fmt.Println(build.String())
 		agg.Report(os.Stdout)
 	}
+	return nil
 }

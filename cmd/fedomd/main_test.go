@@ -6,9 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fedomd"
+	"fedomd/internal/fed"
 )
 
 // TestDebugHandler serves the -debug-addr surface on httptest and checks
@@ -60,5 +63,60 @@ func TestDebugHandler(t *testing.T) {
 	}
 	if problems := fedomd.LintExposition(bytes.NewReader(metrics)); len(problems) > 0 {
 		t.Errorf("/metrics exposition problems:\n%v\n%s", problems, metrics)
+	}
+}
+
+// traceHasRunSpan parses every line of a JSONL trace file, failing on a line
+// that is not whole JSON, and reports whether a fed/run span is among them.
+func traceHasRunSpan(t *testing.T, path string) bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for i, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var rec struct{ Type, Name string }
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("trace line %d does not parse: %v\n%s", i+1, err, line)
+		}
+		found = found || (rec.Type == "span" && rec.Name == "fed/run")
+	}
+	return found
+}
+
+// TestRunSmoke drives the CLI in process twice: a baseline run with async
+// aggregation, a chaos crash under quarantine, checkpoints and a trace, which
+// must leave a fed/run span and a readable checkpoint; then a FedOMD run that
+// a chaos crash fails under failfast, whose trace must still be whole.
+func TestRunSmoke(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.jsonl")
+	ckpt := filepath.Join(dir, "ck.gob")
+	err := run([]string{"-model", "FedGCN", "-dataset", "cora", "-divisor", "12", "-rounds", "3",
+		"-aggregation", "async", "-policy", "quarantine", "-chaos", "-chaos-crash-frac", "0.5",
+		"-chaos-crash-round", "1", "-checkpoint", ckpt, "-checkpoint-every", "1", "-trace", trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !traceHasRunSpan(t, trace) {
+		t.Error("baseline run traced no fed/run span")
+	}
+	ck, err := fed.LoadCheckpointFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Round != 3 {
+		t.Errorf("checkpoint at round %d, want 3", ck.Round)
+	}
+
+	failTrace := filepath.Join(dir, "fail.jsonl")
+	err = run([]string{"-dataset", "cora", "-divisor", "12", "-rounds", "4", "-chaos",
+		"-chaos-crash-frac", "0.5", "-chaos-crash-round", "2", "-trace", failTrace})
+	if err == nil {
+		t.Fatal("a chaos crash under failfast did not fail the run")
+	}
+	if !traceHasRunSpan(t, failTrace) {
+		t.Error("failed run traced no fed/run span")
 	}
 }

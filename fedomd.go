@@ -314,8 +314,8 @@ type RunOptions struct {
 	Spec *ModelSpec
 
 	// Chaos, when set, wraps every client in a deterministic fault injector
-	// before the run starts (in-process runs only: TrainFedOMD and
-	// TrainFedOMDPrivate).
+	// before the run starts (in-process runs only: every trainer but
+	// CoordinateFedOMD).
 	Chaos *ChaosOptions
 
 	// Codec selects the parameter-payload compression tier: "" or "raw"
@@ -346,16 +346,13 @@ type RunOptions struct {
 	BufferTimeout  time.Duration
 }
 
-func (o RunOptions) withDefaults() RunOptions {
+// fedConfig lowers the options to the runtime's Config: it applies the
+// 200-round default, loads the resume checkpoint and installs the file
+// checkpointer when paths are set.
+func (o RunOptions) fedConfig() (fed.Config, error) {
 	if o.Rounds == 0 {
 		o.Rounds = 200
 	}
-	return o
-}
-
-// fedConfig lowers the options to the runtime's Config, loading the resume
-// checkpoint and installing the file checkpointer when paths are set.
-func (o RunOptions) fedConfig() (fed.Config, error) {
 	cfg := fed.Config{
 		Rounds:          o.Rounds,
 		Patience:        o.Patience,
@@ -417,55 +414,25 @@ func (o RunOptions) wrapChaos(clients []fed.Client) []fed.Client {
 	return chaos.WrapFleet(clients, cc)
 }
 
-// fedOMDSpec stamps the architecture a FedOMD run trains onto the options'
-// checkpoint header, preserving any dataset identity the caller seeded.
-func fedOMDSpec(parties []Party, cfg Config, opts RunOptions) *ModelSpec {
-	spec := &ModelSpec{}
-	if opts.Spec != nil {
-		*spec = *opts.Spec
+// run is where every in-process trainer ends: the options are lowered once,
+// chaos wraps the fleet, and the clients train federated or, for LocGCN,
+// local-only (which refuses the options it cannot honour).
+func run(opts RunOptions, clients []fed.Client, localOnly bool) (*Result, error) {
+	cfg, err := opts.fedConfig()
+	if err != nil {
+		return nil, err
 	}
-	spec.SpecVersion = fed.SpecVersion
-	spec.Model = "fedomd"
-	for _, p := range parties {
-		if p.Graph.NumNodes() > 0 {
-			spec.Features = p.Graph.NumFeatures()
-			spec.Classes = p.Graph.NumClasses
-			break
-		}
+	clients = opts.wrapChaos(clients)
+	if localOnly {
+		return fed.RunLocalOnly(cfg, clients)
 	}
-	spec.Hidden = cfg.Hidden
-	spec.HiddenLayers = cfg.HiddenLayers
-	spec.Dropout = cfg.Dropout
-	spec.SpectralBound = true
-	return spec
+	return fed.Run(cfg, clients)
 }
 
 // TrainFedOMD builds one FedOMD client per party and runs federated
 // training under Algorithm 1 (FedAvg + the 2-round moment exchange).
 func TrainFedOMD(parties []Party, cfg Config, opts RunOptions, seed int64) (*Result, error) {
-	opts = opts.withDefaults()
-	opts.Spec = fedOMDSpec(parties, cfg, opts)
-	var clients []fed.Client
-	idx := 0
-	for _, p := range parties {
-		if p.Graph.NumNodes() == 0 {
-			continue
-		}
-		c, err := core.NewClient(fmt.Sprintf("party-%d", idx), p.Graph, cfg, seed+int64(idx)+1)
-		if err != nil {
-			return nil, err
-		}
-		clients = append(clients, c)
-		idx++
-	}
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("fedomd: no non-empty parties")
-	}
-	cfg2, err := opts.fedConfig()
-	if err != nil {
-		return nil, err
-	}
-	return fed.Run(cfg2, opts.wrapChaos(clients))
+	return trainFedOMD(parties, cfg, nil, opts, seed)
 }
 
 // DPConfig re-exports the Gaussian-mechanism configuration for private
@@ -476,54 +443,60 @@ type DPConfig = fed.DPConfig
 // clipped and noised under (ε, δ)-differential privacy. Weight uploads are
 // unchanged (secure aggregation is orthogonal to this mechanism).
 func TrainFedOMDPrivate(parties []Party, cfg Config, dp DPConfig, opts RunOptions, seed int64) (*Result, error) {
-	opts = opts.withDefaults()
-	opts.Spec = fedOMDSpec(parties, cfg, opts)
+	return trainFedOMD(parties, cfg, &dp, opts, seed)
+}
+
+// trainFedOMD builds one FedOMD client per non-empty party, wrapped in the
+// DP mechanism when dp is set, and runs them under a checkpoint header that
+// carries the architecture beside any dataset identity the caller seeded.
+func trainFedOMD(parties []Party, cfg Config, dp *DPConfig, opts RunOptions, seed int64) (*Result, error) {
+	spec := ModelSpec{SpecVersion: fed.SpecVersion, Model: "fedomd", Hidden: cfg.Hidden,
+		HiddenLayers: cfg.HiddenLayers, Dropout: cfg.Dropout, SpectralBound: true}
+	if s := opts.Spec; s != nil {
+		spec.Dataset, spec.Divisor, spec.DataSeed = s.Dataset, s.Divisor, s.DataSeed
+	}
 	var clients []fed.Client
-	idx := 0
 	for _, p := range parties {
 		if p.Graph.NumNodes() == 0 {
 			continue
 		}
-		c, err := core.NewClient(fmt.Sprintf("party-%d", idx), p.Graph, cfg, seed+int64(idx)+1)
+		idx := int64(len(clients))
+		if idx == 0 {
+			spec.Features, spec.Classes = p.Graph.NumFeatures(), p.Graph.NumClasses
+		}
+		oc, err := core.NewClient(fmt.Sprintf("party-%d", idx), p.Graph, cfg, seed+idx+1)
 		if err != nil {
 			return nil, err
 		}
-		private, err := fed.WithDP(c, dp, rand.New(rand.NewSource(seed+1000+int64(idx))))
-		if err != nil {
-			return nil, err
+		var c fed.Client = oc
+		if dp != nil {
+			if c, err = fed.WithDP(oc, *dp, rand.New(rand.NewSource(seed+1000+idx))); err != nil {
+				return nil, err
+			}
 		}
-		clients = append(clients, private)
-		idx++
+		clients = append(clients, c)
 	}
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("fedomd: no non-empty parties")
 	}
-	fcfg, err := opts.fedConfig()
-	if err != nil {
-		return nil, err
-	}
-	return fed.Run(fcfg, opts.wrapChaos(clients))
+	opts.Spec = &spec
+	return run(opts, clients, false)
 }
 
 // TrainBaseline trains one of the named comparison models (see Models) over
-// the parties. LocGCN trains without any federation, as in the paper.
+// the parties with every RunOptions field applied. FedOMD trains as
+// TrainFedOMD with DefaultConfig; LocGCN trains without any federation, as
+// in the paper, and refuses the options a local-only run cannot honour.
 func TrainBaseline(model string, parties []Party, opts RunOptions, seed int64) (*Result, error) {
-	opts = opts.withDefaults()
-	runner := experiments.NewRunner(experiments.Scale{
-		Name:           "api",
-		DatasetDivisor: 1,
-		Rounds:         opts.Rounds,
-		Patience:       opts.Patience,
-		Seeds:          1,
-		Hidden:         64,
-		LocalEpochs:    1,
-	}, seed).WithRecorder(opts.Recorder)
-	co, err := codec.Parse(opts.Codec, opts.QuantBits, opts.TopK)
+	if model == FedOMD {
+		return TrainFedOMD(parties, DefaultConfig(), opts, seed)
+	}
+	runner := experiments.NewRunner(experiments.Scale{Hidden: 64, LocalEpochs: 1}, seed)
+	clients, localOnly, err := runner.Clients(model, parties, seed)
 	if err != nil {
 		return nil, err
 	}
-	runner.Codec = co
-	return runner.RunModelPublic(model, parties, seed, opts.Sequential)
+	return run(opts, clients, localOnly)
 }
 
 // ServeParty builds a FedOMD client over one party's local subgraph and
@@ -554,7 +527,6 @@ func ServePartyOpts(addr, name string, party Party, cfg Config, seed int64, opts
 // (faults on a distributed run are injected at the link layer instead — see
 // internal/chaos's Conn and FlakyListener).
 func CoordinateFedOMD(ln net.Listener, n int, opts RunOptions) (*Result, error) {
-	opts = opts.withDefaults()
 	cfg, err := opts.fedConfig()
 	if err != nil {
 		return nil, err

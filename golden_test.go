@@ -91,12 +91,7 @@ func goldenTrajectory(t *testing.T) []byte {
 	opts := RunOptions{Rounds: 10, Patience: 0}
 	var out bytes.Buffer
 	for _, model := range Models() {
-		var res *Result
-		if model == FedOMD {
-			res, err = TrainFedOMD(parties, DefaultConfig(), opts, seed+2)
-		} else {
-			res, err = TrainBaseline(model, parties, opts, seed+2)
-		}
+		res, err := TrainBaseline(model, parties, opts, seed+2)
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}

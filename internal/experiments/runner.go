@@ -10,20 +10,15 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
-	"time"
 
 	"fedomd/internal/baselines"
-	"fedomd/internal/codec"
 	"fedomd/internal/core"
 	"fedomd/internal/dataset"
 	"fedomd/internal/fed"
 	"fedomd/internal/graph"
 	"fedomd/internal/metrics"
-	"fedomd/internal/obs"
 	"fedomd/internal/partition"
-	"fedomd/internal/telemetry"
 )
 
 // Model names, in the paper's table order.
@@ -93,35 +88,16 @@ type buildOpts struct {
 type Runner struct {
 	Scale    Scale
 	BaseSeed int64
-	// Recorder, when set, is threaded into every federated run it drives
-	// (phase spans, comms counters) and additionally receives per-cell
-	// wall-time histograms ("exp/cell_seconds/<model>/<dataset>") so
-	// experiment tables can report wall-time columns. Nil disables.
-	Recorder telemetry.Recorder
 	// Jobs bounds how many grid cells run concurrently (0 or negative means
 	// GOMAXPROCS). Every cell derives all of its randomness from the seed
 	// schedule — never from the scheduler — so the tables are byte-identical
 	// at any Jobs value.
 	Jobs int
-	// Codec is threaded into every federated run this runner drives (the
-	// zero value leaves payloads raw). The Delta tier is lossless, so even
-	// accuracy tables are unchanged by it.
-	Codec codec.Options
-	// Tracer, when set, is threaded into every federated run so each cell's
-	// rounds and phases land on the shared trace stream. Nil disables (no
-	// timing overhead beyond the runs' own telemetry).
-	Tracer *obs.Tracer
 }
 
 // NewRunner returns a Runner with the given scale and base seed.
 func NewRunner(s Scale, baseSeed int64) *Runner {
 	return &Runner{Scale: s, BaseSeed: baseSeed}
-}
-
-// WithRecorder sets the telemetry sink and returns the runner for chaining.
-func (r *Runner) WithRecorder(rec telemetry.Recorder) *Runner {
-	r.Recorder = rec
-	return r
 }
 
 func (r *Runner) jobs() int {
@@ -243,18 +219,10 @@ func (r *Runner) buildClients(model string, parties []partition.Party, seed int6
 	return clients, localOnly, nil
 }
 
-// RunModelPublic federates the named model over parties with default model
-// options — the entry point the public fedomd facade uses.
-func (r *Runner) RunModelPublic(model string, parties []partition.Party, seed int64, sequential bool) (*fed.Result, error) {
-	clients, localOnly, err := r.buildClients(model, parties, seed, buildOpts{})
-	if err != nil {
-		return nil, err
-	}
-	cfg := fed.Config{Rounds: r.Scale.Rounds, Patience: r.Scale.Patience, Sequential: sequential, Recorder: r.Recorder, Codec: r.Codec, Tracer: r.Tracer}
-	if localOnly {
-		return fed.RunLocalOnly(cfg, clients)
-	}
-	return fed.Run(cfg, clients)
+// Clients builds the named model's clients over parties with default model
+// options and reports whether it trains without federation (LocGCN).
+func (r *Runner) Clients(model string, parties []partition.Party, seed int64) ([]fed.Client, bool, error) {
+	return r.buildClients(model, parties, seed, buildOpts{})
 }
 
 // runModel federates the named model over parties and returns the result.
@@ -263,7 +231,7 @@ func (r *Runner) runModel(model string, parties []partition.Party, seed int64, b
 	if err != nil {
 		return nil, err
 	}
-	cfg := fed.Config{Rounds: r.Scale.Rounds, Patience: r.Scale.Patience, Recorder: r.Recorder, Codec: r.Codec, Tracer: r.Tracer}
+	cfg := fed.Config{Rounds: r.Scale.Rounds, Patience: r.Scale.Patience}
 	if localOnly {
 		return fed.RunLocalOnly(cfg, clients)
 	}
@@ -273,7 +241,6 @@ func (r *Runner) runModel(model string, parties []partition.Party, seed int64, b
 // cell measures one table cell: mean±std of test accuracy (at best
 // validation) over the seed schedule.
 func (r *Runner) cell(model, ds string, m int, resolution float64, bo buildOpts) (metrics.Cell, error) {
-	rec := telemetry.Or(r.Recorder)
 	var c metrics.Cell
 	for s := 0; s < r.Scale.Seeds; s++ {
 		seed := r.BaseSeed + int64(1000*s)
@@ -285,16 +252,9 @@ func (r *Runner) cell(model, ds string, m int, resolution float64, bo buildOpts)
 		if err != nil {
 			return c, err
 		}
-		var start time.Time
-		if rec.Enabled() {
-			start = time.Now()
-		}
 		res, err := r.runModel(model, parties, seed+13, bo)
 		if err != nil {
 			return c, err
-		}
-		if rec.Enabled() {
-			rec.Observe("exp/cell_seconds/"+metricSegment(model)+"/"+metricSegment(ds), time.Since(start).Seconds()) //fedomdvet:ignore per-cell series over the fixed model/dataset grid; segments sanitized to snake_case
 		}
 		c.Add(res.TestAtBestVal)
 	}
@@ -369,32 +329,6 @@ func (r *Runner) runCells(specs []cellSpec) ([]metrics.Cell, error) {
 		}
 	}
 	return cells, nil
-}
-
-// metricSegment sanitizes a model or dataset name into one snake_case
-// telemetry-key segment: lowercase, with every run of other characters
-// collapsed to a single underscore ("FedSage+" → "fedsage"). Caught by
-// fedomdvet's telemetrykey analyzer: display names used to leak into key
-// names verbatim.
-func metricSegment(s string) string {
-	var b strings.Builder
-	pendingSep := false
-	for _, r := range strings.ToLower(s) {
-		switch {
-		case (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9'):
-			if pendingSep && b.Len() > 0 {
-				b.WriteByte('_')
-			}
-			pendingSep = false
-			b.WriteRune(r)
-		default:
-			pendingSep = true
-		}
-	}
-	if b.Len() == 0 {
-		return "unknown"
-	}
-	return b.String()
 }
 
 // defaultResolution mirrors §5.1: the Louvain default (1.0) on the citation

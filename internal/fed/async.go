@@ -87,8 +87,7 @@ type asyncUpdate struct {
 
 	loss      float64
 	params    *nn.Params
-	pooled    bool  // params drawn from the codec buffer pool
-	encoded   bool  // an uplink frame was encoded (residuals advanced)
+	decoded   bool  // params decoded from an uplink frame: pooled, residuals advanced
 	encBytes  int64 // encoded upload size; -1 under raw accounting
 	upBytes   int64
 	downBytes int64
@@ -158,14 +157,14 @@ func (eng *asyncEngine) discount(staleness int) float64 {
 	return 1 / math.Pow(1+float64(staleness), eng.alpha)
 }
 
-// discard releases an update's pooled buffers and, when an uplink frame was
-// encoded but never applied, drops the party's error-feedback residuals: the
+// discard drops an update that never folds. A decoded one returns its
+// buffers to the pool and resets the party's error-feedback residuals: the
 // residual map only has meaning against the chain of frames the server
 // actually folded, so an evicted or rejected frame would silently corrupt
 // the party's next delta encode.
 func (eng *asyncEngine) discard(u *asyncUpdate) {
 	eng.release(u)
-	if u.encoded && eng.st.cs != nil {
+	if u.decoded && eng.st.cs != nil {
 		eng.st.cs.up[u.party].Reset()
 	}
 }
@@ -173,7 +172,7 @@ func (eng *asyncEngine) discard(u *asyncUpdate) {
 // release frees a folded update's pooled buffers (its frame WAS applied, so
 // residuals stay).
 func (eng *asyncEngine) release(u *asyncUpdate) {
-	if u.pooled && u.params != nil {
+	if u.decoded && u.params != nil {
 		codec.PutParams(u.params)
 		u.params = nil
 	}
@@ -310,14 +309,13 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 		return e
 	})
 	u.trainSecs = time.Since(t0).Seconds()
+	tsp.End()
 	if err != nil {
 		clientSpan.Cancel()
-		tsp.End()
 		u.err = fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
 		return
 	}
 	clientSpan.End()
-	tsp.End()
 	u.loss = loss
 
 	usp := st.tr.Start(ctx, obs.SpanClientUpload)
@@ -331,8 +329,7 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 		} else {
 			p = dec
 			u.params = dec // discard() releases it if a later screen fails
-			u.pooled = true
-			u.encoded = true
+			u.decoded = true
 			u.encBytes = enc
 		}
 	}

@@ -245,7 +245,7 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 	}
 
 	eng.buffer = []*asyncUpdate{
-		{party: 0, dispatch: 2, params: paramsAt(100), encoded: true, encBytes: 9},
+		{party: 0, dispatch: 2, params: paramsAt(100), decoded: true, encBytes: 9},
 		{party: 1, dispatch: 5, params: paramsAt(7), encBytes: -1},
 	}
 	out, err := eng.fold(5, paramsAt(0)) // staleness 3 > 2
@@ -561,7 +561,7 @@ func TestAsyncBufferSnapshotRoundTrip(t *testing.T) {
 	if u.means[0].At(0, 1) != -1.5 || u.moms[0][0].At(0, 0) != 0.25 {
 		t.Fatal("restored statistics wrong")
 	}
-	if u.pooled || u.encoded || u.encBytes != -1 {
+	if u.decoded || u.encBytes != -1 {
 		t.Fatalf("restored update must be raw and unpooled: %+v", u)
 	}
 	if eng2.lastDispatch[0] != 4 || eng2.lastDispatch[1] != 3 {

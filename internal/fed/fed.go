@@ -658,11 +658,14 @@ func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *rou
 			return e
 		})
 		out.trained[s].secs = time.Since(t0).Seconds()
-		clientSpan.End()
 		tsp.End()
 		if err != nil {
+			// A failed call is no training-latency sample (a timed-out one
+			// would book the whole timeout).
+			clientSpan.Cancel()
 			return fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
 		}
+		clientSpan.End()
 		losses[s] = loss
 		return nil
 	})
@@ -806,12 +809,35 @@ func (st *runState) finalScore(global *nn.Params) error {
 // weight exchange, accuracy is the sample-weighted average of the local
 // models, mirroring the paper's "averages the accuracy across various
 // parties".
+//
+// It reads Rounds, Patience and Sequential, and refuses by name what it
+// cannot honour: an enabled Codec, AggAsync, a Policy other than FailFast, a
+// ClientTimeout, a partial ClientFraction, a CheckpointWriter or a Resume;
+// the knobs those gate are then moot. The observability fields Recorder,
+// Tracer, Observer and RunID, and EvalEvery, are left unused: a local-only
+// run emits no telemetry and scores every round.
 func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("fed: no clients")
 	}
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("fed: Rounds must be positive, got %d", cfg.Rounds)
+	}
+	for _, f := range []struct {
+		set   bool
+		field string
+	}{
+		{cfg.Codec.Enabled(), "Codec"},
+		{cfg.Aggregation != AggSync, "Aggregation"},
+		{cfg.Policy != FailFast, "Policy"},
+		{cfg.ClientTimeout != 0, "ClientTimeout"},
+		{cfg.ClientFraction != 0 && cfg.ClientFraction != 1, "ClientFraction"},
+		{cfg.CheckpointWriter != nil, "CheckpointWriter"},
+		{cfg.Resume != nil, "Resume"},
+	} {
+		if f.set {
+			return nil, fmt.Errorf("fed: a local-only run cannot honour %s", f.field)
+		}
 	}
 	// A bare run state: it scores the clients and keeps the best round, with
 	// no telemetry, tracing or codec.

@@ -3,9 +3,12 @@ package fed
 import (
 	"errors"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"fedomd/internal/codec"
 	"fedomd/internal/mat"
 	"fedomd/internal/moments"
 	"fedomd/internal/nn"
@@ -182,6 +185,35 @@ func TestRunLocalOnlyNoBroadcast(t *testing.T) {
 	}
 	if res.TotalBytesUp != 0 {
 		t.Fatal("local-only run counted communication")
+	}
+}
+
+// TestRunLocalOnlyRefusesWhatItCannotHonour: every option a local-only run
+// would otherwise drop is refused by name, while the failure policy's tuning
+// (moot under FailFast) and a full ClientFraction still run.
+func TestRunLocalOnlyRefusesWhatItCannotHonour(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Codec", Config{Codec: codec.Options{Kind: codec.Delta}}},
+		{"Aggregation", Config{Aggregation: AggAsync}},
+		{"Policy", Config{Policy: DropRound}},
+		{"ClientTimeout", Config{ClientTimeout: time.Second}},
+		{"ClientFraction", Config{ClientFraction: 0.5}},
+		{"CheckpointWriter", Config{CheckpointEvery: 1, CheckpointWriter: func(*Checkpoint) error { return nil }}},
+		{"Resume", Config{Resume: &Checkpoint{}}},
+		{"", Config{MinClients: 1, MaxStrikes: 3, CooldownRounds: 1, CheckpointEvery: 10, ClientFraction: 1}},
+	} {
+		cfg := tc.cfg
+		cfg.Rounds = 1
+		_, err := RunLocalOnly(cfg, []Client{newFakeClient("a", 1, 0)})
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("defaults refused: %v", err)
+		case tc.field != "" && (err == nil || !strings.Contains(err.Error(), tc.field)):
+			t.Errorf("%s: err = %v, want a refusal naming it", tc.field, err)
+		}
 	}
 }
 

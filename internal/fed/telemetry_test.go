@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"fedomd/internal/mat"
@@ -50,6 +52,32 @@ func TestRunRecordsTelemetry(t *testing.T) {
 	}
 	if v, ok := agg.GaugeValue(MetricValAcc); !ok || v != res.History[rounds-1].ValAcc {
 		t.Fatalf("val acc gauge = %v,%v want %v", v, ok, res.History[rounds-1].ValAcc)
+	}
+}
+
+// TestFailedTrainIsNoLatencySample runs a fleet with one party whose every
+// TrainLocal fails under DropRound, on both schedules: only the calls that
+// succeeded may land in the per-client train histogram.
+func TestFailedTrainIsNoLatencySample(t *testing.T) {
+	for _, mode := range []AggregationMode{AggSync, AggAsync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			agg := telemetry.NewAggregator()
+			a, b := newFakeClient("a", 1, 0), newFakeClient("b", 1, 0)
+			bad := newFakeClient("bad", 1, 0)
+			bad.trainErr = errors.New("injected train failure")
+			_, err := Run(Config{Rounds: 3, Policy: DropRound, Aggregation: mode, Recorder: agg},
+				[]Client{a, b, bad})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if atomic.LoadInt32(&bad.trainCalls) == 0 {
+				t.Fatal("the failing party was never asked to train")
+			}
+			ok := int64(atomic.LoadInt32(&a.trainCalls) + atomic.LoadInt32(&b.trainCalls))
+			if s, _ := agg.Histogram(MetricClientTrainSecs); s.Count != ok {
+				t.Fatalf("client train samples = %d, want the %d successful calls", s.Count, ok)
+			}
+		})
 	}
 }
 
