@@ -17,14 +17,26 @@ import (
 )
 
 func main() {
-	ds := flag.String("dataset", "cora", "dataset preset")
-	divisor := flag.Int("divisor", 1, "shrink divisor (1 = paper scale)")
-	parties := flag.Int("parties", 0, "if > 0, also show the Louvain party label distribution")
-	resolution := flag.Float64("resolution", 1.0, "Louvain resolution")
-	seed := flag.Int64("seed", 1, "random seed")
-	out := flag.String("out", "", "write the generated graph (with masks) to this JSON file")
-	in := flag.String("in", "", "load the graph from this JSON file instead of generating")
-	flag.Parse()
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "datagen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command with its arguments, minus the process exit, so tests
+// can call it in process.
+func run(args []string) error {
+	fs := flag.NewFlagSet("datagen", flag.ExitOnError)
+	ds := fs.String("dataset", "cora", "dataset preset")
+	divisor := fs.Int("divisor", 1, "shrink divisor (1 = paper scale)")
+	parties := fs.Int("parties", 0, "if > 0, also show the Louvain party label distribution")
+	resolution := fs.Float64("resolution", 1.0, "Louvain resolution")
+	seed := fs.Int64("seed", 1, "random seed")
+	out := fs.String("out", "", "write the generated graph (with masks) to this JSON file")
+	in := fs.String("in", "", "load the graph from this JSON file instead of generating")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var (
 		g   *fedomd.Graph
@@ -36,13 +48,11 @@ func main() {
 		g, err = fedomd.GenerateDataset(*ds, *divisor, *seed)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
+		return err
 	}
 	if *out != "" {
 		if err := fedomd.SaveGraph(g, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Println("wrote", *out)
 	}
@@ -54,8 +64,7 @@ func main() {
 	if *parties > 0 {
 		ps, err := fedomd.Partition(g, *parties, *resolution, *seed+1)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Printf("\nLouvain cut into %d parties (resolution %g, non-iid score %.3f):\n",
 			*parties, *resolution, fedomd.NonIIDScore(ps, g.NumClasses))
@@ -64,4 +73,5 @@ func main() {
 				i, p.Graph.NumNodes(), p.Graph.NumEdges(), p.Graph.LabelHistogram())
 		}
 	}
+	return nil
 }

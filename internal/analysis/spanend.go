@@ -9,23 +9,22 @@ import (
 )
 
 // SpanEnd enforces the span lifecycle contract of the tracing plane
-// (DESIGN.md §11): every span obtained from telemetry.StartSpan,
-// (*obs.Tracer).Start or (*obs.Tracer).Root must reach End() — or
-// telemetry's Cancel(), for abandoning a timing sample on a failure path —
-// on every path out of the scope that started it, including error returns.
-// An obs span that never Ends never emits its trace record, which silently
-// corrupts the parent/child tree TestDistributedTraceTree reconstructs; a
-// telemetry span that never Ends loses its histogram sample.
+// (DESIGN.md §11): every span obtained from (obs.Spans).Start must reach
+// End() — or Fail(), which retires a failed operation's span without a
+// latency sample — on every path out of the scope that started it,
+// including error returns. A span that never Ends never emits its trace
+// record, which silently corrupts the parent/child tree
+// TestDistributedTraceTree reconstructs, and loses its histogram sample.
 //
 // The check is a cfg dataflow (DESIGN.md §13) mirroring poolpair: starts
-// create a live fact, End/Cancel retire it (must-ended ANDs at joins),
+// create a live fact, End/Fail retire it (must-ended ANDs at joins),
 // deferred Ends and visible escapes (returning or storing the span, passing
 // it to a call) retire the obligation, and any return/break/scope-exit
 // reached with a live un-ended span is reported. Restarting into a live
 // span's variable loses the previous span and is reported at the restart.
 var SpanEnd = &Analyzer{
 	Name: "spanend",
-	Doc:  "every telemetry/obs span must reach End (or Cancel) on all paths, including error returns",
+	Doc:  "every obs span must reach End (or Fail) on all paths, including error returns",
 	Run:  runSpanEnd,
 }
 
@@ -33,20 +32,17 @@ var SpanEnd = &Analyzer{
 // retire the obligation on their receiver.
 var (
 	spanStartFuncs = map[string]bool{
-		pathTelemetry + ".StartSpan": true,
-		pathObs + ".Tracer.Start":    true,
-		pathObs + ".Tracer.Root":     true,
+		pathObs + ".Spans.Start": true,
 	}
 	spanEndFuncs = map[string]bool{
-		pathTelemetry + ".Span.End":    true,
-		pathTelemetry + ".Span.Cancel": true,
-		pathObs + ".Span.End":          true,
+		pathObs + ".Span.End":  true,
+		pathObs + ".Span.Fail": true,
 	}
 )
 
 func runSpanEnd(p *Pass) {
-	if p.Pkg.Path() == pathTelemetry || p.Pkg.Path() == pathObs {
-		// The tracing packages' own plumbing constructs and forwards spans by
+	if p.Pkg.Path() == pathObs {
+		// The tracing package's own plumbing constructs and forwards spans by
 		// design.
 		return
 	}
@@ -58,7 +54,7 @@ func runSpanEnd(p *Pass) {
 // spanState is the abstract state of one tracked span at a program point.
 type spanState struct {
 	live     bool // started; the End obligation is with this scope
-	ended    bool // End/Cancel executed on every path reaching this point
+	ended    bool // End/Fail executed on every path reaching this point
 	deferred bool // a registered defer will End it at function exit
 	escaped  bool // stored/returned/passed on: obligation transferred
 }
@@ -307,7 +303,7 @@ func (w *spanWalker) handleDefer(s *ast.DeferStmt, env *spanEnv) {
 	w.markEscapes(call, env)
 }
 
-// deferredEndTargets collects the objects whose End/Cancel is called
+// deferredEndTargets collects the objects whose End/Fail is called
 // anywhere under n.
 func deferredEndTargets(info *types.Info, n ast.Node) map[types.Object]bool {
 	out := map[types.Object]bool{}

@@ -16,7 +16,7 @@ import (
 // snake_case — the span name already carries the pkg/ prefix.
 //
 // The telemetry and obs packages themselves are exempt: their fan-out
-// plumbing (multi, Span.End, Tracer.start) forwards caller-supplied names
+// plumbing (multi, Span.End, Spans.Start) forwards caller-supplied names
 // through variables by design.
 var TelemetryKey = &Analyzer{
 	Name: "telemetrykey",
@@ -27,17 +27,15 @@ var TelemetryKey = &Analyzer{
 // telemetryNameArg maps the telemetry entry points to the index of their
 // name parameter.
 var telemetryNameArg = map[string]int{
-	"StartSpan":  1,
 	"NewCounter": 0,
 	"Count":      0,
 	"Gauge":      0,
 	"Observe":    0,
 }
 
-// obsNameArg maps the obs trace entry points to the index of their span or
-// event name parameter.
+// obsNameArg maps the obs entry points to the index of their span or event
+// name parameter: Spans.Start's name also keys the span's latency histogram.
 var obsNameArg = map[string]int{
-	"Root":  0,
 	"Start": 1,
 	"Event": 1,
 }

@@ -1,19 +1,18 @@
-// Package spanend exercises the spanend analyzer: telemetry/obs spans that
-// miss End on some path, against the lifecycle patterns the tracing contract
-// allows (End on all paths, defer, Cancel on failure, escape).
+// Package spanend exercises the spanend analyzer: obs spans that miss End
+// on some path, against the lifecycle patterns the tracing contract allows
+// (End on all paths, defer, Fail on failure, escape).
 package spanend
 
 import (
 	"errors"
 
 	"fedomd/internal/obs"
-	"fedomd/internal/telemetry"
 )
 
 var errBoom = errors.New("boom")
 
-func earlyReturnLeaks(rec telemetry.Recorder, fail bool) error {
-	sp := telemetry.StartSpan(rec, "work_seconds")
+func earlyReturnLeaks(spans obs.Spans, fail bool) error {
+	sp := spans.Start(obs.SpanContext{}, "fixture/round")
 	if fail {
 		return errBoom // want `span sp is not ended on this return path`
 	}
@@ -21,35 +20,41 @@ func earlyReturnLeaks(rec telemetry.Recorder, fail bool) error {
 	return nil
 }
 
-func obsEarlyReturnLeaks(tr *obs.Tracer, fail bool) error {
-	sp := tr.Root("round")
-	if fail {
-		return errBoom // want `span sp is not ended on this return path`
+// errorReturnLeaks fails its span on one error return and forgets it on the
+// other: neither End nor Fail reaches the second.
+func errorReturnLeaks(spans obs.Spans, parent obs.SpanContext) error {
+	sp := spans.Start(parent, "fixture/work")
+	if err := work(); err != nil {
+		sp.Fail(err)
+		return err
+	}
+	if err := work(); err != nil {
+		return err // want `span sp is not ended on this return path`
 	}
 	sp.End()
 	return nil
 }
 
-func discardedResult(rec telemetry.Recorder) {
-	telemetry.StartSpan(rec, "work_seconds") // want `result of telemetry.StartSpan is discarded`
+func discardedResult(spans obs.Spans) {
+	spans.Start(obs.SpanContext{}, "fixture/work") // want `result of spans.Start is discarded`
 }
 
-func restartWhileLive(rec telemetry.Recorder) {
-	sp := telemetry.StartSpan(rec, "a_seconds")
-	sp = telemetry.StartSpan(rec, "b_seconds") // want `span sp is started again before End`
+func restartWhileLive(spans obs.Spans) {
+	sp := spans.Start(obs.SpanContext{}, "fixture/a")
+	sp = spans.Start(obs.SpanContext{}, "fixture/b") // want `span sp is started again before End`
 	sp.End()
 }
 
-func scopedLeak(tr *obs.Tracer, cond bool) {
+func scopedLeak(spans obs.Spans, cond bool) {
 	if cond {
-		sp := tr.Root("inner")
+		sp := spans.Start(obs.SpanContext{}, "fixture/inner")
 		sp.SetAttr("k", 1)
 	} // want `span sp is not ended before it goes out of scope`
 }
 
-func breakLeaks(tr *obs.Tracer, xs []int) {
+func breakLeaks(spans obs.Spans, xs []int) {
 	for _, x := range xs {
-		sp := tr.Root("item")
+		sp := spans.Start(obs.SpanContext{}, "fixture/item")
 		if x < 0 {
 			break // want `span sp is not ended on this break path`
 		}
@@ -59,8 +64,8 @@ func breakLeaks(tr *obs.Tracer, xs []int) {
 
 // --- allowed patterns ---
 
-func endOnAllPaths(rec telemetry.Recorder, fail bool) error {
-	sp := telemetry.StartSpan(rec, "work_seconds")
+func endOnAllPaths(spans obs.Spans, fail bool) error {
+	sp := spans.Start(obs.SpanContext{}, "fixture/work")
 	if fail {
 		sp.End()
 		return errBoom
@@ -69,42 +74,46 @@ func endOnAllPaths(rec telemetry.Recorder, fail bool) error {
 	return nil
 }
 
-func cancelOnFailure(rec telemetry.Recorder, fail bool) error {
-	sp := telemetry.StartSpan(rec, "work_seconds")
-	if fail {
-		sp.Cancel() // failure is not a latency sample
-		return errBoom
+func failOnError(spans obs.Spans, parent obs.SpanContext) error {
+	sp := spans.Start(parent, "fixture/work")
+	if err := work(); err != nil {
+		sp.Fail(err) // a failure is no latency sample
+		return err
 	}
 	sp.End()
 	return nil
 }
 
-func deferredEnd(tr *obs.Tracer, parent obs.SpanContext) {
-	sp := tr.Start(parent, "step")
+func deferredEnd(spans obs.Spans, parent obs.SpanContext) {
+	sp := spans.Start(parent, "fixture/step")
 	defer sp.End()
 	sp.SetAttr("k", 2)
 }
 
-func deferredClosureEnd(rec telemetry.Recorder) {
-	sp := telemetry.StartSpan(rec, "work_seconds")
+func deferredClosureFailOrEnd(spans obs.Spans) (err error) {
+	sp := spans.Start(obs.SpanContext{}, "fixture/run")
 	defer func() {
+		if err != nil {
+			sp.Fail(err)
+		}
 		sp.End()
 	}()
+	return work()
 }
 
-func escapesByReturn(tr *obs.Tracer) *obs.Span {
-	sp := tr.Root("handed-off") // the caller owns the End obligation now
+func escapesByReturn(spans obs.Spans) *obs.Span {
+	sp := spans.Start(obs.SpanContext{}, "fixture/handed_off") // the caller owns the End obligation now
 	return sp
 }
 
-func escapesToCall(tr *obs.Tracer, park func(*obs.Span)) {
-	sp := tr.Root("parked")
+func escapesToCall(spans obs.Spans, park func(*obs.Span)) {
+	sp := spans.Start(obs.SpanContext{}, "fixture/parked")
 	park(sp)
 }
 
-func loopPerIteration(rec telemetry.Recorder, xs []int) {
+func loopPerIteration(spans obs.Spans, xs []int) {
 	for range xs {
-		sp := telemetry.StartSpan(rec, "iter_seconds")
+		sp := spans.Start(obs.SpanContext{}, "fixture/iter")
 		sp.End()
 	}
 }
@@ -112,21 +121,25 @@ func loopPerIteration(rec telemetry.Recorder, xs []int) {
 // goroutineJobSpan is the async dispatch idiom: the worker goroutine owns its
 // span for the whole job and ends it before handing the result to the
 // collector channel. The closure body is analyzed as its own function.
-func goroutineJobSpan(tr *obs.Tracer, parent obs.SpanContext, done chan<- error) {
+func goroutineJobSpan(spans obs.Spans, parent obs.SpanContext, done chan<- error) {
 	go func() {
-		sp := tr.Start(parent, "job")
+		sp := spans.Start(parent, "fixture/job")
 		sp.SetAttr("party", 7)
 		err := work()
-		sp.End()
+		if err != nil {
+			sp.Fail(err)
+		} else {
+			sp.End()
+		}
 		done <- err
 	}()
 }
 
 // goroutineLeaks shows the same shape failing: an early return inside the
 // worker closure abandons the span.
-func goroutineLeaks(tr *obs.Tracer, parent obs.SpanContext, done chan<- error) {
+func goroutineLeaks(spans obs.Spans, parent obs.SpanContext, done chan<- error) {
 	go func() {
-		sp := tr.Start(parent, "job")
+		sp := spans.Start(parent, "fixture/job")
 		if err := work(); err != nil {
 			done <- err
 			return // want `span sp is not ended on this return path`
@@ -139,14 +152,13 @@ func goroutineLeaks(tr *obs.Tracer, parent obs.SpanContext, done chan<- error) {
 func work() error { return nil }
 
 // batcherLoopSpan is the serving-plane micro-batcher idiom: a long-lived
-// goroutine times each coalesced batch with its own span, Cancelling when the
-// batch collapses to nothing (an empty flush is not a latency sample).
-func batcherLoopSpan(rec telemetry.Recorder, batches <-chan []int) {
+// goroutine times each coalesced batch with its own span.
+func batcherLoopSpan(spans obs.Spans, batches <-chan []int) {
 	go func() {
 		for b := range batches {
-			sp := telemetry.StartSpan(rec, "batch_seconds")
+			sp := spans.Start(obs.SpanContext{}, "fixture/batch")
 			if len(b) == 0 {
-				sp.Cancel()
+				sp.Fail(errBoom)
 				continue
 			}
 			_ = work()
@@ -157,10 +169,10 @@ func batcherLoopSpan(rec telemetry.Recorder, batches <-chan []int) {
 
 // batcherLoopLeaks shows the same shape failing: skipping an empty batch
 // abandons its span.
-func batcherLoopLeaks(rec telemetry.Recorder, batches <-chan []int) {
+func batcherLoopLeaks(spans obs.Spans, batches <-chan []int) {
 	go func() {
 		for b := range batches {
-			sp := telemetry.StartSpan(rec, "batch_seconds")
+			sp := spans.Start(obs.SpanContext{}, "fixture/batch")
 			if len(b) == 0 {
 				continue // want `span sp is not ended on this continue path`
 			}
@@ -170,9 +182,9 @@ func batcherLoopLeaks(rec telemetry.Recorder, batches <-chan []int) {
 	}()
 }
 
-func borrowedParentContext(tr *obs.Tracer) {
-	outer := tr.Root("outer")
-	inner := tr.Start(outer.Context(), "inner") // receiver use is a borrow, not an escape
+func borrowedParentContext(spans obs.Spans) {
+	outer := spans.Start(obs.SpanContext{}, "fixture/outer")
+	inner := spans.Start(outer.Context(), "fixture/inner") // receiver use is a borrow, not an escape
 	inner.End()
 	outer.End()
 }

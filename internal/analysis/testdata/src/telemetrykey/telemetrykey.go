@@ -46,38 +46,40 @@ func record(r telemetry.Recorder, dyn string) {
 	r.Count("serve/cache_misses", 1)
 	r.Count("serve/swaps", 1)
 	r.Count("serve/swap_errors", 1)
-	telemetry.StartSpan(r, "serve/batch_seconds").End()
-	telemetry.StartSpan(r, "fed/phase/final_eval_seconds").End()
 	r.Count("fixture/sub/"+"leaf_total", 1) // constant folding keeps this checkable
 	r.Count(dyn, 1)                         // want `telemetry key passed to Count must be a compile-time constant`
 	r.Gauge("BadName", 1)                   // want `telemetry key "BadName" must match pkg/snake_case`
 	r.Observe("no_slash", 0.5)              // want `telemetry key "no_slash" must match pkg/snake_case`
-	telemetry.StartSpan(r, spanKey).End()
-	telemetry.StartSpan(r, "fixture/"+dyn).End() // want `telemetry key passed to StartSpan must be a compile-time constant`
 	telemetry.NewCounter("fixture/ops_total").Add(1)
 }
 
 const traceSpanKey = "fixture/phase"
 
-func traced(tr *obs.Tracer, dyn string) {
+func traced(tr *obs.Tracer, spans obs.Spans, dyn string) {
 	// The observability plane's span and health-event names; all legal.
-	root := tr.Root("fed/run")
-	sp := tr.Start(root.Context(), traceSpanKey)
+	root := spans.Start(obs.SpanContext{}, "fed/run")
+	sp := spans.Start(root.Context(), traceSpanKey)
 	sp.SetAttr("party", 3)
 	sp.SetAttr(obs.AttrRound, 1)
 	tr.Event(root.Context(), "obs/health", "warn", obs.KV("rule", "non_finite"))
 	// The async engine's dispatch-job and fold spans with their attributes.
-	job := tr.Start(root.Context(), "fed/async/job")
+	job := spans.Start(root.Context(), "fed/async/job")
 	job.SetAttr(obs.AttrDispatch, 4)
 	job.End()
-	fold := tr.Start(root.Context(), "fed/phase/fold")
+	fold := spans.Start(root.Context(), "fed/phase/aggregate")
 	fold.SetAttr(obs.AttrBufferFill, 3)
 	fold.SetAttr(obs.AttrBufferTarget, 4)
 	fold.SetAttr(obs.AttrStalenessP99, 2)
 	fold.End()
+	// A per-op span: the op is a value, so it may be dynamic; the name,
+	// which keys the latency histogram, may not.
+	rpc := spans.Start(root.Context(), "rpc/coord/latency")
+	rpc.SetOp(dyn)
+	rpc.End()
+	spans.Start(root.Context(), "fixture/"+dyn).End()                           // want `trace span name passed to Start must be a compile-time constant`
 	tr.Event(root.Context(), "chaos/fault", "warn", obs.KV(obs.AttrParty, dyn)) // attr values may be dynamic
-	tr.Start(root.Context(), dyn)                                               // want `trace span name passed to Start must be a compile-time constant`
-	tr.Root("run")                                                              // want `trace span name "run" must match pkg/snake_case`
+	spans.Start(root.Context(), dyn).End()                                      // want `trace span name passed to Start must be a compile-time constant`
+	spans.Start(obs.SpanContext{}, "run").End()                                 // want `trace span name "run" must match pkg/snake_case`
 	tr.Event(root.Context(), "obs/"+dyn, "warn")                                // want `trace span name passed to Event must be a compile-time constant`
 	sp.SetAttr(dyn, 1)                                                          // want `span attribute key passed to SetAttr must be a compile-time constant`
 	sp.SetAttr("bytes/raw", 1)                                                  // want `span attribute key "bytes/raw" must match single-segment snake_case`

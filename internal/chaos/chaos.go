@@ -29,8 +29,9 @@ type ClientConfig struct {
 	// aux download).
 	ErrRate float64
 	// CrashAtRound permanently fails every erroring operation from that
-	// round on — the round clock is the number of broadcasts received.
-	// 0 disables crashing.
+	// round on — the round clock is the runtime's round, as last passed to
+	// TrainLocal, so the party crashes on its first training call at or
+	// after that round under either schedule. 0 disables crashing.
 	CrashAtRound int
 	// NaNRate is the per-upload probability that Params returns a
 	// NaN-poisoned copy, exercising the aggregator's non-finite screening.
@@ -53,7 +54,7 @@ type Client struct {
 
 	mu    sync.Mutex
 	rng   *rand.Rand
-	round int // broadcasts received - 1; -1 before the first
+	round int // the round of the last TrainLocal call; -1 before the first
 }
 
 // New wraps inner as a plain fed.Client (capabilities erased — prefer Wrap).
@@ -139,19 +140,20 @@ func (c *Client) delay() {
 func (c *Client) Name() string    { return c.inner.Name() }
 func (c *Client) NumSamples() int { return c.inner.NumSamples() }
 
-// SetParams advances the round clock (the coordinator broadcasts exactly
-// once per round) before consulting the fault schedule.
 func (c *Client) SetParams(global *nn.Params) error {
-	c.mu.Lock()
-	c.round++
-	c.mu.Unlock()
 	if err := c.disturb("set_params"); err != nil {
 		return err
 	}
 	return c.inner.SetParams(global)
 }
 
+// TrainLocal sets the round clock to the runtime's round before consulting
+// the fault schedule. The clock is not counted in broadcasts: the async
+// engine installs the global on an idle party twice a round.
 func (c *Client) TrainLocal(round int) (float64, error) {
+	c.mu.Lock()
+	c.round = round
+	c.mu.Unlock()
 	if err := c.disturb("train_local"); err != nil {
 		return 0, err
 	}

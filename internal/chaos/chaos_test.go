@@ -45,21 +45,27 @@ func (s *stubMomentAux) SetGlobalStats([]*mat.Dense, [][]*mat.Dense) {}
 func (s *stubMomentAux) UploadAux() *nn.Params                       { return s.params.Clone() }
 func (s *stubMomentAux) DownloadAux(*nn.Params) error                { return nil }
 
-func TestCrashClockCountsBroadcasts(t *testing.T) {
+func TestCrashClockFollowsTrainRound(t *testing.T) {
 	g := newStub("g").params
 	c := Wrap(newStub("p"), ClientConfig{Seed: 1, CrashAtRound: 2})
 	for round := 0; round < 2; round++ {
-		if err := c.SetParams(g); err != nil {
-			t.Fatalf("round %d broadcast failed before the crash round: %v", round, err)
+		// Installs do not advance the clock, however many a round makes.
+		for i := 0; i < 3; i++ {
+			if err := c.SetParams(g); err != nil {
+				t.Fatalf("round %d broadcast failed before the crash round: %v", round, err)
+			}
 		}
 		if _, err := c.TrainLocal(round); err != nil {
 			t.Fatalf("round %d train failed before the crash round: %v", round, err)
 		}
 	}
-	if err := c.SetParams(g); err == nil {
-		t.Fatal("broadcast at the crash round succeeded")
+	if err := c.SetParams(g); err != nil {
+		t.Fatalf("broadcast ahead of the crash round's training failed: %v", err)
 	}
 	if _, err := c.TrainLocal(2); err == nil {
+		t.Fatal("training at the crash round succeeded")
+	}
+	if err := c.SetParams(g); err == nil {
 		t.Fatal("crash is not permanent")
 	}
 }
@@ -130,7 +136,7 @@ func TestWrapFleetCrashFraction(t *testing.T) {
 		if err := c.SetParams(g); err != nil {
 			t.Fatalf("crash before the crash round: %v", err)
 		}
-		if err := c.SetParams(g); err != nil {
+		if _, err := c.TrainLocal(1); err != nil {
 			crashed++
 		}
 	}
@@ -262,10 +268,8 @@ func TestWrapFleetSustainedSlow(t *testing.T) {
 	// adding SlowFraction keeps the same crash victims (drawn first).
 	crashVictims := func(c FleetConfig) []int {
 		var idx []int
-		g := newStub("g").params
 		for i, w := range WrapFleet(fleet, c) {
-			w.SetParams(g) // advance the round clock past CrashAtRound
-			if err := w.SetParams(g); err != nil {
+			if _, err := w.TrainLocal(1); err != nil { // the crash round
 				idx = append(idx, i)
 			}
 		}
@@ -277,5 +281,32 @@ func TestWrapFleetSustainedSlow(t *testing.T) {
 	withSlow.SlowLatency = time.Microsecond
 	if a, b := crashVictims(plain), crashVictims(withSlow); !reflect.DeepEqual(a, b) {
 		t.Fatalf("slow draw perturbed the crash draw: %v vs %v", a, b)
+	}
+}
+
+// TestCrashRoundSameUnderBothSchedules pins the crash clock to the runtime's
+// round: a party scheduled to crash at round 2 fails first in round 2 under
+// either schedule, although the async engine installs the global on an idle
+// party twice a round (once to score it, once to dispatch).
+func TestCrashRoundSameUnderBothSchedules(t *testing.T) {
+	for _, agg := range []fed.AggregationMode{fed.AggSync, fed.AggAsync} {
+		t.Run(agg.String(), func(t *testing.T) {
+			fleet := []fed.Client{newStub("a"), newStub("b"),
+				Wrap(newStub("c"), ClientConfig{Seed: 1, CrashAtRound: 2})}
+			res, err := fed.Run(fed.Config{Rounds: 4, Policy: fed.DropRound, Aggregation: agg, BufferK: len(fleet)}, fleet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := -1
+			for _, h := range res.History {
+				if h.Dropped > 0 {
+					first = h.Round
+					break
+				}
+			}
+			if first != 2 {
+				t.Fatalf("first failure in round %d, want the crash round 2", first)
+			}
+		})
 	}
 }

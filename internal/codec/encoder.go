@@ -86,7 +86,7 @@ func (e *Encoder) EncodeRef(dst []byte, p *nn.Params, ref Ref) ([]byte, error) {
 		return nil, fmt.Errorf("codec: encode of nil params")
 	}
 	if e.tracer != nil {
-		sp := e.tracer.Start(e.traceParent(), obs.SpanEncode)
+		sp := obs.NewSpans(nil, e.tracer).Start(e.traceParent(), obs.SpanEncode)
 		sp.SetAttr(obs.AttrTier, e.opts.Kind.String())
 		base := len(dst)
 		defer func() {

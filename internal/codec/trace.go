@@ -6,10 +6,10 @@ import (
 )
 
 // SetTrace arms the encoder with a tracer: every EncodeParams call then
-// emits a "codec/encode" span parented at parent() (typically the tracer's
-// active round/handle context). A nil tracer disarms tracing; both the
-// tracer and parent are consulted per call so the hook costs nothing when
-// tracing is off.
+// emits a trace-only "codec/encode" span (codec/encode_ns prices the work)
+// parented at parent() (typically the tracer's active round/handle
+// context). A nil tracer disarms tracing; both the tracer and parent are
+// consulted per call so the hook costs nothing when tracing is off.
 func (e *Encoder) SetTrace(tr *obs.Tracer, parent func() obs.SpanContext) {
 	e.tracer = tr
 	e.parent = parent
@@ -27,19 +27,20 @@ func (e *Encoder) traceParent() obs.SpanContext {
 // DecodeParamsTraced decodes blob against ref, whose checksum was taken
 // when it became a reference (see Ref), wrapped in a "codec/decode" span
 // when tr is non-nil; parent may be nil (the span then roots a local trace).
+// The span is trace-only: the codec/decode_ns counter already prices the
+// work, so it books no histogram.
 func DecodeParamsTraced(blob []byte, ref Ref, tr *obs.Tracer, parent obs.SpanContext) (*nn.Params, error) {
 	if tr == nil {
 		return decodeRef(blob, ref)
 	}
-	sp := tr.Start(parent, obs.SpanDecode)
+	sp := obs.NewSpans(nil, tr).Start(parent, obs.SpanDecode)
 	p, err := decodeRef(blob, ref)
 	sp.SetAttr(obs.AttrBytesEnc, len(blob))
-	if p != nil {
-		sp.SetAttr(obs.AttrTensors, p.Len())
-	}
 	if err != nil {
-		sp.SetAttr(obs.AttrErr, err.Error())
+		sp.Fail(err)
+		return p, err
 	}
+	sp.SetAttr(obs.AttrTensors, p.Len())
 	sp.End()
 	return p, err
 }

@@ -37,7 +37,6 @@ import (
 	"fedomd/internal/mat"
 	"fedomd/internal/nn"
 	"fedomd/internal/obs"
-	"fedomd/internal/telemetry"
 )
 
 // AggregationMode selects Run's round topology.
@@ -204,14 +203,15 @@ func (eng *asyncEngine) dispatch(parent obs.SpanContext, i, round int, global *n
 	snap := eng.stats
 	go func() {
 		u := &asyncUpdate{party: i, dispatch: round, encBytes: -1}
-		jsp := eng.st.tr.Start(parent, obs.SpanAsyncJob)
+		jsp := eng.st.spans.Start(parent, obs.SpanAsyncJob)
 		jsp.SetAttr(obs.AttrParty, eng.st.clients[i].Name())
 		jsp.SetAttr(obs.AttrDispatch, round)
 		eng.runJob(jsp.Context(), u, i, round, global, snap)
 		if u.err != nil {
-			jsp.SetAttr(obs.AttrErr, u.err.Error())
+			jsp.Fail(u.err)
+		} else {
+			jsp.End()
 		}
-		jsp.End()
 		eng.arrivals <- u
 	}()
 }
@@ -298,8 +298,7 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 		u.downBytes += int64(snap.aux.Bytes())
 	}
 
-	clientSpan := telemetry.StartSpan(st.rec, MetricClientTrainSecs)
-	tsp := st.tr.Start(ctx, obs.SpanClientTrain)
+	tsp := st.spans.Start(ctx, obs.SpanClientTrain)
 	tsp.SetAttr(obs.AttrParty, c.Name())
 	t0 := time.Now()
 	var loss float64
@@ -309,16 +308,15 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 		return e
 	})
 	u.trainSecs = time.Since(t0).Seconds()
-	tsp.End()
 	if err != nil {
-		clientSpan.Cancel()
+		tsp.Fail(err)
 		u.err = fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
 		return
 	}
-	clientSpan.End()
+	tsp.End()
 	u.loss = loss
 
-	usp := st.tr.Start(ctx, obs.SpanClientUpload)
+	usp := st.spans.Start(ctx, obs.SpanClientUpload)
 	usp.SetAttr(obs.AttrParty, c.Name())
 	var p *nn.Params
 	err = st.call(i, func() error { p = c.Params(); return nil })
@@ -337,8 +335,7 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 		err = ErrNonFinite
 	}
 	if err != nil {
-		usp.SetAttr(obs.AttrErr, err.Error())
-		usp.End()
+		usp.Fail(err)
 		u.err = fmt.Errorf("fed: upload from %s: %w", c.Name(), err)
 		return
 	}
@@ -670,22 +667,20 @@ func (eng *asyncEngine) round(parent obs.SpanContext, round int, global *nn.Para
 		eng.dispatch(parent, i, round, global)
 	}
 
-	stalled, err := eng.collect(stats)
+	stalled, err := eng.collect(parent, stats)
 	out.stalled = stalled
 	if err != nil {
 		return err
 	}
 
-	sp := telemetry.StartSpan(st.rec, MetricAggregateSeconds)
-	osp := st.tr.Start(parent, obs.SpanFold)
+	sp := st.spans.Start(parent, obs.SpanAggregate)
 	f, err := eng.fold(round, global)
 	if f != nil {
-		osp.SetAttr(obs.AttrBufferFill, f.folded)
-		osp.SetAttr(obs.AttrBufferTarget, eng.k)
-		osp.SetAttr(obs.AttrStalenessP99, f.staleP99)
+		sp.SetAttr(obs.AttrBufferFill, f.folded)
+		sp.SetAttr(obs.AttrBufferTarget, eng.k)
+		sp.SetAttr(obs.AttrStalenessP99, f.staleP99)
 	}
 	sp.End()
-	osp.End()
 	if err != nil {
 		return err
 	}
@@ -697,9 +692,9 @@ func (eng *asyncEngine) round(parent obs.SpanContext, round int, global *nn.Para
 // collect absorbs arrivals until the buffer holds K updates, nothing more
 // can arrive, or the round deadline expires; it reports whether the
 // deadline did.
-func (eng *asyncEngine) collect(stats *RoundStats) (stalled bool, err error) {
-	waitSpan := telemetry.StartSpan(eng.st.rec, MetricAsyncBufferWait)
-	defer waitSpan.End()
+func (eng *asyncEngine) collect(parent obs.SpanContext, stats *RoundStats) (stalled bool, err error) {
+	sp := eng.st.spans.Start(parent, obs.SpanBufferWait)
+	defer sp.End()
 	var deadline <-chan time.Time
 	if eng.st.cfg.BufferTimeout > 0 {
 		timer := time.NewTimer(eng.st.cfg.BufferTimeout)

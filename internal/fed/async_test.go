@@ -591,7 +591,7 @@ func TestAsyncMomentAndAuxFold(t *testing.T) {
 	}
 	// The bootstrap exchange runs once; the async jobs carry statistics on
 	// every later dispatch.
-	if s, ok := agg.Histogram(MetricMomentsSeconds); !ok || s.Count != 1 {
+	if s, ok := agg.Histogram(obs.SpanMoments + "_seconds"); !ok || s.Count != 1 {
 		t.Fatalf("bootstrap moment exchange count = %+v, %v want 1", s, ok)
 	}
 	if got := a.gotMeans; got == nil {

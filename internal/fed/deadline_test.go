@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -8,18 +9,22 @@ import (
 	"testing"
 	"time"
 
+	"fedomd/internal/obs"
 	"fedomd/internal/telemetry"
 )
 
-// slowClient hangs in TrainLocal long enough to trip the coordinator's
-// per-request read deadline.
+// slowClient hangs in TrainLocal, from round late on, long enough to trip
+// the coordinator's per-request read deadline.
 type slowClient struct {
 	*fakeClient
 	delay time.Duration
+	late  int
 }
 
 func (s *slowClient) TrainLocal(round int) (float64, error) {
-	time.Sleep(s.delay)
+	if round >= s.late {
+		time.Sleep(s.delay)
+	}
 	return s.fakeClient.TrainLocal(round)
 }
 
@@ -129,5 +134,79 @@ func TestDeadlinesHarmlessOnHealthyRun(t *testing.T) {
 	if partyRec.Counter("rpc/party/bytes_rx/set_params") == 0 ||
 		partyRec.Counter("rpc/party/bytes_tx/get_params") == 0 {
 		t.Fatal("party byte counters missing")
+	}
+}
+
+// TestTimedOutRPCIsNoLatencySample times out the second of a party's two
+// train_local calls under ReadTimeout: the per-op latency histogram counts
+// only the call that completed, and the timed-out call's RPC span says why
+// it ended.
+func TestTimedOutRPCIsNoLatencySample(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// The serve loop ends with a write error once the coordinator
+		// abandons the connection; that is expected here.
+		_ = ServeClient(ln.Addr().String(), &slowClient{
+			fakeClient: newFakeClient("laggard", 1, 0),
+			delay:      600 * time.Millisecond,
+			late:       1,
+		})
+	}()
+
+	var mu sync.Mutex
+	var buf bytes.Buffer
+	jl := telemetry.NewJSONL(lockedWriter{&mu, &buf})
+	tr := obs.NewTracer(jl)
+	rec := telemetry.NewAggregator()
+	clients, err := AcceptClientsOpts(ln, 1, TransportOptions{
+		Recorder:    rec,
+		Tracer:      tr,
+		ReadTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Config{Rounds: 2, Tracer: tr}, clients)
+	clients[0].(*remoteClient).shutdown()
+	wg.Wait()
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("round 1 did not end on the read deadline: %v", err)
+	}
+
+	if s, _ := rec.Histogram("rpc/coord/latency_seconds/train_local"); s.Count != 1 {
+		t.Fatalf("train_local latency samples = %d, want the 1 call that completed", s.Count)
+	}
+	if err := jl.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	recs := decodeTrace(t, bytes.NewBuffer(append([]byte(nil), buf.Bytes()...)))
+	mu.Unlock()
+	var ok, failed int
+	for _, r := range recs {
+		if r.Type != "span" || r.Name != obs.SpanRPC || r.Attrs[obs.AttrOp] != "train_local" {
+			continue
+		}
+		msg, hasErr := r.Attrs[obs.AttrErr].(string)
+		switch {
+		case !hasErr:
+			ok++
+		case strings.Contains(msg, "laggard"):
+			failed++
+		default:
+			t.Errorf("timed-out span's err %q does not name the party", msg)
+		}
+	}
+	if ok != 1 || failed != 1 {
+		t.Fatalf("train_local RPC spans: %d completed and %d carrying err, want 1 and 1", ok, failed)
 	}
 }

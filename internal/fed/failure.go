@@ -108,6 +108,7 @@ type runState struct {
 	weights    []float64
 	rec        telemetry.Recorder
 	tr         *obs.Tracer
+	spans      obs.Spans   // times each phase into rec and tr at once
 	cs         *codecState // nil: parameters are charged at raw size
 	allMoment  bool        // every client takes part in the statistics exchange
 	evalEvery  int
@@ -149,6 +150,7 @@ func newRunState(cfg *Config, clients []Client, weights []float64, rec telemetry
 		weights:      weights,
 		rec:          rec,
 		tr:           cfg.Tracer,
+		spans:        obs.NewSpans(rec, cfg.Tracer),
 		allMoment:    true,
 		evalEvery:    cfg.EvalEvery,
 		policy:       cfg.Policy,

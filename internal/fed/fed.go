@@ -177,24 +177,16 @@ type Config struct {
 	BufferTimeout time.Duration
 }
 
-// Telemetry metric names emitted by Run. Phase spans are histograms of
-// per-round durations in seconds; bytes are monotonic counters.
+// Telemetry metric names emitted by Run; bytes are monotonic counters. The
+// duration histograms are keyed by the obs span that times each region
+// (fed/round_seconds for obs.SpanRound, and so on; see obs.Spans).
 const (
-	MetricRoundSeconds     = "fed/round_seconds"
-	MetricBroadcastSeconds = "fed/phase/broadcast_seconds"
-	MetricEvalSeconds      = "fed/phase/eval_seconds"
-	MetricMomentsSeconds   = "fed/phase/moments_seconds"
-	MetricTrainSeconds     = "fed/phase/train_seconds"
-	MetricAuxSeconds       = "fed/phase/aux_seconds"
-	MetricAggregateSeconds = "fed/phase/aggregate_seconds"
-	MetricFinalEvalSeconds = "fed/phase/final_eval_seconds"
-	MetricClientTrainSecs  = "fed/client/train_seconds"
-	MetricBytesUp          = "fed/bytes_up"
-	MetricBytesDown        = "fed/bytes_down"
-	MetricRounds           = "fed/rounds"
-	MetricActiveClients    = "fed/active_clients"
-	MetricValAcc           = "fed/val_acc"
-	MetricTestAcc          = "fed/test_acc"
+	MetricBytesUp       = "fed/bytes_up"
+	MetricBytesDown     = "fed/bytes_down"
+	MetricRounds        = "fed/rounds"
+	MetricActiveClients = "fed/active_clients"
+	MetricValAcc        = "fed/val_acc"
+	MetricTestAcc       = "fed/test_acc"
 	// Fault-tolerance counters (see failure.go).
 	MetricClientDropped     = "fed/client_dropped"
 	MetricClientQuarantined = "fed/client_quarantined"
@@ -205,15 +197,15 @@ const (
 	// Async buffered-aggregation telemetry (async.go). Dispatched counts
 	// jobs handed to workers; folded/carried/evicted/rejected partition the
 	// fates of buffered updates; staleness is a histogram of the applied
-	// staleness of folded updates; buffer-wait is the per-round collect
-	// latency; stalls counts rounds whose buffer missed K at the deadline.
+	// staleness of folded updates; stalls counts rounds whose buffer missed
+	// K at the deadline. The per-round collect latency is the
+	// obs.SpanBufferWait span's histogram.
 	MetricAsyncDispatched = "fed/async_dispatched"
 	MetricAsyncFolded     = "fed/async_folded"
 	MetricAsyncCarried    = "fed/async_carried"
 	MetricAsyncEvicted    = "fed/async_evicted"
 	MetricAsyncRejected   = "fed/async_rejected"
 	MetricAsyncStaleness  = "fed/async_staleness"
-	MetricAsyncBufferWait = "fed/async_buffer_wait_seconds"
 	MetricAsyncStalls     = "fed/async_stalls"
 )
 
@@ -274,7 +266,7 @@ type Result struct {
 // abort and quorum-skip handling, the history, counters and observer feed,
 // checkpointing, patience and the final score are shared, and only the
 // middle of the round depends on the schedule.
-func Run(cfg Config, clients []Client) (*Result, error) {
+func Run(cfg Config, clients []Client) (_ *Result, err error) {
 	if len(clients) == 0 {
 		return nil, errors.New("fed: no clients")
 	}
@@ -323,7 +315,7 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	}
 	st := newRunState(&cfg, clients, weights, rec)
 
-	runSpan := tr.Root(obs.SpanRun)
+	runSpan := st.spans.Start(obs.SpanContext{}, obs.SpanRun)
 	runSpan.SetAttr(obs.AttrRunID, runID)
 	runSpan.SetAttr(obs.AttrRounds, cfg.Rounds)
 	runSpan.SetAttr(obs.AttrParties, len(clients))
@@ -335,6 +327,9 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	tr.SetActive(runSpan.Context())
 	defer func() {
 		tr.SetActive(obs.SpanContext{})
+		if err != nil {
+			runSpan.Fail(err)
+		}
 		runSpan.End()
 	}()
 
@@ -363,8 +358,7 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	var runErr error
 	for round := startRound; round < cfg.Rounds; round++ {
 		stats := RoundStats{Round: round, Start: time.Now()}
-		roundSpan := telemetry.StartSpan(rec, MetricRoundSeconds)
-		rsp := tr.Start(runSpan.Context(), obs.SpanRound)
+		rsp := st.spans.Start(runSpan.Context(), obs.SpanRound)
 		rsp.SetAttr(obs.AttrRound, round)
 		tr.SetActive(rsp.Context())
 		resets0 := wireResets.Value()
@@ -383,8 +377,7 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 				// (partial rounds still belong in the trace tree) but drop its
 				// latency sample — an aborted round is not a round-duration
 				// observation.
-				roundSpan.Cancel()
-				rsp.End()
+				rsp.Fail(err)
 				runErr = err
 				break
 			}
@@ -399,7 +392,6 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 
 		st.endRound(round, &stats)
 		stats.End = time.Now()
-		roundSpan.End()
 		rec.Count(MetricRounds, 1)
 		rec.Count(MetricActiveClients, int64(out.active))
 		rec.Count(MetricBytesUp, stats.BytesUp)
@@ -479,7 +471,7 @@ func Run(cfg Config, clients []Client) (*Result, error) {
 	// The final broadcast runs outside every round: anchor its RPC and codec
 	// spans under fed/run, not the last fed/round.
 	tr.SetActive(runSpan.Context())
-	if err := st.finalScore(global); err != nil {
+	if err := st.finalScore(runSpan.Context(), global); err != nil {
 		return nil, err
 	}
 	res.End = time.Now()
@@ -540,7 +532,7 @@ func (st *runState) syncRound(parent obs.SpanContext, round int, global *nn.Para
 		return err
 	}
 	// Auxiliary state aggregation (e.g. SCAFFOLD control variates).
-	sp := telemetry.StartSpan(st.rec, MetricAuxSeconds)
+	sp := st.spans.Start(parent, obs.SpanAux)
 	err := st.auxExchange(st.aliveOf(activeIdx), stats)
 	sp.End()
 	if err != nil {
@@ -579,10 +571,8 @@ func (st *runState) cohort(round int, reach []int) []int {
 // broadcast installs global on every indexed party and charges the
 // download; a party that cannot take it goes to the failure policy.
 func (st *runState) broadcast(parent obs.SpanContext, idx []int, global *nn.Params, stats *RoundStats) error {
-	sp := telemetry.StartSpan(st.rec, MetricBroadcastSeconds)
+	sp := st.spans.Start(parent, obs.SpanBroadcast)
 	defer sp.End()
-	osp := st.tr.Start(parent, obs.SpanBroadcast)
-	defer osp.End()
 	for _, i := range idx {
 		c := st.clients[i]
 		st.touched[i] = true
@@ -613,11 +603,9 @@ func (st *runState) evalDue(round int) bool {
 // score evaluates the global model the indexed parties hold, reports the
 // accuracies, and keeps the best-validation bookkeeping.
 func (st *runState) score(parent obs.SpanContext, round int, idx []int, stats *RoundStats) {
-	sp := telemetry.StartSpan(st.rec, MetricEvalSeconds)
-	osp := st.tr.Start(parent, obs.SpanEval)
+	sp := st.spans.Start(parent, obs.SpanEval)
 	stats.ValAcc, stats.TestAcc = st.evaluate(idx, st.cfg.Sequential)
 	sp.End()
-	osp.End()
 	st.rec.Gauge(MetricValAcc, stats.ValAcc)
 	st.rec.Gauge(MetricTestAcc, stats.TestAcc)
 	st.noteBest(round, stats.ValAcc, stats.TestAcc)
@@ -638,8 +626,7 @@ func (st *runState) noteBest(round int, val, test float64) {
 // train runs local training concurrently across the indexed parties and
 // records the sample-weighted training loss over those that survive.
 func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *roundOutcome) error {
-	sp := telemetry.StartSpan(st.rec, MetricTrainSeconds)
-	osp := st.tr.Start(parent, obs.SpanTrain)
+	sp := st.spans.Start(parent, obs.SpanTrain)
 	losses := make([]float64, len(idx))
 	out.trained = make([]trained, len(idx))
 	for s, i := range idx {
@@ -647,8 +634,7 @@ func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *rou
 	}
 	sub := st.clientsAt(idx)
 	errs := forEachClient(sub, st.cfg.Sequential, st.policy == FailFast, func(s int, c Client) error {
-		clientSpan := telemetry.StartSpan(st.rec, MetricClientTrainSecs)
-		tsp := st.tr.Start(parent, obs.SpanClientTrain)
+		tsp := st.spans.Start(parent, obs.SpanClientTrain)
 		tsp.SetAttr(obs.AttrParty, c.Name())
 		t0 := time.Now()
 		var loss float64
@@ -658,19 +644,17 @@ func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *rou
 			return e
 		})
 		out.trained[s].secs = time.Since(t0).Seconds()
-		tsp.End()
 		if err != nil {
 			// A failed call is no training-latency sample (a timed-out one
 			// would book the whole timeout).
-			clientSpan.Cancel()
+			tsp.Fail(err)
 			return fmt.Errorf("fed: client %s round %d: %w", c.Name(), round, err)
 		}
-		clientSpan.End()
+		tsp.End()
 		losses[s] = loss
 		return nil
 	})
 	sp.End()
-	osp.End()
 	if st.policy == FailFast {
 		if err := collapseErrs(errs, st.cfg.Sequential || len(sub) == 1); err != nil {
 			return err
@@ -700,10 +684,8 @@ func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *rou
 // Algorithm 1 lines 26-29) over the survivors; nn.Average renormalizes their
 // weights.
 func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, global *nn.Params, stats *RoundStats) (*nn.Params, error) {
-	sp := telemetry.StartSpan(st.rec, MetricAggregateSeconds)
+	sp := st.spans.Start(parent, obs.SpanAggregate)
 	defer sp.End()
-	osp := st.tr.Start(parent, obs.SpanAggregate)
-	defer osp.End()
 	sets := make([]*nn.Params, 0, len(idx))
 	aggWeights := make([]float64, 0, len(idx))
 	// Decoded uploads borrow pooled matrices; they are consumed by
@@ -717,7 +699,7 @@ func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, glob
 	}()
 	for _, i := range idx {
 		c := st.clients[i]
-		usp := st.tr.Start(parent, obs.SpanClientUpload)
+		usp := st.spans.Start(parent, obs.SpanClientUpload)
 		usp.SetAttr(obs.AttrParty, c.Name())
 		var p *nn.Params
 		err := st.call(i, func() error { p = c.Params(); return nil })
@@ -743,8 +725,7 @@ func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, glob
 			err = global.Compatible(p)
 		}
 		if err != nil {
-			usp.SetAttr(obs.AttrErr, err.Error())
-			usp.End()
+			usp.Fail(err)
 			if ferr := st.fail(i, fmt.Errorf("fed: upload from %s: %w", c.Name(), err)); ferr != nil {
 				return nil, ferr
 			}
@@ -775,9 +756,9 @@ func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, glob
 // so without this pass the best model could silently be missed. It is a
 // scoring pass outside the round accounting — no history row, no byte
 // counters.
-func (st *runState) finalScore(global *nn.Params) error {
+func (st *runState) finalScore(parent obs.SpanContext, global *nn.Params) error {
 	res := st.res
-	sp := telemetry.StartSpan(st.rec, MetricFinalEvalSeconds)
+	sp := st.spans.Start(parent, obs.SpanFinalEval)
 	finalIdx := make([]int, 0, len(st.clients))
 	for i := range st.clients {
 		c := st.clients[i]
@@ -887,10 +868,8 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 // async engine bootstraps its stats state from one synchronous exchange;
 // the sync round ignores them.
 func (st *runState) momentExchange(parent obs.SpanContext, round int, idx []int, stats *RoundStats) ([]*mat.Dense, [][]*mat.Dense, error) {
-	sp := telemetry.StartSpan(st.rec, MetricMomentsSeconds)
+	sp := st.spans.Start(parent, obs.SpanMoments)
 	defer sp.End()
-	osp := st.tr.Start(parent, obs.SpanMoments)
-	defer osp.End()
 	m := len(idx)
 	if m == 0 {
 		return nil, nil, nil

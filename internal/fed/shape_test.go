@@ -97,6 +97,7 @@ func TestTelemetryAndTraceShape(t *testing.T) {
 		"gauge fed/test_acc",
 		"gauge fed/val_acc",
 		"hist fed/client/train_seconds",
+		"hist fed/client/upload_seconds",
 		"hist fed/phase/aggregate_seconds",
 		"hist fed/phase/aux_seconds",
 		"hist fed/phase/broadcast_seconds",
@@ -105,14 +106,17 @@ func TestTelemetryAndTraceShape(t *testing.T) {
 		"hist fed/phase/moments_seconds",
 		"hist fed/phase/train_seconds",
 		"hist fed/round_seconds",
+		"hist fed/run_seconds",
 	}
 	syncSpans := []string{
 		"codec/encode <- fed/round x12",
 		"fed/client/train <- fed/round x9",
 		"fed/client/upload <- fed/round x9",
 		"fed/phase/aggregate <- fed/round x3",
+		"fed/phase/aux <- fed/round x3",
 		"fed/phase/broadcast <- fed/round x3",
 		"fed/phase/eval <- fed/round x3",
+		"fed/phase/final_eval <- fed/run x1",
 		"fed/phase/moments <- fed/round x3",
 		"fed/phase/train <- fed/round x3",
 		"fed/round <- fed/run x3",
@@ -134,24 +138,29 @@ func TestTelemetryAndTraceShape(t *testing.T) {
 		"gauge codec/ratio/delta",
 		"gauge fed/test_acc",
 		"gauge fed/val_acc",
+		"hist fed/async/job_seconds",
 		"hist fed/async_buffer_wait_seconds",
 		"hist fed/async_staleness",
 		"hist fed/client/train_seconds",
+		"hist fed/client/upload_seconds",
 		"hist fed/phase/aggregate_seconds",
 		"hist fed/phase/broadcast_seconds",
 		"hist fed/phase/eval_seconds",
 		"hist fed/phase/final_eval_seconds",
 		"hist fed/phase/moments_seconds",
 		"hist fed/round_seconds",
+		"hist fed/run_seconds",
 	}
 	asyncSpans := []string{
 		"codec/encode <- fed/round x13",
 		"fed/async/job <- fed/round x9",
+		"fed/async_buffer_wait <- fed/round x3",
 		"fed/client/train <- fed/async/job x9",
 		"fed/client/upload <- fed/async/job x9",
+		"fed/phase/aggregate <- fed/round x3",
 		"fed/phase/broadcast <- fed/round x1",
 		"fed/phase/eval <- fed/round x3",
-		"fed/phase/fold <- fed/round x3",
+		"fed/phase/final_eval <- fed/run x1",
 		"fed/phase/moments <- fed/round x1",
 		"fed/round <- fed/run x3",
 		"fed/run <- - x1",

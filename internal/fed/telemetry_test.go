@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fedomd/internal/mat"
+	"fedomd/internal/obs"
 	"fedomd/internal/telemetry"
 )
 
@@ -23,19 +24,19 @@ func TestRunRecordsTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		MetricRoundSeconds, MetricBroadcastSeconds, MetricEvalSeconds,
-		MetricTrainSeconds, MetricAuxSeconds, MetricAggregateSeconds,
+		obs.SpanRound, obs.SpanBroadcast, obs.SpanEval,
+		obs.SpanTrain, obs.SpanAux, obs.SpanAggregate,
 	} {
-		s, ok := agg.Histogram(name)
+		s, ok := agg.Histogram(name + "_seconds")
 		if !ok || s.Count != rounds {
 			t.Fatalf("%s count = %d (present=%v) want %d", name, s.Count, ok, rounds)
 		}
 	}
-	if s, _ := agg.Histogram(MetricClientTrainSecs); s.Count != rounds*m {
+	if s, _ := agg.Histogram(obs.SpanClientTrain + "_seconds"); s.Count != rounds*m {
 		t.Fatalf("client train samples = %d want %d", s.Count, rounds*m)
 	}
 	// Plain clients: no moment exchange, so no moments span.
-	if _, ok := agg.Histogram(MetricMomentsSeconds); ok {
+	if _, ok := agg.Histogram(obs.SpanMoments + "_seconds"); ok {
 		t.Fatal("moments span recorded without moment clients")
 	}
 	if got := agg.Counter(MetricRounds); got != rounds {
@@ -74,7 +75,7 @@ func TestFailedTrainIsNoLatencySample(t *testing.T) {
 				t.Fatal("the failing party was never asked to train")
 			}
 			ok := int64(atomic.LoadInt32(&a.trainCalls) + atomic.LoadInt32(&b.trainCalls))
-			if s, _ := agg.Histogram(MetricClientTrainSecs); s.Count != ok {
+			if s, _ := agg.Histogram(obs.SpanClientTrain + "_seconds"); s.Count != ok {
 				t.Fatalf("client train samples = %d, want the %d successful calls", s.Count, ok)
 			}
 		})
@@ -113,7 +114,7 @@ func TestMomentExchangeSpanRecorded(t *testing.T) {
 	if _, err := Run(Config{Rounds: 2, Recorder: agg}, []Client{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	if s, ok := agg.Histogram(MetricMomentsSeconds); !ok || s.Count != 2 {
+	if s, ok := agg.Histogram(obs.SpanMoments + "_seconds"); !ok || s.Count != 2 {
 		t.Fatalf("moments span count = %d (present=%v) want 2", s.Count, ok)
 	}
 }

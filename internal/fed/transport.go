@@ -39,7 +39,7 @@ type TransportOptions struct {
 	// Recorder receives per-op RPC latency histograms and payload byte
 	// counters ("rpc/coord/…"). Nil disables transport telemetry.
 	Recorder telemetry.Recorder
-	// Tracer emits one "rpc/coord/call" span per request, parented at the
+	// Tracer emits one "rpc/coord/latency" span per request, parented at the
 	// tracer's active context (the current round span), and stamps the
 	// trace/span IDs into the request frame so the party's handling spans
 	// link under the coordinator's round. Nil disables trace propagation.
@@ -326,6 +326,7 @@ func ServeClientOpts(addr string, c Client, opts ServeOptions) error {
 func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 	rec := telemetry.Or(opts.Recorder)
 	tracer := opts.Tracer
+	spans := obs.NewSpans(rec, tracer)
 	cc := &countingConn{Conn: conn}
 	enc := gob.NewEncoder(cc)
 	dec := gob.NewDecoder(cc)
@@ -358,17 +359,15 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 			return fmt.Errorf("fed: reading request: %w", err)
 		}
 		var resp rpcResponse
-		handleSpan := telemetry.StartSpan(rec, "rpc/party/handle_seconds/"+opMetricSuffix(req.Op)) //fedomdvet:ignore per-op series over the closed opMetricSuffix set; base key and suffixes are constants
 		// Party-side span, parented at the coordinator's stamped context —
 		// the cross-process causal link. Published as the active context so
 		// codec encode spans nest under the request that triggered them.
 		reqCtx := obs.SpanContext{Trace: obs.TraceID(req.TraceID), Span: obs.SpanID(req.SpanID)}
-		tsp := tracer.Start(reqCtx, obs.SpanPartyHandle)
-		tsp.SetAttr(obs.AttrOp, opMetricSuffix(req.Op))
+		tsp := spans.Start(reqCtx, obs.SpanPartyHandle)
+		tsp.SetOp(opMetricSuffix(req.Op))
 		tracer.SetActive(tsp.Context())
 		switch req.Op {
 		case opShutdown:
-			handleSpan.End()
 			tsp.End()
 			if opts.WriteTimeout > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
@@ -494,7 +493,6 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 		default:
 			resp.Err = fmt.Sprintf("fed: unknown op %q", req.Op)
 		}
-		handleSpan.End()
 		tsp.End()
 		if opts.WriteTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
@@ -519,6 +517,7 @@ type remoteClient struct {
 	conn    *countingConn
 	rec     telemetry.Recorder
 	tracer  *obs.Tracer
+	spans   obs.Spans
 	opts    TransportOptions
 	// codecOn is set once the party accepted an opNegotiateCodec request;
 	// SetParams/GetParams then exchange codec blobs instead of raw gob.
@@ -680,38 +679,37 @@ func wireSupported(versions []uint8, v uint8) bool {
 // deadline expiry surfaces as an error naming the party (via the "to/from
 // %s" wrapping) that satisfies net.Error with Timeout() == true.
 func (r *remoteClient) callOnce(req rpcRequest) (rpcResponse, error) {
-	// StartSpan is inert when telemetry is off, so start unconditionally and
-	// retire the span on every exit: End on success, Cancel on failure — a
-	// failed exchange is not a latency observation.
-	sp := telemetry.StartSpan(r.rec, "rpc/coord/latency_seconds/"+opMetricSuffix(req.Op)) //fedomdvet:ignore per-op series over the closed opMetricSuffix set; base key and suffixes are constants
 	var tx0, rx0 int64
 	if r.rec.Enabled() {
 		tx0, rx0 = r.conn.tx.Load(), r.conn.rx.Load()
 	}
 	// The rpc span parents at the tracer's active context (the current round
 	// span) and its identity rides in the request frame, so the party's
-	// handling span becomes its child across the process boundary.
-	osp := r.tracer.Start(r.tracer.Active(), obs.SpanRPC)
-	osp.SetAttr(obs.AttrOp, opMetricSuffix(req.Op))
-	osp.SetAttr(obs.AttrParty, r.name)
-	defer osp.End()
-	if ctx := osp.Context(); ctx.Valid() {
+	// handling span becomes its child across the process boundary. It is
+	// retired on every exit: End on a completed exchange, Fail on a broken
+	// one — a failed exchange is not a latency observation.
+	sp := r.spans.Start(r.tracer.Active(), obs.SpanRPC)
+	sp.SetOp(opMetricSuffix(req.Op))
+	sp.SetAttr(obs.AttrParty, r.name)
+	if ctx := sp.Context(); ctx.Valid() {
 		req.TraceID, req.SpanID = uint64(ctx.Trace), uint64(ctx.Span)
 	}
 	if r.opts.WriteTimeout > 0 {
 		_ = r.conn.SetWriteDeadline(time.Now().Add(r.opts.WriteTimeout))
 	}
 	if err := r.enc.Encode(req); err != nil {
-		sp.Cancel()
-		return rpcResponse{}, fmt.Errorf("fed: rpc %s to %s: %w", req.Op, r.name, err)
+		err = fmt.Errorf("fed: rpc %s to %s: %w", req.Op, r.name, err)
+		sp.Fail(err)
+		return rpcResponse{}, err
 	}
 	if r.opts.ReadTimeout > 0 {
 		_ = r.conn.SetReadDeadline(time.Now().Add(r.opts.ReadTimeout))
 	}
 	var resp rpcResponse
 	if err := r.dec.Decode(&resp); err != nil {
-		sp.Cancel()
-		return rpcResponse{}, fmt.Errorf("fed: rpc %s reply from %s: %w", req.Op, r.name, err)
+		err = fmt.Errorf("fed: rpc %s reply from %s: %w", req.Op, r.name, err)
+		sp.Fail(err)
+		return rpcResponse{}, err
 	}
 	sp.End()
 	if r.rec.Enabled() {
@@ -880,7 +878,8 @@ func AcceptClientsOpts(ln net.Listener, n int, opts TransportOptions) ([]Client,
 			return nil, fmt.Errorf("fed: handshake: %w", err)
 		}
 		base := remoteClient{name: h.Name, samples: h.NumSamples, enc: enc, dec: dec,
-			conn: cc, rec: telemetry.Or(opts.Recorder), tracer: opts.Tracer, opts: opts}
+			conn: cc, rec: telemetry.Or(opts.Recorder), tracer: opts.Tracer,
+			spans: obs.NewSpans(opts.Recorder, opts.Tracer), opts: opts}
 		if opts.Codec.Enabled() && wireSupported(h.Codecs, codec.WireV2) {
 			if _, err := base.callOnce(negotiateRequest(opts.Codec)); err != nil {
 				var ae appError

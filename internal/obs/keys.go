@@ -2,7 +2,8 @@ package obs
 
 // Span and event names follow the telemetry pkg/snake_case key convention
 // and are checked by fedomdvet's telemetrykey analyzer at every call site;
-// keep them compile-time constants.
+// keep them compile-time constants. A span started through Spans also names
+// its latency histogram: the span name plus "_seconds" (see Spans).
 const (
 	// SpanRun is the root span for one federated run.
 	SpanRun = "fed/run"
@@ -18,16 +19,24 @@ const (
 	SpanTrain = "fed/phase/train"
 	// SpanBroadcast covers pushing global parameters to all parties.
 	SpanBroadcast = "fed/phase/broadcast"
-	// SpanAggregate covers the coordinator-side FedAvg merge.
+	// SpanAggregate covers the coordinator-side merge: the sync FedAvg, or
+	// the async engine's staleness-discounted buffer fold.
 	SpanAggregate = "fed/phase/aggregate"
+	// SpanAux covers the auxiliary-state exchange (SCAFFOLD's control
+	// variates).
+	SpanAux = "fed/phase/aux"
 	// SpanMoments covers the 2-round center-moment exchange.
 	SpanMoments = "fed/phase/moments"
 	// SpanEval covers the coordinator-side evaluation pass.
 	SpanEval = "fed/phase/eval"
-	// SpanRPC is a coordinator-side remote call (one op to one party).
-	SpanRPC = "rpc/coord/call"
-	// SpanPartyHandle is a party-side request handling span; the op is an
-	// attribute so the name stays a checkable constant.
+	// SpanFinalEval covers the install and score of the last aggregate,
+	// after the round loop.
+	SpanFinalEval = "fed/phase/final_eval"
+	// SpanRPC is a coordinator-side remote call (one op to one party); its
+	// op (Span.SetOp) suffixes the latency histogram key.
+	SpanRPC = "rpc/coord/latency"
+	// SpanPartyHandle is a party-side request handling span; the op rides
+	// on SetOp so the name stays a checkable constant.
 	SpanPartyHandle = "rpc/party/handle"
 	// SpanEncode and SpanDecode bracket wire-codec work.
 	SpanEncode = "codec/encode"
@@ -35,9 +44,8 @@ const (
 	// SpanAsyncJob covers one dispatched party job in the buffered async
 	// engine, from broadcast through upload, on the worker goroutine.
 	SpanAsyncJob = "fed/async/job"
-	// SpanFold covers the coordinator-side staleness-discounted buffer fold
-	// (the async counterpart of fed/phase/aggregate).
-	SpanFold = "fed/phase/fold"
+	// SpanBufferWait covers an async round's wait for its buffer to fill.
+	SpanBufferWait = "fed/async_buffer_wait"
 
 	// MetricHealthEvent is the trace-event name for fired health rules.
 	MetricHealthEvent = "obs/health"

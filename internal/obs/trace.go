@@ -5,9 +5,9 @@
 // the telemetry Aggregator, and a run-health rule engine watching per-round
 // statistics.
 //
-// Everything is nil-tolerant: a nil *Tracer (or nil *Span) is inert and
-// costs no clock reads, so instrumented paths stay free when tracing is off
-// — the same contract telemetry.Nop gives metric call sites.
+// Everything is nil-tolerant: a nil *Tracer (or nil *Span) is inert, and a
+// span with telemetry and tracing both off costs no clock read — the same
+// contract telemetry.Nop gives metric call sites.
 package obs
 
 import (
@@ -17,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fedomd/internal/telemetry"
 )
 
 // TraceID identifies one causally-linked trace (normally one federated run).
@@ -89,7 +91,6 @@ type SpanSink interface{ EmitRecord(v any) }
 type Tracer struct {
 	sink SpanSink
 	next atomic.Uint64 // span-ID sequence, randomly seeded per process
-	now  func() time.Time
 
 	// active holds the coordinator's current round span — the propagation
 	// seam for layers (transport proxies, codec encoders) that cannot be
@@ -108,7 +109,7 @@ func NewTracer(sink SpanSink) *Tracer {
 	if sink == nil {
 		return nil
 	}
-	t := &Tracer{sink: sink, now: time.Now}
+	t := &Tracer{sink: sink}
 	t.next.Store(randomID())
 	return t
 }
@@ -141,38 +142,6 @@ func (t *Tracer) nextID() uint64 {
 	return id
 }
 
-// Root starts a new trace with the named span as its root.
-func (t *Tracer) Root(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.start(SpanContext{Trace: TraceID(t.nextID())}, name)
-}
-
-// Start begins a child span of parent. An invalid parent trace starts a
-// fresh trace (so a party whose coordinator predates propagation still
-// produces a well-formed local trace).
-func (t *Tracer) Start(parent SpanContext, name string) *Span {
-	if t == nil {
-		return nil
-	}
-	if parent.Trace == 0 {
-		parent.Trace = TraceID(t.nextID())
-	}
-	return t.start(parent, name)
-}
-
-func (t *Tracer) start(parent SpanContext, name string) *Span {
-	now := t.now()
-	return &Span{
-		tracer: t,
-		name:   name,
-		ctx:    SpanContext{Trace: parent.Trace, Span: SpanID(t.nextID())},
-		parent: parent.Span,
-		start:  now,
-	}
-}
-
 // SetActive publishes ctx as the coordinator's current span. Layers that
 // cannot be threaded a parent explicitly (transport calls, codec encoders)
 // parent their spans at Active instead.
@@ -202,7 +171,7 @@ func (t *Tracer) Event(parent SpanContext, name, level string, attrs ...Attr) {
 		return
 	}
 	rec := EventRecord{
-		TS:    t.now().UTC().Format(time.RFC3339Nano),
+		TS:    time.Now().UTC().Format(time.RFC3339Nano),
 		Type:  "event",
 		Name:  name,
 		Level: level,
@@ -229,21 +198,65 @@ func (t *Tracer) Counts() (spans, events int64) {
 	return t.spans.Load(), t.events.Load()
 }
 
-// Span is one in-flight timed region. A nil *Span (from a nil Tracer) is
-// inert: SetAttr and End are no-ops.
+// Spans starts the runtime's timed regions over the telemetry recorder and
+// the tracer a layer holds, so one Start opens one span that feeds both.
+// End books the duration under the span name plus "_seconds", with "/" + op
+// appended for a span given an op (SetOp), and emits the trace record:
+// "fed/phase/train" books "fed/phase/train_seconds", and "rpc/coord/latency"
+// with op train_local books "rpc/coord/latency_seconds/train_local". With a
+// nil or disabled recorder and a nil tracer, Start returns a nil span
+// without reading the clock.
+type Spans struct {
+	rec telemetry.Recorder // nil when disabled
+	tr  *Tracer
+}
+
+// NewSpans returns the span starter over rec and tr; either may be nil.
+func NewSpans(rec telemetry.Recorder, tr *Tracer) Spans {
+	if rec != nil && !rec.Enabled() {
+		rec = nil
+	}
+	return Spans{rec: rec, tr: tr}
+}
+
+// Start begins a span named name, a pkg/snake_case compile-time constant,
+// under parent. A parent with no trace starts a fresh trace with the span as
+// its root (so a party whose coordinator predates propagation still produces
+// a well-formed local trace). The caller must End or Fail the span on every
+// path; fedomdvet's telemetrykey and spanend analyzers check both rules.
+func (s Spans) Start(parent SpanContext, name string) *Span {
+	if s.tr == nil && s.rec == nil {
+		return nil
+	}
+	sp := &Span{tracer: s.tr, rec: s.rec, name: name, start: time.Now()}
+	if s.tr != nil {
+		if parent.Trace == 0 {
+			parent.Trace = TraceID(s.tr.nextID())
+		}
+		sp.ctx = SpanContext{Trace: parent.Trace, Span: SpanID(s.tr.nextID())}
+		sp.parent = parent.Span
+	}
+	return sp
+}
+
+// Span is one in-flight timed region. A nil *Span is inert: every method is
+// a no-op.
 type Span struct {
-	tracer *Tracer
+	tracer *Tracer            // nil: no trace record
+	rec    telemetry.Recorder // nil: no histogram sample
 	name   string
 	ctx    SpanContext
 	parent SpanID
 	start  time.Time
 
 	mu    sync.Mutex
+	op    string
 	attrs map[string]any
 	ended bool
 }
 
-// Context returns the span's propagable identity (zero for a nil span).
+// Context returns the span's propagable identity (zero for a nil or
+// untraced span).
 func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
@@ -251,10 +264,10 @@ func (s *Span) Context() SpanContext {
 	return s.ctx
 }
 
-// SetAttr annotates the span. Key must be a snake_case compile-time constant
-// (see KV); the last write per key wins.
+// SetAttr annotates the span's trace record. Key must be a snake_case
+// compile-time constant (see KV); the last write per key wins.
 func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
+	if s == nil || s.tracer == nil {
 		return
 	}
 	s.mu.Lock()
@@ -265,9 +278,30 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
-// End finishes the span and emits its record. Idempotent: a second End is
-// ignored, so defers compose with early explicit ends.
-func (s *Span) End() {
+// SetOp names the operation a per-op span times: the trace record carries it
+// as the op attribute and the histogram key gains "/" + op. Ops come from a
+// closed set (the RPC op names), so each op is one fixed series.
+func (s *Span) SetOp(op string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.op = op
+	s.mu.Unlock()
+	s.SetAttr(AttrOp, op)
+}
+
+// End finishes the span: it observes the duration in the span's histogram
+// and emits the trace record. Idempotent: a second End (or a Fail after
+// End) is ignored, so defers compose with early explicit ends.
+func (s *Span) End() { s.finish(true, nil) }
+
+// Fail finishes the span as a failure: the trace record carries err under
+// AttrErr, and no histogram sample is booked — a failed operation's duration
+// (a timed-out call books the whole timeout) is not a latency observation.
+func (s *Span) Fail(err error) { s.finish(false, err) }
+
+func (s *Span) finish(ok bool, err error) {
 	if s == nil {
 		return
 	}
@@ -277,10 +311,26 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	attrs := s.attrs
+	if err != nil && s.tracer != nil {
+		if s.attrs == nil {
+			s.attrs = make(map[string]any, 1)
+		}
+		s.attrs[AttrErr] = err.Error()
+	}
+	attrs, op := s.attrs, s.op
 	s.mu.Unlock()
 
-	end := s.tracer.now()
+	end := time.Now()
+	if ok && s.rec != nil {
+		key := s.name + "_seconds"
+		if op != "" {
+			key += "/" + op
+		}
+		s.rec.Observe(key, end.Sub(s.start).Seconds())
+	}
+	if s.tracer == nil {
+		return
+	}
 	rec := SpanRecord{
 		TS:    end.UTC().Format(time.RFC3339Nano),
 		Type:  "span",

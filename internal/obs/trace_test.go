@@ -32,11 +32,12 @@ func TestSpanParentLinks(t *testing.T) {
 	var buf bytes.Buffer
 	jl := telemetry.NewJSONL(&buf)
 	tr := NewTracer(jl)
+	spans := NewSpans(nil, tr)
 
-	root := tr.Root(SpanRun)
-	round := tr.Start(root.Context(), SpanRound)
+	root := spans.Start(SpanContext{}, SpanRun)
+	round := spans.Start(root.Context(), SpanRound)
 	round.SetAttr(AttrRound, 3)
-	train := tr.Start(round.Context(), SpanClientTrain)
+	train := spans.Start(round.Context(), SpanClientTrain)
 	train.SetAttr(AttrParty, "party-0")
 	train.End()
 	round.End()
@@ -87,17 +88,16 @@ func TestNilTracerInert(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer claims enabled")
 	}
-	sp := tr.Root(SpanRun)
+	sp := NewSpans(nil, tr).Start(SpanContext{}, SpanRun)
 	if sp != nil {
 		t.Fatal("nil tracer minted a span")
 	}
 	sp.SetAttr(AttrRound, 1) // no-op, must not panic
+	sp.SetOp("train_local")
+	sp.Fail(errBoom)
 	sp.End()
 	if sp.Context().Valid() {
 		t.Fatal("nil span has a valid context")
-	}
-	if tr.Start(SpanContext{}, SpanRound) != nil {
-		t.Fatal("nil tracer Start minted a span")
 	}
 	tr.SetActive(SpanContext{Trace: 1, Span: 2})
 	if tr.Active().Valid() {
@@ -119,6 +119,7 @@ func TestConcurrentTraceJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	jl := telemetry.NewJSONL(&buf)
 	tr := NewTracer(jl)
+	start := NewSpans(nil, tr).Start
 
 	const workers, perWorker = 16, 50
 	var wg sync.WaitGroup
@@ -127,7 +128,7 @@ func TestConcurrentTraceJSONL(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				sp := tr.Start(tr.Active(), SpanClientTrain)
+				sp := start(tr.Active(), SpanClientTrain)
 				sp.SetAttr(AttrParty, fmt.Sprintf("party-%d", w))
 				sp.SetAttr(AttrRound, i)
 				// Telemetry events share the sink with the spans.
@@ -177,7 +178,7 @@ func TestNewRunID(t *testing.T) {
 // thing keeping remote spans distinguishable in one merged trace file.
 func TestSpanIDUniqueness(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(telemetry.NewJSONL(&buf))
+	spans := NewSpans(nil, NewTracer(telemetry.NewJSONL(&buf)))
 	const n = 10_000
 	ids := make(chan SpanID, n)
 	var wg sync.WaitGroup
@@ -186,7 +187,7 @@ func TestSpanIDUniqueness(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n/8; i++ {
-				ids <- tr.Start(SpanContext{}, SpanRPC).Context().Span
+				ids <- spans.Start(SpanContext{}, SpanRPC).Context().Span
 			}
 		}()
 	}

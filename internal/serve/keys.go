@@ -26,8 +26,9 @@ const (
 	// MetricRequestSeconds is the per-request latency histogram, measured
 	// from queue admission to completion (includes linger).
 	MetricRequestSeconds = "serve/request_seconds"
-	// MetricBatchSeconds is the per-batch forward-pass span timer.
-	MetricBatchSeconds = "serve/batch_seconds"
+	// SpanBatch times each batch's forward pass; its histogram is
+	// serve/batch_seconds (see obs.Spans).
+	SpanBatch = "serve/batch"
 	// MetricCacheHits / MetricCacheMisses measure the logit LRU.
 	MetricCacheHits   = "serve/cache_hits"
 	MetricCacheMisses = "serve/cache_misses"

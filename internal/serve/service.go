@@ -95,6 +95,7 @@ type Result struct {
 type Service struct {
 	cfg   Config
 	rec   telemetry.Recorder
+	spans obs.Spans // the batch timer; the service keeps no tracer
 	cache *logitCache
 
 	state   atomic.Pointer[modelState]
@@ -122,6 +123,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:     cfg,
 		rec:     telemetry.Or(cfg.Recorder),
+		spans:   obs.NewSpans(cfg.Recorder, nil),
 		cache:   newLogitCache(cfg.CacheSize),
 		ch:      make(chan *request, cfg.QueueDepth),
 		stop:    make(chan struct{}),
@@ -275,7 +277,7 @@ func (s *Service) execute(batch []*request) {
 	classes := st.inf.Classes()
 	limit := st.inf.Nodes()
 
-	sp := telemetry.StartSpan(s.rec, MetricBatchSeconds)
+	sp := s.spans.Start(obs.SpanContext{}, SpanBatch)
 	type missSlot struct {
 		r   *request
 		pos int // index into r.nodes

@@ -1,7 +1,7 @@
 // Package telemetry is the observability substrate of the federated runtime:
-// a Recorder interface for counters, gauges, histograms (with quantile
-// summaries) and span timers, a zero-allocation no-op default so instrumented
-// hot paths cost nothing when telemetry is disabled, and two concrete sinks —
+// a Recorder interface for counters, gauges and histograms (with quantile
+// summaries), a zero-allocation no-op default so instrumented hot paths cost
+// nothing when telemetry is disabled, and two concrete sinks —
 // an in-memory Aggregator that renders a per-run text report, and a JSONL
 // trace writer for machine-readable per-event output.
 //
@@ -13,15 +13,13 @@
 // fed.Run drives clients from goroutines within a round.
 package telemetry
 
-import "time"
-
 // Recorder receives telemetry events. Implementations must be safe for
 // concurrent use. Metric names are slash-separated paths; histogram names
 // carrying durations end in "_seconds" so reports can format them as times.
 type Recorder interface {
 	// Enabled reports whether events are consumed at all. Instrumentation
-	// uses it to skip event construction (notably time.Now for spans) when
-	// telemetry is off.
+	// uses it to skip event construction (notably the clock reads of
+	// obs.Spans) when telemetry is off.
 	Enabled() bool
 	// Count adds delta to the named monotonic counter.
 	Count(name string, delta int64)
@@ -51,37 +49,6 @@ func Or(r Recorder) Recorder {
 	}
 	return r
 }
-
-// Span is an in-flight timer started by StartSpan. The zero value is inert.
-// It is a plain value (no allocation) so spans are free on disabled paths.
-type Span struct {
-	rec   Recorder
-	name  string
-	start time.Time
-}
-
-// StartSpan begins timing the named region. When r is nil or disabled it
-// returns an inert Span without reading the clock.
-func StartSpan(r Recorder, name string) Span {
-	if r == nil || !r.Enabled() {
-		return Span{}
-	}
-	return Span{rec: r, name: name, start: time.Now()}
-}
-
-// End stops the span and records its duration in seconds as a histogram
-// sample under the span's name.
-func (s Span) End() {
-	if s.rec == nil {
-		return
-	}
-	s.rec.Observe(s.name, time.Since(s.start).Seconds())
-}
-
-// Cancel abandons the span without recording a sample: a failed operation's
-// duration is not a latency observation and would skew the histogram. Safe on
-// the zero Span; a later End on the same variable is a no-op.
-func (s *Span) Cancel() { s.rec = nil }
 
 // multi fans events out to several recorders.
 type multi []Recorder

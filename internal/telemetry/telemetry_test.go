@@ -18,24 +18,8 @@ func TestNopIsDisabledAndInert(t *testing.T) {
 	Nop.Count("x", 1)
 	Nop.Gauge("x", 1)
 	Nop.Observe("x", 1)
-	sp := StartSpan(Nop, "x")
-	if !sp.start.IsZero() {
-		t.Fatal("disabled span read the clock")
-	}
-	sp.End()
 	if Or(nil) != Nop {
 		t.Fatal("Or(nil) is not Nop")
-	}
-}
-
-func TestNopSpanZeroAlloc(t *testing.T) {
-	allocs := testing.AllocsPerRun(100, func() {
-		sp := StartSpan(Nop, "hot")
-		sp.End()
-		Nop.Count("hot", 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled instrumentation allocates %v per op", allocs)
 	}
 }
 
@@ -118,32 +102,6 @@ func TestAggregatorConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestSpanRecordsDuration(t *testing.T) {
-	a := NewAggregator()
-	sp := StartSpan(a, "op_seconds")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	s, ok := a.Histogram("op_seconds")
-	if !ok || s.Count != 1 {
-		t.Fatalf("span not recorded: %+v", s)
-	}
-	if s.Sum <= 0 || s.Sum > 5 {
-		t.Fatalf("span duration = %v seconds", s.Sum)
-	}
-}
-
-func TestSpanCancelDropsSample(t *testing.T) {
-	a := NewAggregator()
-	sp := StartSpan(a, "op_seconds")
-	sp.Cancel()
-	sp.End() // End after Cancel must be a no-op
-	if s, ok := a.Histogram("op_seconds"); ok && s.Count != 0 {
-		t.Fatalf("cancelled span recorded a sample: %+v", s)
-	}
-	var zero Span
-	zero.Cancel() // zero value stays inert
-}
-
 func TestReportRendersTables(t *testing.T) {
 	a := NewAggregator()
 	a.Observe("fed/phase/train_seconds", 0.25)
@@ -175,8 +133,7 @@ func TestJSONLEmitsParseableEvents(t *testing.T) {
 	j := NewJSONL(&buf)
 	j.Count("c", 3)
 	j.Gauge("g", 1.5)
-	sp := StartSpan(j, "op_seconds")
-	sp.End()
+	j.Observe("op_seconds", 0.25)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
