@@ -415,7 +415,10 @@ func (n *Node) IsParam() bool { return n.requiresGrad && n.backward == nil }
 func (t *Tape) Mul(a, b *Node) *Node {
 	r, c := a.Value.Dims()
 	out := t.op(r, c, a, b)
-	mat.MulElemInto(out.Value, a.Value, b.Value)
+	od, bd := out.Value.Data(), b.Value.Data()
+	for i, x := range a.Value.Data() {
+		od[i] = x * bd[i]
+	}
 	out.backward = func() {
 		if a.requiresGrad {
 			mat.MulElemAddInto(a.grad(), out.Grad, b.Value)

@@ -116,12 +116,16 @@ func (t *Tape) AddRowVec(a, v *Node) *Node {
 func (t *Tape) ReLU(a *Node) *Node {
 	r, c := a.Value.Dims()
 	out := t.op(r, c, a)
-	mat.ApplyInto(out.Value, a.Value, func(x float64) float64 {
+	ad := a.Value.Data()
+	od := out.Value.Data()[:len(ad)]
+	for i, x := range ad {
+		// NaN and −0 fail the test and map to +0.
 		if x > 0 {
-			return x
+			od[i] = x
+		} else {
+			od[i] = 0
 		}
-		return 0
-	})
+	}
 	out.backward = func() {
 		gd := a.grad().Data()
 		og := out.Grad.Data()
@@ -135,22 +139,29 @@ func (t *Tape) ReLU(a *Node) *Node {
 }
 
 // Dropout records inverted dropout with drop probability p, drawing the mask
-// from rng. With train=false (or p=0) it is the identity.
+// from rng, one draw per element in row-major order. With train=false (or
+// p=0) it is the identity. One pass writes the mask (1/keep or 0) and the
+// output a·mask together, so neither buffer is zeroed first; a dropped
+// element is still x·0, keeping −0 and NaN where the product gives them.
 func (t *Tape) Dropout(a *Node, p float64, rng *rand.Rand, train bool) *Node {
 	if !train || p == 0 {
 		return a
 	}
 	keep := 1 - p
-	mask := t.newOwned(a.Value.Dims())
-	md := mask.Data()
-	for i := range md {
-		if rng.Float64() < keep {
-			md[i] = 1 / keep
-		}
-	}
+	scale := 1 / keep
 	r, c := a.Value.Dims()
+	mask := t.newOwnedUnzeroed(r, c)
 	out := t.op(r, c, a)
-	mat.MulElemInto(out.Value, a.Value, mask)
+	ad := a.Value.Data()
+	md, od := mask.Data()[:len(ad)], out.Value.Data()[:len(ad)]
+	for i, x := range ad {
+		m := 0.0
+		if rng.Float64() < keep {
+			m = scale
+		}
+		md[i] = m
+		od[i] = x * m
+	}
 	out.backward = func() {
 		mat.MulElemAddInto(a.grad(), out.Grad, mask)
 	}
@@ -209,11 +220,20 @@ func (t *Tape) CentralMoments(z, mean *Node, maxOrder int) []*Node {
 }
 
 func centralMomentsBackward(z, mean *Node, out []*Node) {
-	n, cols := z.Value.Dims()
-	// fac row k is (G·(1/n))·(k+2) for order k+2, rounded as the mean's
-	// broadcast and then the power rule's factor would round it.
-	fac := mat.GetDense(len(out), cols)
-	defer mat.PutDense(fac)
+	if len(out) == 4 && z.requiresGrad && mean.requiresGrad &&
+		!slices.ContainsFunc(out, func(o *Node) bool { return o.Grad == nil }) {
+		centralMomentsBackward4(z, mean, out)
+		return
+	}
+	centralMomentsBackwardGeneric(z, mean, out)
+}
+
+// momentFactors returns a pooled len(out)×cols buffer whose row k is
+// (G·(1/n))·(k+2) for order k+2, rounded as the mean's broadcast and then
+// the power rule's factor would round it. Rows of orders without a gradient
+// are left unwritten; the caller must not read them.
+func momentFactors(out []*Node, n, cols int) *mat.Dense {
+	fac := mat.GetDenseUnzeroed(len(out), cols)
 	inv := 1 / float64(n)
 	for k, o := range out {
 		if o.Grad == nil {
@@ -224,6 +244,15 @@ func centralMomentsBackward(z, mean *Node, out []*Node) {
 			f[c] = inv * g * j
 		}
 	}
+	return fac
+}
+
+// centralMomentsBackwardGeneric serves any order count, any subset of
+// orders with a gradient, and a z or mean that takes none.
+func centralMomentsBackwardGeneric(z, mean *Node, out []*Node) {
+	n, cols := z.Value.Dims()
+	fac := momentFactors(out, n, cols)
+	defer mat.PutDense(fac)
 	var zg, mg []float64
 	if z.requiresGrad {
 		zg = z.grad().Data()
@@ -252,6 +281,37 @@ func centralMomentsBackward(z, mean *Node, out []*Node) {
 			if mg != nil {
 				mg[c] -= g
 			}
+		}
+	}
+}
+
+// centralMomentsBackward4 is centralMomentsBackwardGeneric for the orders 2..5,
+// every order with a gradient and both z and mean taking one. The powers
+// d..d⁴ and the descending-order sum keep the generic loop's expressions, so
+// the gradients are its bits.
+func centralMomentsBackward4(z, mean *Node, out []*Node) {
+	n, cols := z.Value.Dims()
+	fac := momentFactors(out, n, cols)
+	defer mat.PutDense(fac)
+	f2, f3, f4, f5 := fac.Row(0)[:cols], fac.Row(1)[:cols], fac.Row(2)[:cols], fac.Row(3)[:cols]
+	zd, zg := z.Value.Data(), z.grad().Data()
+	mu, mg := mean.Value.Data()[:cols], mean.grad().Data()[:cols]
+	for i := 0; i < n; i++ {
+		row := zd[i*cols:][:cols]
+		zgr := zg[i*cols:][:cols]
+		for c, x := range row {
+			d := x - mu[c]
+			pw1 := d
+			pw2 := pw1 * d
+			pw3 := pw2 * d
+			pw4 := pw3 * d
+			var g float64
+			g += f5[c] * pw4
+			g += f4[c] * pw3
+			g += f3[c] * pw2
+			g += f2[c] * pw1
+			zgr[c] += g
+			mg[c] -= g
 		}
 	}
 }

@@ -89,9 +89,22 @@ type Tape struct {
 // NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
-// newOwned draws a zeroed pool buffer and registers it for Release.
+// newOwned draws a zeroed pool buffer and registers it for Release. Gradients
+// (Node.grad) and every buffer a kernel accumulates into come from here.
 func (t *Tape) newOwned(r, c int) *mat.Dense {
-	m := mat.GetDense(r, c)
+	return t.own(mat.GetDense(r, c))
+}
+
+// newOwnedUnzeroed is newOwned for a buffer whose writer sets every element
+// before anything reads it: forward values (Tape.op) and Dropout's mask.
+// Under mat.SetDebug(true) it starts as NaN, so a kernel that skips an
+// element poisons its output in tests.
+func (t *Tape) newOwnedUnzeroed(r, c int) *mat.Dense {
+	return t.own(mat.GetDenseUnzeroed(r, c))
+}
+
+// own registers m for Release.
+func (t *Tape) own(m *mat.Dense) *mat.Dense {
 	t.owned = append(t.owned, m)
 	return m
 }
@@ -110,10 +123,12 @@ func (t *Tape) node(v *mat.Dense) *Node {
 	return n
 }
 
-// op vends a node whose value is a fresh tape-owned r×c pool buffer. The
-// node requires a gradient when any of its inputs does.
+// op vends a node whose value is a fresh tape-owned r×c pool buffer, not
+// zeroed: every op kernel writes each element of its output (MeanRowsInto
+// and CentralMomentsInto zero their own, the 1×1 ops Set theirs). The node
+// requires a gradient when any of its inputs does.
 func (t *Tape) op(r, c int, in ...*Node) *Node {
-	n := t.node(t.newOwned(r, c))
+	n := t.node(t.newOwnedUnzeroed(r, c))
 	for _, x := range in {
 		n.requiresGrad = n.requiresGrad || x.requiresGrad
 	}

@@ -8,8 +8,7 @@ import (
 // destination expression is syntactically identical to one of the source
 // expressions. Every kernel listed in noAliasKernels documents that its
 // output must not alias its inputs (the row-blocked matmul loops read inputs
-// while writing out, so aliasing corrupts the result silently); ApplyInto is
-// deliberately absent because its contract allows out == a.
+// while writing out, so aliasing corrupts the result silently).
 var IntoAlias = &Analyzer{
 	Name: "intoalias",
 	Doc:  "destination of a *Into/*AddInto/AXPY kernel must not alias a source",
@@ -38,7 +37,6 @@ var noAliasKernels = map[string]kernelSpec{
 	// ops.go *Into family ("out must not alias the inputs unless noted").
 	pathMat + ".AddInto":            {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".SubInto":            {dst: 0, srcs: []int{1, 2}},
-	pathMat + ".MulElemInto":        {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".MulElemAddInto":     {dst: 0, srcs: []int{1, 2}},
 	pathMat + ".ScaleInto":          {dst: 0, srcs: []int{2}},
 	pathMat + ".AddRowVecInto":      {dst: 0, srcs: []int{1, 2}},

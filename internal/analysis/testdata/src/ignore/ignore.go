@@ -8,6 +8,6 @@ import "fedomd/internal/mat"
 func suppressed(a, b *mat.Dense) {
 	mat.AddInto(a, a, b) //fedomdvet:ignore fixture exercises the documented self-add suppression
 	//fedomdvet:ignore own-line form covers the next line
-	mat.MulElemInto(a, a, b)
+	mat.MulElemAddInto(a, a, b)
 	mat.SubInto(a, a, b) //fedomdvet:ignore // want `without a reason` want `a is both destination and source of SubInto`
 }

@@ -16,8 +16,7 @@ func matKernels(out, a, b *mat.Dense) {
 	mat.MatMulT1AddInto(out, b, out) // want `out is both destination and source of MatMulT1AddInto`
 	out.AXPY(2, out)                 // want `out is both destination and source of AXPY`
 	out.AXPY(2, b)
-	mat.ApplyInto(a, a, func(x float64) float64 { return x }) // ApplyInto allows out == a
-	a.SelectRowsInto(a, []int{0})                             // want `a is both destination and source of SelectRowsInto`
+	a.SelectRowsInto(a, []int{0}) // want `a is both destination and source of SelectRowsInto`
 	a.SelectRowsInto(out, []int{0})
 	mat.ScaleInto(out, 2, a)
 }

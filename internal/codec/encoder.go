@@ -246,8 +246,9 @@ func DecodeParams(blob []byte, ref *nn.Params) (*nn.Params, error) {
 
 // decodeRef reconstructs a parameter set from a v2 blob. A blob with a
 // nonzero reference checksum requires ref's sum to be exactly that value;
-// an absolute blob (checksum 0) ignores ref. Output matrices are drawn from
-// the mat buffer pool without zeroing (a top-k frame clears its own) —
+// an absolute blob (checksum 0) ignores ref. The lossy modes add the
+// reference as they write each element. Output matrices are drawn from the
+// mat buffer pool without zeroing (every mode writes every element) —
 // ownership transfers to the caller, who may PutDense them once the values
 // have been consumed (or let the GC take them).
 func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
@@ -312,8 +313,6 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 			}
 			refData = refT.Data()
 		}
-		// Every mode but top-k writes each element, so the buffer is drawn
-		// unzeroed and only top-k clears it.
 		d := mat.GetDenseUnzeroed(rows, cols)
 		out.Add(name, d) // transfer pool ownership to the result immediately
 		data := d.Data()
@@ -324,15 +323,11 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 		case modeXor:
 			err = decodeXorBody(body, refData, data)
 		case modeF32:
-			err = decodeF32Body(body, data)
-			addRef(data, refData)
+			err = decodeF32Body(body, refData, data)
 		case modeQuant:
-			err = decodeQuantBody(body, qbits, data)
-			addRef(data, refData)
+			err = decodeQuantBody(body, qbits, refData, data)
 		case modeTopK:
-			clear(data) // decodeTopKBody writes only the kept entries
-			err = decodeTopKBody(body, qbits, data)
-			addRef(data, refData)
+			err = decodeTopKBody(body, qbits, refData, data)
 		default:
 			err = fmt.Errorf("codec: unknown frame mode %d", mode)
 		}
@@ -354,12 +349,6 @@ func PutParams(p *nn.Params) {
 	}
 	for i := 0; i < p.Len(); i++ {
 		mat.PutDense(p.At(i))
-	}
-}
-
-func addRef(data, ref []float64) {
-	for i := range data {
-		data[i] += ref[i]
 	}
 }
 

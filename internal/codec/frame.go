@@ -183,12 +183,15 @@ func appendF32Body(dst []byte, v []float64) ([]byte, bool) {
 	return dst, ok
 }
 
-func decodeF32Body(body []byte, out []float64) error {
+// decodeF32Body writes each body value plus ref's element into out. out may
+// be ref.
+func decodeF32Body(body []byte, ref, out []float64) error {
 	if len(body) != 4*len(out) {
 		return fmt.Errorf("codec: float32 body is %d bytes, want %d", len(body), 4*len(out))
 	}
+	ref = ref[:len(out)]
 	for i := range out {
-		out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:])))
+		out[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))) + ref[i]
 	}
 	return nil
 }
@@ -238,16 +241,21 @@ func quantBodyLen(n, qbits int) int {
 	return 16 + (n+1)/2
 }
 
-func decodeQuantBody(body []byte, qbits int, out []float64) error {
+// decodeQuantBody writes each dequantised value plus ref's element into
+// out. The value lo + scale·q is rounded before ref is added, as a separate
+// decode and add would round it. out may be ref.
+func decodeQuantBody(body []byte, qbits int, ref, out []float64) error {
 	if len(body) != quantBodyLen(len(out), qbits) {
 		return fmt.Errorf("codec: quant body is %d bytes, want %d", len(body), quantBodyLen(len(out), qbits))
 	}
 	lo := math.Float64frombits(binary.LittleEndian.Uint64(body))
 	scale := math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
 	idx := body[16:]
+	ref = ref[:len(out)]
 	if qbits == 8 {
+		idx = idx[:len(out)]
 		for i := range out {
-			out[i] = lo + scale*float64(idx[i])
+			out[i] = float64(lo+scale*float64(idx[i])) + ref[i]
 		}
 		return nil
 	}
@@ -258,7 +266,7 @@ func decodeQuantBody(body []byte, qbits int, out []float64) error {
 		} else {
 			b >>= 4
 		}
-		out[i] = lo + scale*float64(b)
+		out[i] = float64(lo+scale*float64(b)) + ref[i]
 	}
 	return nil
 }
@@ -321,9 +329,10 @@ func appendTopKBody(dst []byte, v []float64, k int, inner byte, qbits int) ([]by
 	return dst, ok
 }
 
-// decodeTopKBody fills out (which the caller zeroes) with the kept delta
-// values at their flat indices.
-func decodeTopKBody(body []byte, qbits int, out []float64) error {
+// decodeTopKBody writes ref plus the sparse delta into out: a dropped entry
+// is 0 + ref, as a zeroed decode followed by a reference add leaves it (a −0
+// reference reads +0), and a kept entry its inner-mode value plus ref.
+func decodeTopKBody(body []byte, qbits int, ref, out []float64) error {
 	if len(body) < 5 {
 		return fmt.Errorf("codec: top-k body is %d bytes, want at least 5", len(body))
 	}
@@ -335,27 +344,41 @@ func decodeTopKBody(body []byte, qbits int, out []float64) error {
 	if len(body) < 5+4*k {
 		return fmt.Errorf("codec: top-k index table truncated")
 	}
+	// vals starts as the kept entries' reference values, and the inner
+	// decode adds the delta to each in place.
 	vals := make([]float64, k)
+	for i := range vals {
+		flat := int(binary.LittleEndian.Uint32(body[5+4*i:]))
+		if flat >= len(out) {
+			return fmt.Errorf("codec: top-k index %d out of range %d", flat, len(out))
+		}
+		vals[i] = ref[flat]
+	}
 	var err error
 	switch inner {
 	case modeRawF64:
-		err = decodeRawF64Body(body[5+4*k:], vals)
+		delta := make([]float64, k)
+		if err = decodeRawF64Body(body[5+4*k:], delta); err == nil {
+			for i, d := range delta {
+				vals[i] = d + vals[i]
+			}
+		}
 	case modeF32:
-		err = decodeF32Body(body[5+4*k:], vals)
+		err = decodeF32Body(body[5+4*k:], vals, vals)
 	case modeQuant:
-		err = decodeQuantBody(body[5+4*k:], qbits, vals)
+		err = decodeQuantBody(body[5+4*k:], qbits, vals, vals)
 	default:
 		err = fmt.Errorf("codec: unknown top-k inner mode %d", inner)
 	}
 	if err != nil {
 		return err
 	}
-	for i := 0; i < k; i++ {
-		flat := int(binary.LittleEndian.Uint32(body[5+4*i:]))
-		if flat >= len(out) {
-			return fmt.Errorf("codec: top-k index %d out of range %d", flat, len(out))
-		}
-		out[flat] = vals[i]
+	ref = ref[:len(out)]
+	for j, r := range ref {
+		out[j] = 0 + r
+	}
+	for i, v := range vals {
+		out[binary.LittleEndian.Uint32(body[5+4*i:])] = v
 	}
 	return nil
 }

@@ -532,6 +532,12 @@ type remoteClient struct {
 	// else to clear.
 	memo     *broadcastMemo
 	lastSent codec.Ref
+	// retired is set once an exchange failed below the application layer
+	// (a write or read error, deadline expiries included) and the
+	// connection was closed: a reply still in flight would otherwise be
+	// read as the answer to the next request. The next call reconnects
+	// through TransportOptions.Reconnect or fails naming the party.
+	retired bool
 }
 
 // wireCodecNegotiated lets fed.Run's in-process codec layer skip clients
@@ -550,8 +556,17 @@ func (r *remoteClient) call(req rpcRequest) (rpcResponse, error) {
 
 // callBuild is call with the request built per attempt: a reconnect resets
 // the codec reference state, so a retried SetParams must re-encode its blob
-// against the fresh (nil) reference rather than reissue stale bytes.
+// against the fresh (nil) reference rather than reissue stale bytes. A
+// retired connection is replaced first.
 func (r *remoteClient) callBuild(build func() (rpcRequest, error)) (rpcResponse, error) {
+	if r.retired {
+		if r.opts.Reconnect == nil {
+			return rpcResponse{}, fmt.Errorf("fed: connection to %s closed after an earlier transport error", r.name)
+		}
+		if err := r.reconnect(); err != nil {
+			return rpcResponse{}, fmt.Errorf("fed: reconnect to %s: %w", r.name, err)
+		}
+	}
 	req, err := build()
 	if err != nil {
 		return rpcResponse{}, err
@@ -615,9 +630,9 @@ func (r *remoteClient) backoff(attempt int) time.Duration {
 
 // reconnect replaces the broken connection with a fresh one from the
 // Reconnect hook and re-runs the hello handshake, verifying the same party
-// answered.
+// answered. Until it succeeds the proxy stays retired.
 func (r *remoteClient) reconnect() error {
-	_ = r.conn.Close()
+	r.retire()
 	conn, err := r.opts.Reconnect(r.name)
 	if err != nil {
 		return err
@@ -637,7 +652,7 @@ func (r *remoteClient) reconnect() error {
 		conn.Close()
 		return fmt.Errorf("expected party %s, got %s", r.name, h.Name)
 	}
-	r.conn, r.enc, r.dec = cc, enc, dec
+	r.conn, r.enc, r.dec, r.retired = cc, enc, dec, false
 	// The party restarted its serve loop, so its codec reference and
 	// error-feedback residuals are gone. Renegotiate and start from an
 	// absolute broadcast.
@@ -647,11 +662,11 @@ func (r *remoteClient) reconnect() error {
 	r.lastSent = codec.Ref{}
 	if r.codecOn {
 		if !wireSupported(h.Codecs, codec.WireV2) {
-			r.conn.Close()
+			r.retire()
 			return fmt.Errorf("party %s no longer advertises wire v2", r.name)
 		}
 		if _, err := r.callOnce(negotiateRequest(r.opts.Codec)); err != nil {
-			r.conn.Close()
+			r.retire()
 			return fmt.Errorf("codec renegotiation with %s: %w", r.name, err)
 		}
 	}
@@ -674,10 +689,18 @@ func wireSupported(versions []uint8, v uint8) bool {
 	return false
 }
 
+// retire closes the connection and marks the proxy for a reconnect.
+func (r *remoteClient) retire() {
+	_ = r.conn.Close()
+	r.retired = true
+}
+
 // callOnce performs one request/response exchange, applying the configured
 // per-request deadlines and recording latency and payload sizes per op. A
 // deadline expiry surfaces as an error naming the party (via the "to/from
-// %s" wrapping) that satisfies net.Error with Timeout() == true.
+// %s" wrapping) that satisfies net.Error with Timeout() == true. Any write
+// or read error retires the connection: after it the stream can no longer
+// be trusted to pair the next reply with the next request.
 func (r *remoteClient) callOnce(req rpcRequest) (rpcResponse, error) {
 	var tx0, rx0 int64
 	if r.rec.Enabled() {
@@ -698,6 +721,7 @@ func (r *remoteClient) callOnce(req rpcRequest) (rpcResponse, error) {
 		_ = r.conn.SetWriteDeadline(time.Now().Add(r.opts.WriteTimeout))
 	}
 	if err := r.enc.Encode(req); err != nil {
+		r.retire()
 		err = fmt.Errorf("fed: rpc %s to %s: %w", req.Op, r.name, err)
 		sp.Fail(err)
 		return rpcResponse{}, err
@@ -707,6 +731,7 @@ func (r *remoteClient) callOnce(req rpcRequest) (rpcResponse, error) {
 	}
 	var resp rpcResponse
 	if err := r.dec.Decode(&resp); err != nil {
+		r.retire()
 		err = fmt.Errorf("fed: rpc %s reply from %s: %w", req.Op, r.name, err)
 		sp.Fail(err)
 		return rpcResponse{}, err
@@ -725,11 +750,12 @@ func (r *remoteClient) callOnce(req rpcRequest) (rpcResponse, error) {
 func (r *remoteClient) Name() string    { return r.name }
 func (r *remoteClient) NumSamples() int { return r.samples }
 
+// Params never returns nil: it cannot report errors, so a failed exchange,
+// an undecodable blob or a reply without parameters yields an empty set,
+// which fails loudly in aggregation with a shape mismatch.
 func (r *remoteClient) Params() *nn.Params {
 	resp, err := r.call(rpcRequest{Op: opGetParams})
 	if err != nil {
-		// Params() cannot report errors; an empty set will fail loudly in
-		// aggregation with a shape mismatch.
 		return nn.NewParams()
 	}
 	if resp.Blob != nil {
@@ -746,6 +772,9 @@ func (r *remoteClient) Params() *nn.Params {
 			r.rec.Count(codec.MetricBytesEncoded, int64(len(resp.Blob)))
 		}
 		return p
+	}
+	if resp.Params == nil {
+		return nn.NewParams()
 	}
 	return paramsFromWire(resp.Params)
 }
@@ -803,7 +832,9 @@ func (r *remoteClient) EvalTest() (int, int) {
 }
 
 func (r *remoteClient) shutdown() {
-	_, _ = r.call(rpcRequest{Op: opShutdown})
+	if !r.retired {
+		_, _ = r.callOnce(rpcRequest{Op: opShutdown})
+	}
 	_ = r.conn.Close()
 }
 

@@ -113,9 +113,6 @@ func TestElementwiseIntoKernels(t *testing.T) {
 	SubInto(out, a, b)
 	wantClose(t, out, Sub(a, b), "SubInto")
 
-	MulElemInto(out, a, b)
-	wantClose(t, out, MulElem(a, b), "MulElemInto")
-
 	base := randMat(rng, 5, 6)
 	accum := base.Clone()
 	MulElemAddInto(accum, a, b)
@@ -123,14 +120,6 @@ func TestElementwiseIntoKernels(t *testing.T) {
 
 	ScaleInto(out, -2.5, a)
 	wantClose(t, out, Scale(-2.5, a), "ScaleInto")
-
-	ApplyInto(out, a, math.Exp)
-	wantClose(t, out, Apply(a, math.Exp), "ApplyInto")
-
-	// ApplyInto may alias its operand.
-	alias := a.Clone()
-	ApplyInto(alias, alias, math.Exp)
-	wantClose(t, alias, Apply(a, math.Exp), "ApplyInto-aliased")
 }
 
 func TestRowVecIntoKernels(t *testing.T) {
@@ -196,4 +185,73 @@ func MatMulAddInto(out, a, b *Dense) {
 	MatMulInto(tmp, a, b)
 	out.AddInPlace(tmp)
 	PutDense(tmp)
+}
+
+// edgeMat returns an r×c matrix of Gaussian values, negatives among them,
+// with −0 at every seventh element and one special value in each of the
+// columns 0, 1, 2, 3 and 4 mod 8: NaN in row 3, +Inf in row 4, −Inf in row
+// 5, −1e70 (its fifth power overflows) in row 6 and +Inf in row 0. The other
+// columns stay finite.
+func edgeMat(rng *rand.Rand, r, c int) *Dense {
+	m := New(r, c)
+	special := map[[2]int]float64{{3, 0}: math.NaN(), {4, 1}: math.Inf(1), {5, 2}: math.Inf(-1),
+		{6, 3}: -1e70, {0, 4}: math.Inf(1)}
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			v, ok := special[[2]int{i, j % 8}]
+			switch {
+			case ok:
+			case (i*c+j)%7 == 0:
+				v = math.Copysign(0, -1)
+			default:
+				v = 3 * rng.NormFloat64()
+			}
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
+// sameFloats reports the first index where got and want differ in bits,
+// counting any two NaNs as equal (their payloads depend on operand order
+// within a commutative add), or -1.
+func sameFloats(got, want []float64) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i, w := range want {
+		g := got[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(g != g && w != w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestCentralMomentsFourOrdersMatchGeneric pins the unrolled K=5 ladder
+// (four outputs) to the generic order loop bit for bit, over inputs and
+// means carrying NaN, ±Inf, −0 and negatives.
+func TestCentralMomentsFourOrdersMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 903} {
+		for _, cols := range []int{1, 7, 64} {
+			a, mean := edgeMat(rng, n, cols), edgeMat(rng, 1, cols)
+			got := []*Dense{dirty(1, cols), dirty(1, cols), dirty(1, cols), dirty(1, cols)}
+			CentralMomentsInto(got, a, mean)
+			want := []*Dense{New(1, cols), New(1, cols), New(1, cols), New(1, cols)}
+			centralMomentsGeneric(want, a, mean.data)
+			for _, o := range want {
+				for j := range o.data {
+					if n > 0 {
+						o.data[j] *= 1 / float64(n)
+					}
+				}
+			}
+			for k := range want {
+				if i := sameFloats(got[k].data, want[k].data); i >= 0 {
+					t.Fatalf("n%d/cols%d order %d [%d]: unrolled %v, generic %v", n, cols, k+2, i, got[k].data[i], want[k].data[i])
+				}
+			}
+		}
+	}
 }

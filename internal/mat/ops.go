@@ -183,15 +183,6 @@ func SubInto(out, a, b *Dense) {
 	}
 }
 
-// MulElemInto computes out = a ⊙ b.
-func MulElemInto(out, a, b *Dense) {
-	a.mustSameShape(b, "MulElemInto")
-	out.mustSameShape(a, "MulElemInto")
-	for i, v := range a.data {
-		out.data[i] = v * b.data[i]
-	}
-}
-
 // MulElemAddInto computes out += a ⊙ b — the fused Hadamard accumulation the
 // Mul/Dropout backward passes use instead of materialising the product.
 func MulElemAddInto(out, a, b *Dense) {
@@ -207,14 +198,6 @@ func ScaleInto(out *Dense, s float64, a *Dense) {
 	out.mustSameShape(a, "ScaleInto")
 	for i, v := range a.data {
 		out.data[i] = s * v
-	}
-}
-
-// ApplyInto computes out = f(a) element-wise. out may alias a.
-func ApplyInto(out, a *Dense, f func(float64) float64) {
-	out.mustSameShape(a, "ApplyInto")
-	for i, v := range a.data {
-		out.data[i] = f(v)
 	}
 }
 
@@ -283,7 +266,8 @@ func SumRowsAXPY(out *Dense, alpha float64, a *Dense) {
 // keep their sign in odd orders. A 0-row a yields zeros. Every out[k] must
 // be 1×c and must not share its backing array with a or mean: the kernel
 // zeroes its outputs before it reads its inputs, so it panics on such a call
-// rather than return a wrong moment.
+// rather than return a wrong moment. Four outputs (orders 2..5, FedOMD's
+// default K) take an unrolled path whose sums are the generic loop's.
 func CentralMomentsInto(out []*Dense, a, mean *Dense) {
 	if mean.rows != 1 || mean.cols != a.cols {
 		panic(fmt.Sprintf("mat: CentralMomentsInto wants 1x%d mean, got %dx%d", a.cols, mean.rows, mean.cols))
@@ -299,9 +283,28 @@ func CentralMomentsInto(out []*Dense, a, mean *Dense) {
 	for _, o := range out {
 		o.Zero()
 	}
+	if len(out) == 4 {
+		centralMoments4(out[0].data, out[1].data, out[2].data, out[3].data, a, mean.data)
+	} else {
+		centralMomentsGeneric(out, a, mean.data)
+	}
+	if a.rows == 0 {
+		return
+	}
+	inv := 1 / float64(a.rows)
+	for _, o := range out {
+		for j := range o.data {
+			o.data[j] *= inv
+		}
+	}
+}
+
+// centralMomentsGeneric adds every row's powers c^2..c^(len(out)+1) of
+// c = a − mean into the zeroed outputs.
+func centralMomentsGeneric(out []*Dense, a *Dense, mu []float64) {
 	for i := 0; i < a.rows; i++ {
 		for j, x := range a.Row(i) {
-			c := x - mean.data[j]
+			c := x - mu[j]
 			p := c
 			for _, o := range out {
 				// The conversion rounds the product before it is added, so
@@ -311,13 +314,26 @@ func CentralMomentsInto(out []*Dense, a, mean *Dense) {
 			}
 		}
 	}
-	if a.rows == 0 {
-		return
-	}
-	inv := 1 / float64(a.rows)
-	for _, o := range out {
-		for j := range o.data {
-			o.data[j] *= inv
+}
+
+// centralMoments4 is centralMomentsGeneric for the orders 2..5 with the
+// order loop unrolled: the same rounded products, added in the same order.
+func centralMoments4(o2, o3, o4, o5 []float64, a *Dense, mu []float64) {
+	cols := a.cols
+	mu = mu[:cols]
+	o2, o3, o4, o5 = o2[:cols], o3[:cols], o4[:cols], o5[:cols]
+	for i := 0; i < a.rows; i++ {
+		row := a.data[i*cols:][:cols]
+		for j, x := range row {
+			c := x - mu[j]
+			p := float64(c * c)
+			o2[j] += p
+			p = float64(p * c)
+			o3[j] += p
+			p = float64(p * c)
+			o4[j] += p
+			p = float64(p * c)
+			o5[j] += p
 		}
 	}
 }
