@@ -633,9 +633,12 @@ func TestRefMatchesParamsEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := DecodeParamsTraced(viaRef, r, nil, obs.SpanContext{})
+		b, absolute, err := DecodeParamsTraced(viaRef, r, nil, obs.SpanContext{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if absolute {
+			t.Fatalf("%s: a blob encoded against a reference decoded as absolute", o.Name())
 		}
 		for i := 0; i < a.Len(); i++ {
 			if !a.At(i).Equal(b.At(i)) {
@@ -651,11 +654,19 @@ func TestRefMatchesParamsEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeParamsTraced(blob, NewRef(perturb(rng, ref, 0.05)), nil, obs.SpanContext{}); err == nil {
+	if _, _, err := DecodeParamsTraced(blob, NewRef(perturb(rng, ref, 0.05)), nil, obs.SpanContext{}); err == nil {
 		t.Fatal("decode against another set's Ref succeeded")
 	}
-	if _, err := DecodeParamsTraced(blob, Ref{}, nil, obs.SpanContext{}); err == nil {
+	if _, _, err := DecodeParamsTraced(blob, Ref{}, nil, obs.SpanContext{}); err == nil {
 		t.Fatal("decode against the zero Ref succeeded")
+	}
+	// An absolute blob decodes against any Ref and says so.
+	abs, err := NewEncoder(Options{Kind: Delta}).EncodeRef(nil, p, Ref{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, absolute, err := DecodeParamsTraced(abs, r, nil, obs.SpanContext{}); err != nil || !absolute {
+		t.Fatalf("absolute blob: absolute=%v err=%v", absolute, err)
 	}
 }
 

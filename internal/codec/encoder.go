@@ -263,7 +263,7 @@ func decodeRef(blob []byte, r Ref) (*nn.Params, error) {
 	}
 	qbits := int(blob[3])
 	count := int(binary.LittleEndian.Uint32(blob[4:]))
-	refsum := binary.LittleEndian.Uint64(blob[8:])
+	refsum := blobRefSum(blob)
 	ref := r.params
 	if refsum != 0 {
 		if ref == nil {

@@ -53,6 +53,10 @@ const (
 	modeTopK   byte = 4
 )
 
+// blobRefSum is a blob's reference checksum, 0 for an absolute blob; blob
+// holds at least the blob header.
+func blobRefSum(blob []byte) uint64 { return binary.LittleEndian.Uint64(blob[8:]) }
+
 func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
 func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 func appendF64(dst []byte, v float64) []byte {

@@ -27,20 +27,23 @@ func (e *Encoder) traceParent() obs.SpanContext {
 // DecodeParamsTraced decodes blob against ref, whose checksum was taken
 // when it became a reference (see Ref), wrapped in a "codec/decode" span
 // when tr is non-nil; parent may be nil (the span then roots a local trace).
-// The span is trace-only: the codec/decode_ns counter already prices the
-// work, so it books no histogram.
-func DecodeParamsTraced(blob []byte, ref Ref, tr *obs.Tracer, parent obs.SpanContext) (*nn.Params, error) {
+// It also reports whether blob was absolute, encoded against no reference:
+// such a blob starts a new reference chain. The span is trace-only: the
+// codec/decode_ns counter already prices the work, so it books no
+// histogram.
+func DecodeParamsTraced(blob []byte, ref Ref, tr *obs.Tracer, parent obs.SpanContext) (*nn.Params, bool, error) {
 	if tr == nil {
-		return decodeRef(blob, ref)
+		p, err := decodeRef(blob, ref)
+		return p, err == nil && blobRefSum(blob) == 0, err
 	}
 	sp := obs.NewSpans(nil, tr).Start(parent, obs.SpanDecode)
 	p, err := decodeRef(blob, ref)
 	sp.SetAttr(obs.AttrBytesEnc, len(blob))
 	if err != nil {
 		sp.Fail(err)
-		return p, err
+		return p, false, err
 	}
 	sp.SetAttr(obs.AttrTensors, p.Len())
 	sp.End()
-	return p, err
+	return p, blobRefSum(blob) == 0, nil
 }

@@ -6,24 +6,24 @@ package fed
 // dispatches training jobs to every idle sampled party, collects the first
 // BufferK arrivals of each logical round, and folds them into the global
 // model with staleness-discounted weights w_i/(1+s)^α, where s is the number
-// of logical rounds elapsed since the update's global was dispatched. Late arrivals are not discarded at a barrier — they fold into
-// the next round's buffer — and the paper's central-moment aggregation
-// decomposes into weighted sums, so the same discounted fold applies exactly
-// to the mean/moment statistics and to aux state. Updates older than
-// MaxStaleness at fold time are evicted (their party takes a policy failure,
-// and the party's uplink codec residuals are dropped via Encoder.Reset since
-// the encoded frame was never applied); a party benched by Quarantine while
-// its update was in flight has that update rejected at fold time. The
+// of logical rounds elapsed since the update's global was dispatched. Late
+// arrivals are not discarded at a barrier — they fold into the next round's
+// buffer — and the paper's central-moment aggregation decomposes into
+// weighted sums, so the same discounted fold applies exactly to the
+// mean/moment statistics and to aux state. Updates older than MaxStaleness
+// at fold time are evicted (their party takes a policy failure, and its link
+// forgets the party's reference, see discard); a party benched by Quarantine
+// while its update was in flight has that update rejected at fold time. The
 // DropRound/Quarantine/quorum machinery of failure.go composes unchanged.
 //
 // Concurrency model: one worker goroutine per in-flight job, sequencing its
 // party's client calls through runState.call (busy flag + per-call timeout,
 // exactly the sync round's per-op discipline). The coordinator alone touches
-// runState's per-round bookkeeping, the buffer, and the codec per-party
-// reset; globals and statistics snapshots handed to workers are immutable
-// once published (every fold builds fresh matrices). A party is redispatched
-// only when it is neither in flight nor holding a buffered update, so its
-// uplink encoder is never used concurrently with a fold-time Reset.
+// runState's per-round bookkeeping and the buffer, and forgets references;
+// globals and statistics snapshots handed to workers are immutable once
+// published (every fold builds fresh matrices). A party is redispatched only
+// when it is neither in flight nor holding a buffered update, so its link is
+// never driven concurrently with a fold-time forget.
 
 import (
 	"errors"
@@ -86,8 +86,7 @@ type asyncUpdate struct {
 
 	loss      float64
 	params    *nn.Params
-	decoded   bool  // params decoded from an uplink frame: pooled, residuals advanced
-	encBytes  int64 // encoded upload size; -1 under raw accounting
+	pooled    bool // params decoded from a blob: release with codec.PutParams
 	upBytes   int64
 	downBytes int64
 	means     []*mat.Dense
@@ -157,21 +156,21 @@ func (eng *asyncEngine) discount(staleness int) float64 {
 }
 
 // discard drops an update that never folds. A decoded one returns its
-// buffers to the pool and resets the party's error-feedback residuals: the
-// residual map only has meaning against the chain of frames the server
-// actually folded, so an evicted or rejected frame would silently corrupt
-// the party's next delta encode.
+// buffers to the pool, and the party's link forgets its reference: the
+// party's error-feedback residuals only have meaning against the chain of
+// frames the server actually folded, so the next broadcast is absolute,
+// which resets them on the party's end.
 func (eng *asyncEngine) discard(u *asyncUpdate) {
 	eng.release(u)
-	if u.decoded && eng.st.cs != nil {
-		eng.st.cs.up[u.party].Reset()
+	if u.pooled {
+		eng.st.clients[u.party].(partyLink).forget()
 	}
 }
 
 // release frees a folded update's pooled buffers (its frame WAS applied, so
 // residuals stay).
 func (eng *asyncEngine) release(u *asyncUpdate) {
-	if u.decoded && u.params != nil {
+	if u.pooled && u.params != nil {
 		codec.PutParams(u.params)
 		u.params = nil
 	}
@@ -202,7 +201,7 @@ func (eng *asyncEngine) dispatch(parent obs.SpanContext, i, round int, global *n
 	eng.st.rec.Count(MetricAsyncDispatched, 1)
 	snap := eng.stats
 	go func() {
-		u := &asyncUpdate{party: i, dispatch: round, encBytes: -1}
+		u := &asyncUpdate{party: i, dispatch: round}
 		jsp := eng.st.spans.Start(parent, obs.SpanAsyncJob)
 		jsp.SetAttr(obs.AttrParty, eng.st.clients[i].Name())
 		jsp.SetAttr(obs.AttrDispatch, round)
@@ -223,20 +222,12 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 	st := eng.st
 	c := st.clients[i]
 
-	if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
+	n, err := st.sendParams(i, global)
+	if err != nil {
 		u.err = fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)
 		return
 	}
-	if st.cs != nil && !transportCoded(c) {
-		n, err := st.cs.broadcast(i, global)
-		if err != nil {
-			u.err = err
-			return
-		}
-		u.downBytes += n
-	} else {
-		u.downBytes += int64(global.Bytes())
-	}
+	u.downBytes += n
 
 	if mc, ok := c.(MomentClient); ok && st.allMoment {
 		var means []*mat.Dense
@@ -302,7 +293,7 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 	tsp.SetAttr(obs.AttrParty, c.Name())
 	t0 := time.Now()
 	var loss float64
-	err := st.call(i, func() error {
+	err = st.call(i, func() error {
 		l, e := c.TrainLocal(round)
 		loss = l
 		return e
@@ -316,37 +307,13 @@ func (eng *asyncEngine) runJob(ctx obs.SpanContext, u *asyncUpdate, i, round int
 	tsp.End()
 	u.loss = loss
 
-	usp := st.spans.Start(ctx, obs.SpanClientUpload)
-	usp.SetAttr(obs.AttrParty, c.Name())
-	var p *nn.Params
-	err = st.call(i, func() error { p = c.Params(); return nil })
-	if err == nil && st.cs != nil && !transportCoded(c) {
-		dec, enc, cerr := st.cs.upload(i, p)
-		if cerr != nil {
-			err = cerr
-		} else {
-			p = dec
-			u.params = dec // discard() releases it if a later screen fails
-			u.decoded = true
-			u.encBytes = enc
-		}
-	}
-	if err == nil && !finiteParams(p) {
-		err = ErrNonFinite
-	}
+	p, n, isPooled, err := st.upload(ctx, i, nil)
 	if err != nil {
-		usp.Fail(err)
-		u.err = fmt.Errorf("fed: upload from %s: %w", c.Name(), err)
+		u.err = err
 		return
 	}
-	u.params = p
-	if u.encBytes >= 0 {
-		u.upBytes += u.encBytes
-		usp.SetAttr(obs.AttrBytesEnc, u.encBytes)
-	} else {
-		u.upBytes += int64(p.Bytes())
-	}
-	usp.End()
+	// discard() releases a pooled set if the fold screens it out.
+	u.params, u.upBytes, u.pooled = p, u.upBytes+n, isPooled
 
 	if ac, ok := c.(AuxClient); ok {
 		var aux *nn.Params
@@ -633,17 +600,22 @@ func (eng *asyncEngine) round(parent obs.SpanContext, round int, global *nn.Para
 
 	// Score the global entering the round on the idle parties (an in-flight
 	// party cannot be probed without violating the one-call-at-a-time
-	// contract). Installs are not byte-charged: this is scoring, not
-	// protocol traffic.
+	// contract). A codec-less run books no bytes for these installs: this
+	// is scoring, not protocol traffic. Under a codec an install moves the
+	// party's reference, so its blob carries the round's delta (the
+	// dispatch after it sends the global against itself) and is booked.
 	if st.evalDue(round) {
 		evalIdx := make([]int, 0, len(reach))
 		for _, i := range reach {
 			if eng.inflight[i] || st.dropped[i] {
 				continue
 			}
-			c := st.clients[i]
-			if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
+			n, err := st.sendParams(i, global)
+			if err != nil {
 				continue // lenient, like st.evaluate
+			}
+			if st.cfg.Codec.Enabled() {
+				stats.BytesDown += n
 			}
 			evalIdx = append(evalIdx, i)
 		}
@@ -654,8 +626,7 @@ func (eng *asyncEngine) round(parent obs.SpanContext, round int, global *nn.Para
 	}
 
 	// Dispatch to every sampled party that is idle and holds no buffered
-	// update (so a fold-time Encoder.Reset can never race the party's own
-	// uplink encoder).
+	// update (so a fold-time forget can never race the party's own link).
 	buffered := make([]bool, len(st.clients))
 	for _, u := range eng.buffer {
 		buffered[u.party] = true

@@ -169,8 +169,8 @@ func TestAsyncFoldStalenessWeights(t *testing.T) {
 	clients := []Client{newFakeClient("a", 1, 0), newFakeClient("b", 1, 0)}
 	_, eng := asyncHarness(t, cfg, clients, nil)
 	eng.buffer = []*asyncUpdate{
-		{party: 0, dispatch: 5, params: paramsAt(3), loss: 3, encBytes: -1},
-		{party: 1, dispatch: 4, params: paramsAt(0), loss: 0, encBytes: -1},
+		{party: 0, dispatch: 5, params: paramsAt(3), loss: 3},
+		{party: 1, dispatch: 4, params: paramsAt(0), loss: 0},
 	}
 	out, err := eng.fold(5, paramsAt(0))
 	if err != nil {
@@ -201,8 +201,8 @@ func TestAsyncFoldRejectsBenched(t *testing.T) {
 	st, eng := asyncHarness(t, cfg, clients, agg)
 	st.benchedUntil[0] = 9 // benched through round 8
 	eng.buffer = []*asyncUpdate{
-		{party: 0, dispatch: 5, params: paramsAt(100), encBytes: -1},
-		{party: 1, dispatch: 5, params: paramsAt(7), encBytes: -1},
+		{party: 0, dispatch: 5, params: paramsAt(100)},
+		{party: 1, dispatch: 5, params: paramsAt(7)},
 	}
 	out, err := eng.fold(5, paramsAt(0))
 	if err != nil {
@@ -224,29 +224,34 @@ func TestAsyncFoldRejectsBenched(t *testing.T) {
 
 // TestAsyncFoldEvictsStaleAndResetsEncoder: an update past MaxStaleness is
 // evicted as a policy failure, and because its encoded frame was never
-// applied the party's uplink encoder is reset — the next frame must be
-// bit-identical to a fresh encoder's.
+// applied the party's link forgets its reference: the next broadcast is
+// absolute, which resets the party's uplink encoder, so its next frame must
+// be bit-identical to a fresh encoder's.
 func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 	agg := telemetry.NewAggregator()
 	cfg := &Config{Rounds: 40, Aggregation: AggAsync, BufferK: 2, Policy: DropRound,
 		MaxStaleness: 2, Codec: codec.Options{Kind: codec.Quant, Bits: 8}}
-	clients := []Client{newFakeClient("a", 1, 0), newFakeClient("b", 1, 0)}
+	a := newWideFakeClient("a", 1, 0, 5)
+	clients := []Client{a, newFakeClient("b", 1, 0)}
 	st, eng := asyncHarness(t, cfg, clients, agg)
+	link := st.clients[0].(*remoteClient)
 
-	// Advance party 0's residuals with one lossy frame.
-	p := nn.NewParams()
-	m := mat.New(1, 5)
-	for j := 0; j < 5; j++ {
-		m.Set(0, j, 0.1*float64(j)+0.037)
+	// Advance party 0's residuals with one lossy frame against a delivered
+	// global.
+	global := a.params.Clone()
+	if err := link.SetParams(global); err != nil {
+		t.Fatal(err)
 	}
-	p.Add("w", m)
-	if _, err := st.cs.up[0].EncodeParams(nil, p, nil); err != nil {
+	for j := 0; j < 5; j++ {
+		a.params.Get("w").Set(0, j, 0.1*float64(j)+0.037)
+	}
+	if _, _, err := link.recvParams(); err != nil {
 		t.Fatal(err)
 	}
 
 	eng.buffer = []*asyncUpdate{
-		{party: 0, dispatch: 2, params: paramsAt(100), decoded: true, encBytes: 9},
-		{party: 1, dispatch: 5, params: paramsAt(7), encBytes: -1},
+		{party: 0, dispatch: 2, params: paramsAt(100), pooled: true},
+		{party: 1, dispatch: 5, params: paramsAt(7)},
 	}
 	out, err := eng.fold(5, paramsAt(0)) // staleness 3 > 2
 	if err != nil {
@@ -261,12 +266,16 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 	if st.failures["a"] != 1 {
 		t.Fatalf("eviction must register a policy failure, got %v", st.failures)
 	}
-	// Residuals dropped: the post-eviction frame matches a fresh encoder's.
-	after, err := st.cs.up[0].EncodeParams(nil, p, nil)
-	if err != nil {
+	// The link forgot the reference, so the next broadcast is absolute and
+	// the party's next frame matches a fresh encoder's against it.
+	if link.lastSent.Params() != nil {
+		t.Fatal("the link kept the evicted party's reference")
+	}
+	if err := link.SetParams(global); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := codec.NewEncoder(cfg.Codec).EncodeParams(nil, p, nil)
+	after := link.local.handle(&rpcRequest{Op: opGetParams}, obs.SpanContext{}).Blob
+	fresh, err := codec.NewEncoder(cfg.Codec).EncodeRef(nil, a.params, link.local.ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +285,7 @@ func TestAsyncFoldEvictsStaleAndResetsEncoder(t *testing.T) {
 	// FailFast instead surfaces the eviction as a run-fatal ErrStaleUpdate.
 	cfgFF := &Config{Rounds: 40, Aggregation: AggAsync, MaxStaleness: 2}
 	_, engFF := asyncHarness(t, cfgFF, []Client{newFakeClient("a", 1, 0)}, nil)
-	engFF.buffer = []*asyncUpdate{{party: 0, dispatch: 0, params: paramsAt(1), encBytes: -1}}
+	engFF.buffer = []*asyncUpdate{{party: 0, dispatch: 0, params: paramsAt(1)}}
 	if _, err := engFF.fold(5, paramsAt(0)); !errors.Is(err, ErrStaleUpdate) {
 		t.Fatalf("FailFast eviction error = %v want ErrStaleUpdate", err)
 	}
@@ -290,9 +299,9 @@ func TestAsyncFoldQuorumLoss(t *testing.T) {
 		MaxStaleness: 2, MinClients: 2}
 	clients := []Client{newFakeClient("a", 1, 0), newFakeClient("b", 1, 0)}
 	_, eng := asyncHarness(t, cfg, clients, nil)
-	survivor := &asyncUpdate{party: 1, dispatch: 5, params: paramsAt(7), encBytes: -1}
+	survivor := &asyncUpdate{party: 1, dispatch: 5, params: paramsAt(7)}
 	eng.buffer = []*asyncUpdate{
-		{party: 0, dispatch: 1, params: paramsAt(3), encBytes: -1}, // stale, evicted
+		{party: 0, dispatch: 1, params: paramsAt(3)}, // stale, evicted
 		survivor,
 	}
 	_, err := eng.fold(5, paramsAt(0))
@@ -526,7 +535,7 @@ func TestAsyncBufferSnapshotRoundTrip(t *testing.T) {
 	eng.buffer = []*asyncUpdate{{
 		party: 1, dispatch: 3, loss: 0.7, params: paramsAt(9),
 		means: means, count: 4, moms: [][]*mat.Dense{{mom}},
-		aux: paramsAt(2), trainSecs: 0.01, encBytes: -1,
+		aux: paramsAt(2), trainSecs: 0.01,
 	}}
 	eng.lastDispatch[0] = 4
 	eng.lastDispatch[1] = 3 // the buffered party's dispatch clock
@@ -561,7 +570,7 @@ func TestAsyncBufferSnapshotRoundTrip(t *testing.T) {
 	if u.means[0].At(0, 1) != -1.5 || u.moms[0][0].At(0, 0) != 0.25 {
 		t.Fatal("restored statistics wrong")
 	}
-	if u.decoded || u.encBytes != -1 {
+	if u.pooled {
 		t.Fatalf("restored update must be raw and unpooled: %+v", u)
 	}
 	if eng2.lastDispatch[0] != 4 || eng2.lastDispatch[1] != 3 {

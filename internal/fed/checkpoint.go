@@ -263,7 +263,6 @@ func (eng *asyncEngine) restore(ck *Checkpoint) error {
 			dispatch:  w.DispatchRound,
 			loss:      w.Loss,
 			params:    paramsFromWire(w.Params),
-			encBytes:  -1,
 			count:     w.Count,
 			trainSecs: w.TrainSecs,
 		}

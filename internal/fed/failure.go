@@ -14,9 +14,11 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"fedomd/internal/codec"
 	"fedomd/internal/mat"
 	"fedomd/internal/nn"
 	"fedomd/internal/obs"
@@ -108,9 +110,8 @@ type runState struct {
 	weights    []float64
 	rec        telemetry.Recorder
 	tr         *obs.Tracer
-	spans      obs.Spans   // times each phase into rec and tr at once
-	cs         *codecState // nil: parameters are charged at raw size
-	allMoment  bool        // every client takes part in the statistics exchange
+	spans      obs.Spans // times each phase into rec and tr at once
+	allMoment  bool      // every client takes part in the statistics exchange
 	evalEvery  int
 	policy     FailurePolicy
 	minClients int
@@ -128,6 +129,12 @@ type runState struct {
 	benchCount   []int // times benched; drives the exponential cool-down
 
 	failures map[string]int // total failures per client name, lazily built
+
+	// Uplink blob totals for the per-tier ratio gauge ratioKey; async
+	// workers book them concurrently.
+	ratioKey     string
+	upMu         sync.Mutex
+	upRaw, upEnc int64
 
 	// Run progress, saved and restored by checkpoints.
 	res          *Result
@@ -172,8 +179,8 @@ func newRunState(cfg *Config, clients []Client, weights []float64, rec telemetry
 		}
 	}
 	if cfg.Codec.Enabled() {
-		st.cs = newCodecState(cfg.Codec, len(clients), rec)
-		st.cs.setTrace(st.tr)
+		st.clients = linkClients(clients, cfg.Codec, rec, st.tr)
+		st.ratioKey = codec.MetricRatioPrefix + "/" + cfg.Codec.Name()
 	}
 	if st.evalEvery <= 0 {
 		st.evalEvery = 1

@@ -100,11 +100,13 @@ type Config struct {
 	// telemetry at zero cost.
 	Recorder telemetry.Recorder
 	// Codec selects the wire codec applied to parameter payloads (see
-	// internal/codec): uploads travel encoded against the last broadcast
-	// global and are decoded before aggregation, so lossy tiers affect the
-	// aggregate exactly as a wire deployment would, and BytesUp/BytesDown
-	// report encoded sizes. The zero value keeps the historical raw-float64
-	// accounting. Statistics payloads (moments, aux) are not encoded.
+	// internal/codec). Run puts each client that is not already a transport
+	// proxy behind an in-process link that speaks the transport's protocol,
+	// so lossy tiers affect the aggregate exactly as over TCP, and
+	// BytesUp/BytesDown report the blob sizes moved. The zero value calls
+	// in-process clients directly and books raw float64 sizes, whatever a
+	// transport proxy negotiated. Statistics payloads (moments, aux) are not
+	// encoded.
 	Codec codec.Options
 
 	// Policy selects the failure-handling mode. The zero value, FailFast,
@@ -333,7 +335,7 @@ func Run(cfg Config, clients []Client) (_ *Result, err error) {
 		runSpan.End()
 	}()
 
-	global := clients[0].Params().Clone()
+	global := st.clients[0].Params().Clone()
 	res := st.res
 	res.RunID, res.Start = runID, time.Now()
 	var eng *asyncEngine
@@ -574,23 +576,15 @@ func (st *runState) broadcast(parent obs.SpanContext, idx []int, global *nn.Para
 	sp := st.spans.Start(parent, obs.SpanBroadcast)
 	defer sp.End()
 	for _, i := range idx {
-		c := st.clients[i]
 		st.touched[i] = true
-		if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: broadcast to %s: %w", c.Name(), err)); ferr != nil {
+		n, err := st.sendParams(i, global)
+		if err != nil {
+			if ferr := st.fail(i, fmt.Errorf("fed: broadcast to %s: %w", st.clients[i].Name(), err)); ferr != nil {
 				return ferr
 			}
 			continue
 		}
-		if st.cs != nil && !transportCoded(c) {
-			n, err := st.cs.broadcast(i, global)
-			if err != nil {
-				return err
-			}
-			stats.BytesDown += n
-		} else {
-			stats.BytesDown += int64(global.Bytes())
-		}
+		stats.BytesDown += n
 	}
 	return nil
 }
@@ -697,49 +691,27 @@ func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, glob
 			codec.PutParams(p)
 		}
 	}()
+	// Screen shape mismatches per client so one bad upload cannot abort the
+	// whole aggregation. FailFast keeps the historical aggregate-time error
+	// below.
+	var shape *nn.Params
+	if st.policy != FailFast {
+		shape = global
+	}
 	for _, i := range idx {
-		c := st.clients[i]
-		usp := st.spans.Start(parent, obs.SpanClientUpload)
-		usp.SetAttr(obs.AttrParty, c.Name())
-		var p *nn.Params
-		err := st.call(i, func() error { p = c.Params(); return nil })
-		var encBytes int64 = -1
-		if err == nil && st.cs != nil && !transportCoded(c) {
-			// Round-trip the upload through the codec: the server
-			// aggregates what the wire delivers, so lossy tiers shape the
-			// aggregate here exactly as in deployment.
-			var dec *nn.Params
-			dec, encBytes, err = st.cs.upload(i, p)
-			if err == nil {
-				p = dec
-				pooled = append(pooled, dec)
-			}
-		}
-		if err == nil && !finiteParams(p) {
-			err = ErrNonFinite
-		}
-		if err == nil && st.policy != FailFast {
-			// Screen shape mismatches per client so one bad upload cannot
-			// abort the whole aggregation. FailFast keeps the historical
-			// aggregate-time error below.
-			err = global.Compatible(p)
-		}
+		p, n, isPooled, err := st.upload(parent, i, shape)
 		if err != nil {
-			usp.Fail(err)
-			if ferr := st.fail(i, fmt.Errorf("fed: upload from %s: %w", c.Name(), err)); ferr != nil {
+			if ferr := st.fail(i, err); ferr != nil {
 				return nil, ferr
 			}
 			continue
 		}
+		if isPooled {
+			pooled = append(pooled, p)
+		}
 		sets = append(sets, p)
 		aggWeights = append(aggWeights, st.weights[i])
-		if encBytes >= 0 {
-			stats.BytesUp += encBytes
-			usp.SetAttr(obs.AttrBytesEnc, encBytes)
-		} else {
-			stats.BytesUp += int64(p.Bytes())
-		}
-		usp.End()
+		stats.BytesUp += n
 	}
 	if err := st.quorum(round, len(sets)); err != nil {
 		return nil, err
@@ -749,6 +721,53 @@ func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, glob
 		return nil, fmt.Errorf("fed: aggregation: %w", err)
 	}
 	return agg, nil
+}
+
+// upload fetches client i's parameters in a client-upload span and screens
+// them: non-finite values always, tensor shapes against shape when set. It
+// returns the set, its cost (the blob's size on a coded link of a run
+// configured with a codec, else the raw size) and whether it is pooled
+// (release it with codec.PutParams).
+func (st *runState) upload(parent obs.SpanContext, i int, shape *nn.Params) (*nn.Params, int64, bool, error) {
+	c := st.clients[i]
+	sp := st.spans.Start(parent, obs.SpanClientUpload)
+	sp.SetAttr(obs.AttrParty, c.Name())
+	var p *nn.Params
+	wire := int64(-1)
+	err := st.call(i, func() (e error) {
+		if l, ok := c.(partyLink); ok {
+			p, wire, e = l.recvParams()
+			return e
+		}
+		p = c.Params()
+		return nil
+	})
+	pooled := err == nil && wire >= 0
+	booked := pooled && st.cfg.Codec.Enabled() // a codec-less run config books raw sizes
+	if booked {
+		st.bookUp(int64(p.Bytes()), wire)
+	}
+	if err == nil && !finiteParams(p) {
+		err = ErrNonFinite
+	}
+	if err == nil && shape != nil {
+		err = shape.Compatible(p)
+	}
+	if err != nil {
+		if pooled { // a frame the server drops: see asyncEngine.discard
+			codec.PutParams(p)
+			c.(partyLink).forget()
+		}
+		sp.Fail(err)
+		return nil, 0, false, fmt.Errorf("fed: upload from %s: %w", c.Name(), err)
+	}
+	n := int64(p.Bytes())
+	if booked {
+		n = wire
+		sp.SetAttr(obs.AttrBytesEnc, wire)
+	}
+	sp.End()
+	return p, n, pooled, nil
 }
 
 // finalScore installs and scores the last aggregated global model: the last

@@ -36,7 +36,7 @@ func widePair(n int) (*nn.Params, *nn.Params) {
 // the Ref it returns carries the global's own checksum.
 func TestBroadcastMemoMatchesFreshEncode(t *testing.T) {
 	g0, g1 := widePair(64)
-	m := newBroadcastMemo()
+	m := newBroadcastMemo(nil)
 	for _, ref := range []codec.Ref{{}, codec.NewRef(g0)} {
 		blob, next, _, err := m.encode(g1, ref)
 		if err != nil {
@@ -74,7 +74,7 @@ func TestBroadcastMemoConcurrent(t *testing.T) {
 			want[[2]int{gi, ri}] = b
 		}
 	}
-	m := newBroadcastMemo()
+	m := newBroadcastMemo(nil)
 	var wg sync.WaitGroup
 	var bad atomic.Int32
 	for w := 0; w < 8; w++ {

@@ -109,7 +109,10 @@ func TestTelemetryAndTraceShape(t *testing.T) {
 		"hist fed/run_seconds",
 	}
 	syncSpans := []string{
+		"codec/decode <- fed/round x18",
+		"codec/decode <- fed/run x4",
 		"codec/encode <- fed/round x12",
+		"codec/encode <- fed/run x2",
 		"fed/client/train <- fed/round x9",
 		"fed/client/upload <- fed/round x9",
 		"fed/phase/aggregate <- fed/round x3",
@@ -152,7 +155,10 @@ func TestTelemetryAndTraceShape(t *testing.T) {
 		"hist fed/run_seconds",
 	}
 	asyncSpans := []string{
-		"codec/encode <- fed/round x13",
+		"codec/decode <- fed/round x30",
+		"codec/decode <- fed/run x4",
+		"codec/encode <- fed/round x15",
+		"codec/encode <- fed/run x2",
 		"fed/async/job <- fed/round x9",
 		"fed/async_buffer_wait <- fed/round x3",
 		"fed/client/train <- fed/async/job x9",

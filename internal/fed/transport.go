@@ -1,11 +1,14 @@
 package fed
 
-// transport.go implements a distributed deployment of the same federated
-// protocol Run drives in-process: the server listens on a net.Listener, each
-// party connects from its own process (or goroutine) and serves its local
-// client over a length-delimited gob RPC stream, and the coordinator drives
-// the connections through proxy Clients so Run's round logic — FedAvg,
-// moment exchange, aux state, accounting — is reused verbatim.
+// transport.go implements the federated protocol's wire: the server
+// listens on a net.Listener, each party connects from its own process (or
+// goroutine) and serves its local client over a length-delimited gob RPC
+// stream, and the coordinator drives the connections through proxy Clients
+// so Run's round logic — FedAvg, moment exchange, aux state, accounting — is
+// reused verbatim. The party end answers through one partyHandler; an
+// in-process run with a codec (see codec.go) puts each client behind the
+// same proxy and handler with no connection between them, so a codec has
+// one implementation.
 //
 // One request is in flight per connection at a time, matching Run's
 // guarantee that a client is never called concurrently with itself.
@@ -73,8 +76,9 @@ type TransportOptions struct {
 	// handshake each party advertises the protocol versions it speaks; a
 	// party advertising v2 is sent the codec choice and both sides switch
 	// SetParams/GetParams to length-delimited codec blobs (see
-	// internal/codec). A party advertising nothing or only v1 — an old
-	// binary — keeps the v0 raw-gob format on its connection; the formats
+	// internal/codec), whose sizes a Run configured with a codec books. A
+	// party advertising nothing or only v1 — an old binary — keeps the v0
+	// raw-gob format on its connection, booked at raw size; the formats
 	// coexist per-connection. The zero value disables negotiation entirely.
 	Codec codec.Options
 }
@@ -330,25 +334,11 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 	cc := &countingConn{Conn: conn}
 	enc := gob.NewEncoder(cc)
 	dec := gob.NewDecoder(cc)
-	mc, isMoment := c.(MomentClient)
-	ac, isAux := c.(AuxClient)
-	if err := enc.Encode(hello{Name: c.Name(), NumSamples: c.NumSamples(), Moment: isMoment, Aux: isAux,
+	h := newPartyHandler(c, rec, tracer)
+	if err := enc.Encode(hello{Name: c.Name(), NumSamples: c.NumSamples(), Moment: h.mc != nil, Aux: h.ac != nil,
 		Codecs: codec.WireVersions()}); err != nil {
 		return fmt.Errorf("fed: handshake: %w", err)
 	}
-	// Wire-codec state, armed by opNegotiateCodec: the uplink encoder (which
-	// owns this party's error-feedback residuals) and the reference state —
-	// the last global this party decoded, which both directions encode
-	// against, hashed once when it is decoded. The coordinator tracks the
-	// mirror of this state per party and falls back to absolute blobs
-	// whenever either side loses it (fresh connection, failed broadcast), so
-	// a desync heals within one exchange.
-	var wcEnc *codec.Encoder
-	var wcRef codec.Ref
-	// upBuf is the uplink blob's buffer, reused by every GetParams: the
-	// response is written in full before the next request is read, and gob
-	// keeps no reference to it.
-	var upBuf []byte
 	for {
 		if opts.ReadTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
@@ -358,7 +348,6 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 		if err := dec.Decode(&req); err != nil {
 			return fmt.Errorf("fed: reading request: %w", err)
 		}
-		var resp rpcResponse
 		// Party-side span, parented at the coordinator's stamped context —
 		// the cross-process causal link. Published as the active context so
 		// codec encode spans nest under the request that triggered them.
@@ -366,133 +355,7 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 		tsp := spans.Start(reqCtx, obs.SpanPartyHandle)
 		tsp.SetOp(opMetricSuffix(req.Op))
 		tracer.SetActive(tsp.Context())
-		switch req.Op {
-		case opShutdown:
-			tsp.End()
-			if opts.WriteTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
-			}
-			return enc.Encode(rpcResponse{})
-		case opNegotiateCodec:
-			nopts := codec.Options{Kind: codec.Kind(req.CodecKind), Bits: int(req.CodecBits), TopK: req.CodecTopK}
-			if err := nopts.Validate(); err != nil {
-				resp.Err = err.Error() // app error: the coordinator falls back to raw
-				break
-			}
-			wcEnc = codec.NewEncoder(nopts)
-			wcEnc.SetTrace(tracer, tracer.Active)
-			codec.PutParams(wcRef.Params())
-			wcRef = codec.Ref{}
-		case opSetParams:
-			p := req.Params
-			if req.Blob != nil {
-				dec, err := codec.DecodeParamsTraced(req.Blob, wcRef, tracer, tsp.Context())
-				if err != nil {
-					// Reference desync: drop our side so the coordinator's
-					// absolute re-broadcast can resynchronise both.
-					codec.PutParams(wcRef.Params())
-					if wcRef.Params() != nil {
-						wireResets.Add(1)
-					}
-					wcRef = codec.Ref{}
-					// The uplink residuals were built against the dead
-					// reference chain; the coordinator's absolute re-broadcast
-					// starts a new one.
-					wcEnc.Reset()
-					resp.Err = err.Error()
-					break
-				}
-				if err := c.SetParams(dec); err != nil {
-					resp.Err = err.Error()
-				}
-				codec.PutParams(wcRef.Params())
-				wcRef = codec.NewRef(dec) // the model copied the values; keep the set as reference
-				break
-			}
-			if err := c.SetParams(paramsFromWire(p)); err != nil {
-				resp.Err = err.Error()
-			}
-		case opTrainLocal:
-			loss, err := c.TrainLocal(req.Round)
-			resp.Loss = loss
-			if err != nil {
-				resp.Err = err.Error()
-			}
-		case opEvalVal:
-			resp.Correct, resp.Total = c.EvalVal()
-		case opEvalTest:
-			resp.Correct, resp.Total = c.EvalTest()
-		case opGetParams:
-			if wcEnc != nil {
-				p := c.Params()
-				blob, err := wcEnc.EncodeRef(upBuf[:0], p, wcRef)
-				if err != nil {
-					resp.Err = err.Error()
-					break
-				}
-				upBuf = blob
-				resp.Blob = blob
-				if rec.Enabled() {
-					rec.Count(codec.MetricBytesRaw, int64(p.Bytes()))
-					rec.Count(codec.MetricBytesEncoded, int64(len(blob)))
-				}
-				break
-			}
-			resp.Params = paramsToWire(c.Params())
-		case opLocalMeans:
-			if !isMoment {
-				resp.Err = "fed: client does not implement MomentClient"
-				break
-			}
-			means, n, err := mc.LocalMeans()
-			if err != nil {
-				resp.Err = err.Error()
-				break
-			}
-			resp.Means = vecsToWire(means)
-			resp.N = n
-		case opCentralMoments:
-			if !isMoment {
-				resp.Err = "fed: client does not implement MomentClient"
-				break
-			}
-			moms, n, err := mc.CentralAroundGlobal(vecsFromWire(req.Means))
-			if err != nil {
-				resp.Err = err.Error()
-				break
-			}
-			resp.Central = make([][]wireDense, len(moms))
-			for l, layer := range moms {
-				resp.Central[l] = vecsToWire(layer)
-			}
-			resp.N = n
-		case opSetGlobalStats:
-			if !isMoment {
-				resp.Err = "fed: client does not implement MomentClient"
-				break
-			}
-			central := make([][]*mat.Dense, len(req.Central))
-			for l, layer := range req.Central {
-				central[l] = vecsFromWire(layer)
-			}
-			mc.SetGlobalStats(vecsFromWire(req.Means), central)
-		case opUploadAux:
-			if !isAux {
-				resp.Err = "fed: client does not implement AuxClient"
-				break
-			}
-			resp.Params = paramsToWire(ac.UploadAux())
-		case opDownloadAux:
-			if !isAux {
-				resp.Err = "fed: client does not implement AuxClient"
-				break
-			}
-			if err := ac.DownloadAux(paramsFromWire(req.Params)); err != nil {
-				resp.Err = err.Error()
-			}
-		default:
-			resp.Err = fmt.Sprintf("fed: unknown op %q", req.Op)
-		}
+		resp := h.handle(&req, tsp.Context())
 		tsp.End()
 		if opts.WriteTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
@@ -501,6 +364,9 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 		if err := enc.Encode(resp); err != nil {
 			return fmt.Errorf("fed: writing response: %w", err)
 		}
+		if req.Op == opShutdown {
+			return nil
+		}
 		if rec.Enabled() {
 			rec.Count("rpc/party/bytes_rx/"+opMetricSuffix(req.Op), cc.rx.Load()-rx0) //fedomdvet:ignore per-op series over the closed opMetricSuffix set; base key and suffixes are constants
 			rec.Count("rpc/party/bytes_tx/"+opMetricSuffix(req.Op), cc.tx.Load()-tx0) //fedomdvet:ignore per-op series over the closed opMetricSuffix set; base key and suffixes are constants
@@ -508,28 +374,191 @@ func ServeClientConnOpts(conn net.Conn, c Client, opts ServeOptions) error {
 	}
 }
 
-// remoteClient proxies a connected party as a Client.
+// partyHandler is the party end of the protocol: it answers one request at a
+// time against the local client. ServeClientConnOpts feeds it the requests
+// read off a connection; an in-process link (see newLocalLink) calls it
+// directly.
+type partyHandler struct {
+	c      Client
+	mc     MomentClient // nil unless c implements MomentClient
+	ac     AuxClient    // nil unless c implements AuxClient
+	rec    telemetry.Recorder
+	tracer *obs.Tracer
+	// Wire-codec state, armed by opNegotiateCodec: the uplink encoder (which
+	// owns this party's error-feedback residuals) and the reference state —
+	// the last global this party decoded, which both directions encode
+	// against, hashed once when it is decoded. The coordinator tracks the
+	// mirror of this state per party and falls back to absolute blobs
+	// whenever either side loses it (fresh connection, failed broadcast,
+	// dropped update), so a desync heals within one exchange.
+	up  *codec.Encoder
+	ref codec.Ref
+	// upBuf is the uplink blob's buffer, reused by every GetParams: the
+	// reply is consumed (written to the connection, or decoded by the
+	// in-process proxy) before the next request arrives.
+	upBuf []byte
+}
+
+func newPartyHandler(c Client, rec telemetry.Recorder, tracer *obs.Tracer) *partyHandler {
+	h := &partyHandler{c: c, rec: telemetry.Or(rec), tracer: tracer}
+	h.mc, _ = c.(MomentClient)
+	h.ac, _ = c.(AuxClient)
+	return h
+}
+
+// arm switches the parameter payloads to codec blobs under o, from no
+// reference: the next broadcast the party accepts is absolute.
+func (h *partyHandler) arm(o codec.Options) {
+	h.up = codec.NewEncoder(o)
+	h.up.SetTrace(h.tracer, h.tracer.Active)
+	codec.PutParams(h.ref.Params())
+	h.ref = codec.Ref{}
+}
+
+// handle answers one request; ctx parents the span of a broadcast decode.
+// Shutdown asks nothing of the client: the serve loop ends after replying.
+func (h *partyHandler) handle(req *rpcRequest, ctx obs.SpanContext) (resp rpcResponse) {
+	var err error
+	switch c := h.c; req.Op {
+	case opShutdown:
+	case opNegotiateCodec:
+		o := codec.Options{Kind: codec.Kind(req.CodecKind), Bits: int(req.CodecBits), TopK: req.CodecTopK}
+		if err = o.Validate(); err == nil { // a refusal keeps the coordinator on raw gob
+			h.arm(o)
+		}
+	case opSetParams:
+		if req.Blob == nil {
+			err = c.SetParams(paramsFromWire(req.Params))
+		} else {
+			err = h.setBlob(req.Blob, ctx)
+		}
+	case opTrainLocal:
+		resp.Loss, err = c.TrainLocal(req.Round)
+	case opEvalVal:
+		resp.Correct, resp.Total = c.EvalVal()
+	case opEvalTest:
+		resp.Correct, resp.Total = c.EvalTest()
+	case opGetParams:
+		if h.up == nil {
+			resp.Params = paramsToWire(c.Params())
+			break
+		}
+		t0 := time.Now()
+		if h.upBuf, err = h.up.EncodeRef(h.upBuf[:0], c.Params(), h.ref); err == nil {
+			h.rec.Count(codec.MetricEncodeNs, time.Since(t0).Nanoseconds())
+			resp.Blob = h.upBuf
+		}
+	case opLocalMeans, opCentralMoments, opSetGlobalStats:
+		if h.mc == nil {
+			err = errors.New("fed: client does not implement MomentClient")
+			break
+		}
+		err = h.moments(req, &resp)
+	case opUploadAux, opDownloadAux:
+		if h.ac == nil {
+			err = errors.New("fed: client does not implement AuxClient")
+		} else if req.Op == opUploadAux {
+			resp.Params = paramsToWire(h.ac.UploadAux())
+		} else {
+			err = h.ac.DownloadAux(paramsFromWire(req.Params))
+		}
+	default:
+		err = fmt.Errorf("fed: unknown op %q", req.Op)
+	}
+	if err != nil {
+		resp.Err = err.Error()
+	}
+	return resp
+}
+
+// setBlob decodes a broadcast blob against the party's reference and
+// installs it. The decoded set becomes the new reference. An absolute blob
+// starts a new reference chain, so it also drops the uplink residuals, which
+// only have meaning against the chain of frames the coordinator applied.
+func (h *partyHandler) setBlob(blob []byte, ctx obs.SpanContext) error {
+	t0 := time.Now()
+	dec, absolute, err := codec.DecodeParamsTraced(blob, h.ref, h.tracer, ctx)
+	if err != nil {
+		// Reference desync: drop our side so the coordinator's absolute
+		// re-broadcast can resynchronise both.
+		if h.ref.Params() != nil {
+			wireResets.Add(1)
+		}
+		codec.PutParams(h.ref.Params())
+		h.ref = codec.Ref{}
+		h.up.Reset()
+		return err
+	}
+	h.rec.Count(codec.MetricDecodeNs, time.Since(t0).Nanoseconds())
+	if absolute {
+		h.up.Reset()
+	}
+	err = h.c.SetParams(dec)
+	codec.PutParams(h.ref.Params())
+	h.ref = codec.NewRef(dec) // the model copied the values; keep the set as reference
+	return err
+}
+
+// moments answers the three statistics-exchange requests.
+func (h *partyHandler) moments(req *rpcRequest, resp *rpcResponse) (err error) {
+	switch req.Op {
+	case opLocalMeans:
+		var means []*mat.Dense
+		means, resp.N, err = h.mc.LocalMeans()
+		resp.Means = vecsToWire(means)
+	case opCentralMoments:
+		var moms [][]*mat.Dense
+		moms, resp.N, err = h.mc.CentralAroundGlobal(vecsFromWire(req.Means))
+		for _, layer := range moms {
+			resp.Central = append(resp.Central, vecsToWire(layer))
+		}
+	case opSetGlobalStats:
+		central := make([][]*mat.Dense, len(req.Central))
+		for l, layer := range req.Central {
+			central[l] = vecsFromWire(layer)
+		}
+		h.mc.SetGlobalStats(vecsFromWire(req.Means), central)
+	}
+	return err
+}
+
+// partyLink is the coordinator end of a party: remoteClient and its
+// capability variants, over a connection or in process (newLocalLink).
+type partyLink interface {
+	Client
+	// sendParams and recvParams are SetParams and Params that also report
+	// the size of the blob moved, -1 on a raw-gob link. A received set that
+	// came in a blob is pooled: release it with codec.PutParams.
+	sendParams(global *nn.Params) (int64, error)
+	recvParams() (*nn.Params, int64, error)
+	// forget drops the party's reference: the next broadcast is absolute,
+	// which also resets the party's uplink residuals.
+	forget()
+	// shutdown ends a connected party's serve loop and closes the link.
+	shutdown()
+}
+
+// remoteClient proxies a party as a Client.
 type remoteClient struct {
 	name    string
 	samples int
-	enc     *gob.Encoder
-	dec     *gob.Decoder
-	conn    *countingConn
-	rec     telemetry.Recorder
-	tracer  *obs.Tracer
-	spans   obs.Spans
-	opts    TransportOptions
-	// codecOn is set once the party accepted an opNegotiateCodec request;
-	// SetParams/GetParams then exchange codec blobs instead of raw gob.
-	codecOn bool
-	// memo encodes broadcasts (always the lossless Delta tier — the global
-	// must arrive exactly), once per distinct reference, for every proxy
-	// AcceptClientsOpts returned. lastSent is the reference state the party
-	// is known to hold: the last global it confirmed receiving, with its
-	// checksum. Any failed exchange resets it to the zero Ref, forcing the
-	// next broadcast to be an absolute blob, which re-synchronises both
-	// ends. The Delta tier keeps no residual, so a reset leaves nothing
-	// else to clear.
+	// local, when set, is the party end of an in-process link: callOnce
+	// hands it each request directly, with no socket, gob, goroutine, rpc
+	// span or rpc counter, and the connection fields below stay unused.
+	local  *partyHandler
+	enc    *gob.Encoder
+	dec    *gob.Decoder
+	conn   *countingConn
+	rec    telemetry.Recorder
+	tracer *obs.Tracer
+	spans  obs.Spans
+	opts   TransportOptions
+	// memo is set once the party accepted an opNegotiateCodec request, and
+	// SetParams/GetParams then move codec blobs: memo encodes the run's
+	// broadcasts (lossless Delta: the global must arrive exactly) once per
+	// reference. lastSent is the reference the party is known to hold, the
+	// last global it confirmed; any lost exchange or dropped update resets
+	// it, so the next broadcast is absolute and re-synchronises both ends.
 	memo     *broadcastMemo
 	lastSent codec.Ref
 	// retired is set once an exchange failed below the application layer
@@ -540,9 +569,30 @@ type remoteClient struct {
 	retired bool
 }
 
-// wireCodecNegotiated lets fed.Run's in-process codec layer skip clients
-// whose connection already encodes payloads (see wireCodecClient).
-func (r *remoteClient) wireCodecNegotiated() bool { return r.codecOn }
+// newLocalLink puts c behind the transport's proxy in this process, with
+// the codec o armed on both ends and memo encoding its broadcasts. rec and
+// tracer receive the codec work of both ends.
+func newLocalLink(c Client, o codec.Options, memo *broadcastMemo, rec telemetry.Recorder, tracer *obs.Tracer) partyLink {
+	h := newPartyHandler(c, rec, tracer)
+	h.arm(o)
+	r := &remoteClient{name: c.Name(), samples: c.NumSamples(), local: h, rec: telemetry.Or(rec),
+		tracer: tracer, memo: memo}
+	return r.withCapabilities(h.mc != nil, h.ac != nil)
+}
+
+// withCapabilities returns r as the proxy type that carries the party's
+// optional surfaces: MomentClient, AuxClient, both or neither.
+func (r *remoteClient) withCapabilities(moment, aux bool) partyLink {
+	switch {
+	case moment && aux:
+		return &remoteMomentAuxClient{r, remoteMomentClient{r}, remoteAuxClient{r}}
+	case moment:
+		return &remoteMomentClient{r}
+	case aux:
+		return &remoteAuxClient{r}
+	}
+	return r
+}
 
 // call performs one request/response exchange with bounded retry: a
 // transport-level failure triggers up to MaxRetries reconnect-and-reissue
@@ -656,11 +706,8 @@ func (r *remoteClient) reconnect() error {
 	// The party restarted its serve loop, so its codec reference and
 	// error-feedback residuals are gone. Renegotiate and start from an
 	// absolute broadcast.
-	if r.lastSent.Params() != nil {
-		wireResets.Add(1)
-	}
-	r.lastSent = codec.Ref{}
-	if r.codecOn {
+	r.resync()
+	if r.memo != nil {
 		if !wireSupported(h.Codecs, codec.WireV2) {
 			r.retire()
 			return fmt.Errorf("party %s no longer advertises wire v2", r.name)
@@ -702,6 +749,13 @@ func (r *remoteClient) retire() {
 // or read error retires the connection: after it the stream can no longer
 // be trusted to pair the next reply with the next request.
 func (r *remoteClient) callOnce(req rpcRequest) (rpcResponse, error) {
+	if r.local != nil {
+		resp := r.local.handle(&req, r.tracer.Active())
+		if resp.Err != "" {
+			return resp, appError(resp.Err)
+		}
+		return resp, nil
+	}
 	var tx0, rx0 int64
 	if r.rec.Enabled() {
 		tx0, rx0 = r.conn.tx.Load(), r.conn.rx.Load()
@@ -754,60 +808,75 @@ func (r *remoteClient) NumSamples() int { return r.samples }
 // an undecodable blob or a reply without parameters yields an empty set,
 // which fails loudly in aggregation with a shape mismatch.
 func (r *remoteClient) Params() *nn.Params {
-	resp, err := r.call(rpcRequest{Op: opGetParams})
+	p, _, err := r.recvParams()
 	if err != nil {
 		return nn.NewParams()
 	}
-	if resp.Blob != nil {
-		p, derr := codec.DecodeParamsTraced(resp.Blob, r.lastSent, r.tracer, r.tracer.Active())
-		if derr != nil {
-			if r.lastSent.Params() != nil {
-				wireResets.Add(1)
-			}
-			r.lastSent = codec.Ref{} // desync: force an absolute re-broadcast
-			return nn.NewParams()
-		}
-		if r.rec.Enabled() {
-			r.rec.Count(codec.MetricBytesRaw, int64(p.Bytes()))
-			r.rec.Count(codec.MetricBytesEncoded, int64(len(resp.Blob)))
-		}
-		return p
+	return p
+}
+
+func (r *remoteClient) recvParams() (*nn.Params, int64, error) {
+	resp, err := r.call(rpcRequest{Op: opGetParams})
+	if err != nil {
+		return nil, 0, err
 	}
-	if resp.Params == nil {
-		return nn.NewParams()
+	if resp.Blob == nil {
+		if resp.Params == nil {
+			return nil, 0, fmt.Errorf("fed: %s sent no parameters", r.name)
+		}
+		return paramsFromWire(resp.Params), -1, nil
 	}
-	return paramsFromWire(resp.Params)
+	t0 := time.Now()
+	p, _, err := codec.DecodeParamsTraced(resp.Blob, r.lastSent, r.tracer, r.tracer.Active())
+	if err != nil {
+		r.resync()
+		return nil, 0, err
+	}
+	r.rec.Count(codec.MetricDecodeNs, time.Since(t0).Nanoseconds())
+	return p, int64(len(resp.Blob)), nil
 }
 
 func (r *remoteClient) SetParams(global *nn.Params) error {
-	if !r.codecOn {
+	_, err := r.sendParams(global)
+	return err
+}
+
+func (r *remoteClient) sendParams(global *nn.Params) (int64, error) {
+	if r.memo == nil {
 		_, err := r.call(rpcRequest{Op: opSetParams, Params: paramsToWire(global)})
-		return err
+		return -1, err
 	}
 	var next codec.Ref
+	var size int64
 	_, err := r.callBuild(func() (rpcRequest, error) {
-		blob, ref, _, eerr := r.memo.encode(global, r.lastSent)
+		blob, ref, encodeNs, eerr := r.memo.encode(global, r.lastSent)
 		if eerr != nil {
 			return rpcRequest{}, fmt.Errorf("fed: codec encode for %s: %w", r.name, eerr)
 		}
-		next = ref
-		if r.rec.Enabled() {
-			r.rec.Count(codec.MetricBytesRawDown, int64(global.Bytes()))
-			r.rec.Count(codec.MetricBytesEncodedDown, int64(len(blob)))
+		if encodeNs > 0 {
+			r.rec.Count(codec.MetricEncodeNs, encodeNs)
 		}
+		next, size = ref, int64(len(blob))
 		return rpcRequest{Op: opSetParams, Blob: blob}, nil
 	})
 	if err != nil {
-		// The party may or may not have applied the blob; assume nothing
-		// and resynchronise with an absolute broadcast next time.
-		if r.lastSent.Params() != nil {
-			wireResets.Add(1)
-		}
-		r.lastSent = codec.Ref{}
-		return err
+		// The party may or may not have applied the blob; assume nothing.
+		r.resync()
+		return 0, err
 	}
 	r.lastSent = next
-	return nil
+	return size, nil
+}
+
+func (r *remoteClient) forget() { r.lastSent = codec.Ref{} }
+
+// resync drops the party's reference after a lost exchange, counting the
+// reset, so the next broadcast is absolute and re-synchronises both ends.
+func (r *remoteClient) resync() {
+	if r.lastSent.Params() != nil {
+		wireResets.Add(1)
+	}
+	r.forget()
 }
 
 func (r *remoteClient) TrainLocal(round int) (float64, error) {
@@ -832,6 +901,9 @@ func (r *remoteClient) EvalTest() (int, int) {
 }
 
 func (r *remoteClient) shutdown() {
+	if r.local != nil {
+		return
+	}
 	if !r.retired {
 		_, _ = r.callOnce(rpcRequest{Op: opShutdown})
 	}
@@ -839,9 +911,20 @@ func (r *remoteClient) shutdown() {
 }
 
 // remoteMomentClient adds the MomentClient surface.
-type remoteMomentClient struct{ remoteClient }
+type remoteMomentClient struct{ *remoteClient }
 
-func (r *remoteMomentClient) LocalMeans() ([]*mat.Dense, int, error) {
+// remoteAuxClient adds the AuxClient surface.
+type remoteAuxClient struct{ *remoteClient }
+
+// remoteMomentAuxClient carries both surfaces; its own *remoteClient keeps
+// the shared methods from being ambiguous between the two.
+type remoteMomentAuxClient struct {
+	*remoteClient
+	remoteMomentClient
+	remoteAuxClient
+}
+
+func (r remoteMomentClient) LocalMeans() ([]*mat.Dense, int, error) {
 	resp, err := r.call(rpcRequest{Op: opLocalMeans})
 	if err != nil {
 		return nil, 0, err
@@ -849,7 +932,7 @@ func (r *remoteMomentClient) LocalMeans() ([]*mat.Dense, int, error) {
 	return vecsFromWire(resp.Means), resp.N, nil
 }
 
-func (r *remoteMomentClient) CentralAroundGlobal(globalMeans []*mat.Dense) ([][]*mat.Dense, int, error) {
+func (r remoteMomentClient) CentralAroundGlobal(globalMeans []*mat.Dense) ([][]*mat.Dense, int, error) {
 	resp, err := r.call(rpcRequest{Op: opCentralMoments, Means: vecsToWire(globalMeans)})
 	if err != nil {
 		return nil, 0, err
@@ -861,7 +944,7 @@ func (r *remoteMomentClient) CentralAroundGlobal(globalMeans []*mat.Dense) ([][]
 	return out, resp.N, nil
 }
 
-func (r *remoteMomentClient) SetGlobalStats(means []*mat.Dense, central [][]*mat.Dense) {
+func (r remoteMomentClient) SetGlobalStats(means []*mat.Dense, central [][]*mat.Dense) {
 	wire := make([][]wireDense, len(central))
 	for l, layer := range central {
 		wire[l] = vecsToWire(layer)
@@ -869,10 +952,7 @@ func (r *remoteMomentClient) SetGlobalStats(means []*mat.Dense, central [][]*mat
 	_, _ = r.call(rpcRequest{Op: opSetGlobalStats, Means: vecsToWire(means), Central: wire})
 }
 
-// remoteAuxClient adds the AuxClient surface.
-type remoteAuxClient struct{ remoteClient }
-
-func (r *remoteAuxClient) UploadAux() *nn.Params {
+func (r remoteAuxClient) UploadAux() *nn.Params {
 	resp, err := r.call(rpcRequest{Op: opUploadAux})
 	if err != nil {
 		return nil
@@ -880,60 +960,55 @@ func (r *remoteAuxClient) UploadAux() *nn.Params {
 	return paramsFromWire(resp.Params)
 }
 
-func (r *remoteAuxClient) DownloadAux(global *nn.Params) error {
+func (r remoteAuxClient) DownloadAux(global *nn.Params) error {
 	_, err := r.call(rpcRequest{Op: opDownloadAux, Params: paramsToWire(global)})
 	return err
 }
 
 // AcceptClientsOpts waits for n parties to connect and complete their
 // handshake, returning proxy Clients in connection order. The proxies apply
-// the per-request deadlines of opts and record RPC telemetry.
-func AcceptClientsOpts(ln net.Listener, n int, opts TransportOptions) ([]Client, error) {
+// the per-request deadlines of opts and record RPC telemetry. On an error it
+// closes every connection it accepted, so no party waits on it.
+func AcceptClientsOpts(ln net.Listener, n int, opts TransportOptions) (_ []Client, err error) {
 	clients := make([]Client, 0, n)
-	var memo *broadcastMemo
-	if opts.Codec.Enabled() {
-		memo = newBroadcastMemo()
-		memo.enc.SetTrace(opts.Tracer, opts.Tracer.Active)
-	}
+	var conns []net.Conn
+	defer func() {
+		if err != nil {
+			for _, conn := range conns {
+				_ = conn.Close()
+			}
+		}
+	}()
+	memo := newBroadcastMemo(opts.Tracer)
 	for len(clients) < n {
 		conn, err := ln.Accept()
 		if err != nil {
 			return nil, fmt.Errorf("fed: accept: %w", err)
 		}
+		conns = append(conns, conn)
 		cc := &countingConn{Conn: conn}
 		enc := gob.NewEncoder(cc)
 		dec := gob.NewDecoder(cc)
 		var h hello
 		if err := dec.Decode(&h); err != nil {
-			conn.Close()
 			return nil, fmt.Errorf("fed: handshake: %w", err)
 		}
-		base := remoteClient{name: h.Name, samples: h.NumSamples, enc: enc, dec: dec,
+		r := &remoteClient{name: h.Name, samples: h.NumSamples, enc: enc, dec: dec,
 			conn: cc, rec: telemetry.Or(opts.Recorder), tracer: opts.Tracer,
 			spans: obs.NewSpans(opts.Recorder, opts.Tracer), opts: opts}
 		if opts.Codec.Enabled() && wireSupported(h.Codecs, codec.WireV2) {
-			if _, err := base.callOnce(negotiateRequest(opts.Codec)); err != nil {
+			if _, err := r.callOnce(negotiateRequest(opts.Codec)); err != nil {
 				var ae appError
 				if !errors.As(err, &ae) {
-					conn.Close()
 					return nil, fmt.Errorf("fed: codec negotiation with %s: %w", h.Name, err)
 				}
 				// The party understood the request and refused the codec
 				// (e.g. an options set its build rejects): stay on v0 raw.
 			} else {
-				base.codecOn = true
-				base.memo = memo
+				r.memo = memo
 			}
 		}
-		switch {
-		case h.Moment:
-			clients = append(clients, &remoteMomentClient{base})
-		case h.Aux:
-			clients = append(clients, &remoteAuxClient{base})
-		default:
-			rc := base
-			clients = append(clients, &rc)
-		}
+		clients = append(clients, r.withCapabilities(h.Moment, h.Aux))
 	}
 	return clients, nil
 }
@@ -953,9 +1028,8 @@ func RunDistributedOpts(cfg Config, ln net.Listener, n int, opts TransportOption
 		return nil, fmt.Errorf("fed: RunDistributed needs a positive party count, got %d", n)
 	}
 	if !opts.Codec.Enabled() {
-		// A codec chosen on the run config applies to the transport: the
-		// negotiated wire layer subsumes the in-process simulation (Run
-		// skips proxies that report wireCodecNegotiated).
+		// A codec chosen on the run config applies to the transport; Run
+		// leaves the proxies as they are rather than linking them again.
 		opts.Codec = cfg.Codec
 	}
 	if opts.Tracer == nil {
@@ -967,14 +1041,7 @@ func RunDistributedOpts(cfg Config, ln net.Listener, n int, opts TransportOption
 	}
 	defer func() {
 		for _, c := range clients {
-			switch rc := c.(type) {
-			case *remoteClient:
-				rc.shutdown()
-			case *remoteMomentClient:
-				rc.shutdown()
-			case *remoteAuxClient:
-				rc.shutdown()
-			}
+			c.(partyLink).shutdown()
 		}
 	}()
 	return Run(cfg, clients)
