@@ -25,8 +25,13 @@ vet:
 lint:
 	$(GO) run ./cmd/fedomdvet -timing ./...
 
+# The fan-out tests run again at one and four workers, so the per-party
+# phase code is raced at more than one worker count.
+RACE_FANOUT = $(GO) test -race -count=1 -cpu 1,4 -run 'FanOut|Overlap|LeavesNoWorker' ./internal/fed
+
 race:
 	$(GO) test -race -count=1 ./...
+	$(RACE_FANOUT)
 
 # Fault-injection suite: the chaos wrappers' unit tests, the transport
 # retry-through-severed-links test, and the end-to-end crash soak, all under
@@ -43,13 +48,14 @@ fuzz:
 
 # The async robustness soak in isolation: heavy-tail stragglers, transient
 # faults, and NaN poisoning against both aggregation topologies, gated at
-# ≥3× sync's rounds/sec and ≤0.02 accuracy drift from the fault-free run.
+# a third of the straggler chains' ratio over sync's rounds/sec and ≤0.02
+# accuracy drift from the fault-free run.
 soak-async:
 	$(GO) test -race -count=1 -run 'TestSoakAsync' -v ./internal/chaos/
 
 # The gate a PR must pass: formatting, go vet, fedomdvet, the full test
 # suite under the race detector (-count=1 so a cached pass can't mask a
-# race), a FUZZTIME-bounded run of the decoder fuzz target and the benchmark
+# race) plus the fan-out tests at two worker counts, a FUZZTIME-bounded run of the decoder fuzz target and the benchmark
 # smoke run, then the hand-over check. CI-friendly: every stage runs even if
 # an earlier one fails, each reports its own status and wall time, and the
 # target exits non-zero if any stage failed. The hand-over check runs after
@@ -63,7 +69,7 @@ check:
 	else t1=$$(date +%s); echo "FAIL go vet ($$((t1-t0))s)"; fail=1; fi; \
 	t0=$$(date +%s); if $(GO) run ./cmd/fedomdvet -timing ./...; then t1=$$(date +%s); echo "ok   fedomdvet ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL fedomdvet ($$((t1-t0))s)"; fail=1; fi; \
-	t0=$$(date +%s); if $(GO) test -race -count=1 ./...; then t1=$$(date +%s); echo "ok   go test -race ($$((t1-t0))s)"; \
+	t0=$$(date +%s); if $(GO) test -race -count=1 ./... && $(RACE_FANOUT); then t1=$$(date +%s); echo "ok   go test -race ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL go test -race ($$((t1-t0))s)"; fail=1; fi; \
 	t0=$$(date +%s); if $(MAKE) --no-print-directory fuzz >/dev/null; then t1=$$(date +%s); echo "ok   fuzz ($$((t1-t0))s)"; \
 	else t1=$$(date +%s); echo "FAIL fuzz ($$((t1-t0))s)"; fail=1; fi; \

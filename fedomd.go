@@ -268,7 +268,8 @@ type RunOptions struct {
 	Rounds int
 	// Patience enables early stopping on validation accuracy (0 = off).
 	Patience int
-	// Sequential disables concurrent client training.
+	// Sequential drives the parties one at a time in every per-party phase
+	// of a round (broadcast, statistics, training, upload, scoring).
 	Sequential bool
 	// EvalEvery measures validation/test accuracy every N rounds; 0 or 1
 	// evaluates every round.

@@ -605,17 +605,26 @@ func (eng *asyncEngine) round(parent obs.SpanContext, round int, global *nn.Para
 	// party's reference, so its blob carries the round's delta (the
 	// dispatch after it sends the global against itself) and is booked.
 	if st.evalDue(round) {
-		evalIdx := make([]int, 0, len(reach))
+		idle := make([]int, 0, len(reach))
 		for _, i := range reach {
-			if eng.inflight[i] || st.dropped[i] {
+			if !eng.inflight[i] && !st.dropped[i] {
+				idle = append(idle, i)
+			}
+		}
+		// Lenient, like st.evaluate: a party that cannot take the install
+		// is left out of the scoring, and no failure stops the others'.
+		sent := make([]int64, len(idle))
+		errs := forEachClient(len(idle), st.cfg.Sequential, false, func(s int) (err error) {
+			sent[s], err = st.sendParams(idle[s], global)
+			return err
+		})
+		evalIdx := idle[:0]
+		for s, i := range idle {
+			if errs[s] != nil {
 				continue
 			}
-			n, err := st.sendParams(i, global)
-			if err != nil {
-				continue // lenient, like st.evaluate
-			}
 			if st.cfg.Codec.Enabled() {
-				stats.BytesDown += n
+				stats.BytesDown += sent[s]
 			}
 			evalIdx = append(evalIdx, i)
 		}

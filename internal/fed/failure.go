@@ -236,14 +236,6 @@ func (st *runState) aliveOf(idx []int) []int {
 	return out
 }
 
-func (st *runState) clientsAt(idx []int) []Client {
-	out := make([]Client, len(idx))
-	for s, i := range idx {
-		out[s] = st.clients[i]
-	}
-	return out
-}
-
 // call invokes f — a closure around one client operation — under the
 // configured per-call timeout. With no timeout it is a direct call. The
 // closure must write its results to invocation-local variables the caller
@@ -352,13 +344,13 @@ func (st *runState) endRound(round int, stats *RoundStats) {
 // indexed clients. Evaluation stays lenient — a failing or timed-out party
 // contributes zero counts rather than dropping from the round — but the
 // per-call timeout still bounds how long a hung party can stall it.
-func (st *runState) evaluate(idx []int, sequential bool) (valAcc, testAcc float64) {
+func (st *runState) evaluate(idx []int) (valAcc, testAcc float64) {
 	type counts struct{ vc, vt, tc, tt int }
 	results := make([]counts, len(idx))
-	sub := st.clientsAt(idx)
-	forEachClient(sub, sequential, false, func(s int, c Client) error {
+	st.fanOut(idx, func(s, i int) error {
+		c := st.clients[i]
 		var r counts
-		if err := st.call(idx[s], func() error {
+		if err := st.call(i, func() error {
 			r.vc, r.vt = c.EvalVal()
 			r.tc, r.tt = c.EvalTest()
 			return nil
@@ -381,20 +373,6 @@ func (st *runState) evaluate(idx []int, sequential bool) (valAcc, testAcc float6
 		testAcc = float64(tc) / float64(tt)
 	}
 	return valAcc, testAcc
-}
-
-// collapseErrs reduces forEachClient's indexed errors to the historical
-// single error: the first failure in sequential mode, errors.Join otherwise.
-func collapseErrs(errs []error, sequential bool) error {
-	if sequential {
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
-	}
-	return errors.Join(errs...)
 }
 
 // finiteVec reports whether every element of v is finite.

@@ -1,11 +1,11 @@
 // Package fed implements the federated-learning simulation runtime: the
-// synchronous FedAvg server of paper §3, concurrent local training of the M
-// parties (each client trains in its own goroutine within a round), the
-// 2-round mean/moment exchange of Algorithm 1, optional auxiliary-state
-// aggregation (SCAFFOLD control variates), byte-level communication
-// accounting, early stopping with patience, and fault tolerance (failure
-// policies, per-call timeouts, quorum guards — see failure.go — and server
-// checkpoint/resume, see checkpoint.go).
+// synchronous FedAvg server of paper §3, whose per-party phases (broadcast,
+// the 2-round mean/moment exchange of Algorithm 1, local training, uploads)
+// drive the M parties concurrently and reduce in party order, optional
+// auxiliary-state aggregation (SCAFFOLD control variates), byte-level
+// communication accounting, early stopping with patience, and fault
+// tolerance (failure policies, per-call timeouts, quorum guards — see
+// failure.go — and server checkpoint/resume, see checkpoint.go).
 package fed
 
 import (
@@ -82,7 +82,10 @@ type Config struct {
 	// Patience stops training after this many rounds without a validation
 	// improvement; 0 disables early stopping.
 	Patience int
-	// Sequential disables concurrent client training (ablation knob).
+	// Sequential drives the parties one at a time, in slot order, in every
+	// per-party phase: broadcast, evaluation, statistics exchange,
+	// training, aux exchange, upload and the final scoring install; under
+	// FailFast a phase stops at its first failure (ablation knob).
 	Sequential bool
 	// EvalEvery controls how often validation/test accuracy is measured;
 	// 1 (default when 0) evaluates every round.
@@ -577,16 +580,20 @@ func (st *runState) broadcast(parent obs.SpanContext, idx []int, global *nn.Para
 	defer sp.End()
 	for _, i := range idx {
 		st.touched[i] = true
+	}
+	sent := make([]int64, len(idx))
+	errs := st.fanOut(idx, func(s, i int) error {
 		n, err := st.sendParams(i, global)
 		if err != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: broadcast to %s: %w", st.clients[i].Name(), err)); ferr != nil {
-				return ferr
-			}
-			continue
+			return fmt.Errorf("fed: broadcast to %s: %w", st.clients[i].Name(), err)
 		}
+		sent[s] = n
+		return nil
+	})
+	for _, n := range sent {
 		stats.BytesDown += n
 	}
-	return nil
+	return st.failSlots(idx, errs)
 }
 
 // evalDue reports whether the round scores its global model.
@@ -598,7 +605,7 @@ func (st *runState) evalDue(round int) bool {
 // accuracies, and keeps the best-validation bookkeeping.
 func (st *runState) score(parent obs.SpanContext, round int, idx []int, stats *RoundStats) {
 	sp := st.spans.Start(parent, obs.SpanEval)
-	stats.ValAcc, stats.TestAcc = st.evaluate(idx, st.cfg.Sequential)
+	stats.ValAcc, stats.TestAcc = st.evaluate(idx)
 	sp.End()
 	st.rec.Gauge(MetricValAcc, stats.ValAcc)
 	st.rec.Gauge(MetricTestAcc, stats.TestAcc)
@@ -626,13 +633,13 @@ func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *rou
 	for s, i := range idx {
 		out.trained[s].party = i
 	}
-	sub := st.clientsAt(idx)
-	errs := forEachClient(sub, st.cfg.Sequential, st.policy == FailFast, func(s int, c Client) error {
+	errs := st.fanOut(idx, func(s, i int) error {
+		c := st.clients[i]
 		tsp := st.spans.Start(parent, obs.SpanClientTrain)
 		tsp.SetAttr(obs.AttrParty, c.Name())
 		t0 := time.Now()
 		var loss float64
-		err := st.call(idx[s], func() error {
+		err := st.call(i, func() error {
 			l, e := c.TrainLocal(round)
 			loss = l
 			return e
@@ -649,16 +656,8 @@ func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *rou
 		return nil
 	})
 	sp.End()
-	if st.policy == FailFast {
-		if err := collapseErrs(errs, st.cfg.Sequential || len(sub) == 1); err != nil {
-			return err
-		}
-	} else {
-		for s, e := range errs {
-			if e != nil {
-				_ = st.fail(idx[s], e)
-			}
-		}
+	if err := st.failSlots(idx, errs); err != nil {
+		return err
 	}
 	var lossSum, wSum float64
 	for s, i := range idx {
@@ -680,17 +679,6 @@ func (st *runState) train(parent obs.SpanContext, round int, idx []int, out *rou
 func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, global *nn.Params, stats *RoundStats) (*nn.Params, error) {
 	sp := st.spans.Start(parent, obs.SpanAggregate)
 	defer sp.End()
-	sets := make([]*nn.Params, 0, len(idx))
-	aggWeights := make([]float64, 0, len(idx))
-	// Decoded uploads borrow pooled matrices; they are consumed by
-	// nn.Average (which writes a fresh aggregate), so release them when the
-	// phase ends, on success and error paths alike.
-	var pooled []*nn.Params
-	defer func() {
-		for _, p := range pooled {
-			codec.PutParams(p)
-		}
-	}()
 	// Screen shape mismatches per client so one bad upload cannot abort the
 	// whole aggregation. FailFast keeps the historical aggregate-time error
 	// below.
@@ -698,20 +686,36 @@ func (st *runState) aggregate(parent obs.SpanContext, round int, idx []int, glob
 	if st.policy != FailFast {
 		shape = global
 	}
-	for _, i := range idx {
-		p, n, isPooled, err := st.upload(parent, i, shape)
-		if err != nil {
-			if ferr := st.fail(i, err); ferr != nil {
-				return nil, ferr
+	ups := make([]*nn.Params, len(idx))
+	ns := make([]int64, len(idx))
+	isPooled := make([]bool, len(idx))
+	// Decoded uploads borrow pooled matrices; they are consumed by
+	// nn.Average (which writes a fresh aggregate), so release them when the
+	// phase ends, on success and error paths alike, a slot a FailFast error
+	// leaves out included.
+	defer func() {
+		for s, p := range ups {
+			if isPooled[s] {
+				codec.PutParams(p)
 			}
+		}
+	}()
+	errs := st.fanOut(idx, func(s, i int) (err error) {
+		ups[s], ns[s], isPooled[s], err = st.upload(parent, i, shape)
+		return err
+	})
+	if err := st.failSlots(idx, errs); err != nil {
+		return nil, err
+	}
+	sets := make([]*nn.Params, 0, len(idx))
+	aggWeights := make([]float64, 0, len(idx))
+	for s, i := range idx {
+		if errs[s] != nil {
 			continue
 		}
-		if isPooled {
-			pooled = append(pooled, p)
-		}
-		sets = append(sets, p)
+		sets = append(sets, ups[s])
 		aggWeights = append(aggWeights, st.weights[i])
-		stats.BytesUp += n
+		stats.BytesUp += ns[s]
 	}
 	if err := st.quorum(round, len(sets)); err != nil {
 		return nil, err
@@ -778,20 +782,28 @@ func (st *runState) upload(parent obs.SpanContext, i int, shape *nn.Params) (*nn
 func (st *runState) finalScore(parent obs.SpanContext, global *nn.Params) error {
 	res := st.res
 	sp := st.spans.Start(parent, obs.SpanFinalEval)
-	finalIdx := make([]int, 0, len(st.clients))
-	for i := range st.clients {
+	all := make([]int, len(st.clients))
+	for i := range all {
+		all[i] = i
+	}
+	errs := st.fanOut(all, func(_, i int) error {
 		c := st.clients[i]
 		if err := st.call(i, func() error { return c.SetParams(global) }); err != nil {
-			if st.policy == FailFast {
-				sp.End()
-				return fmt.Errorf("fed: final broadcast to %s: %w", c.Name(), err)
-			}
-			continue // score the final model on the parties that can hold it
+			return fmt.Errorf("fed: final broadcast to %s: %w", c.Name(), err)
 		}
-		finalIdx = append(finalIdx, i)
+		return nil
+	})
+	finalIdx := make([]int, 0, len(st.clients))
+	for i, err := range errs {
+		if err == nil {
+			finalIdx = append(finalIdx, i)
+		} else if st.policy == FailFast {
+			sp.End()
+			return err
+		} // else score the final model on the parties that can hold it
 	}
 	if len(finalIdx) > 0 {
-		res.FinalValAcc, res.FinalTestAcc = st.evaluate(finalIdx, st.cfg.Sequential)
+		res.FinalValAcc, res.FinalTestAcc = st.evaluate(finalIdx)
 	}
 	sp.End()
 	if res.FinalValAcc > res.BestValAcc || res.BestRound < 0 {
@@ -841,27 +853,27 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 	}
 	// A bare run state: it scores the clients and keeps the best round, with
 	// no telemetry, tracing or codec.
-	st := newRunState(&Config{}, clients, nil, telemetry.Or(nil))
+	st := newRunState(&Config{Sequential: cfg.Sequential}, clients, nil, telemetry.Or(nil))
 	all := st.reachable(0) // every client: nothing is benched without a policy
 	res := st.res
 	for round := 0; round < cfg.Rounds; round++ {
 		stats := RoundStats{Round: round}
 		losses := make([]float64, len(clients))
-		if err := collapseErrs(forEachClient(clients, cfg.Sequential, true, func(i int, c Client) error {
-			loss, err := c.TrainLocal(round)
+		if err := st.failSlots(all, st.fanOut(all, func(_, i int) error {
+			loss, err := clients[i].TrainLocal(round)
 			if err != nil {
-				return fmt.Errorf("fed: local client %s round %d: %w", c.Name(), round, err)
+				return fmt.Errorf("fed: local client %s round %d: %w", clients[i].Name(), round, err)
 			}
 			losses[i] = loss
 			return nil
-		}), cfg.Sequential || len(clients) == 1); err != nil {
+		})); err != nil {
 			return nil, err
 		}
 		for _, l := range losses {
 			stats.TrainLoss += l
 		}
 		stats.TrainLoss /= float64(len(clients))
-		stats.ValAcc, stats.TestAcc = st.evaluate(all, cfg.Sequential)
+		stats.ValAcc, stats.TestAcc = st.evaluate(all)
 		st.noteBest(round, stats.ValAcc, stats.TestAcc)
 		res.History = append(res.History, stats)
 		if cfg.Patience > 0 && st.badRounds >= cfg.Patience {
@@ -889,20 +901,16 @@ func RunLocalOnly(cfg Config, clients []Client) (*Result, error) {
 func (st *runState) momentExchange(parent obs.SpanContext, round int, idx []int, stats *RoundStats) ([]*mat.Dense, [][]*mat.Dense, error) {
 	sp := st.spans.Start(parent, obs.SpanMoments)
 	defer sp.End()
-	m := len(idx)
-	if m == 0 {
-		return nil, nil, nil
-	}
-	allMeans := make([][]*mat.Dense, m) // [slot][layer]
-	counts := make([]int, m)
-	ok := make([]bool, m)
-	for s, i := range idx {
-		c := st.clients[i]
-		mc := c.(MomentClient)
+	// Per-party uploads; each leg runs over the parties still alive, whom
+	// the failure policy drops as they fail (FailFast returns instead).
+	allMeans := make([][]*mat.Dense, len(st.clients))  // [party][layer]
+	allMoms := make([][][]*mat.Dense, len(st.clients)) // [party][layer][order]
+	counts := make([]int, len(st.clients))
+	errs := st.fanOut(idx, func(_, i int) error {
+		mc := st.clients[i].(MomentClient)
 		var means []*mat.Dense
 		var n int
-		cerr := st.call(i, func() error {
-			var e error
+		cerr := st.call(i, func() (e error) {
 			means, n, e = mc.LocalMeans()
 			return e
 		})
@@ -910,65 +918,48 @@ func (st *runState) momentExchange(parent obs.SpanContext, round int, idx []int,
 			cerr = ErrNonFinite
 		}
 		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: means from %s: %w", c.Name(), cerr)); ferr != nil {
-				return nil, nil, ferr
-			}
-			continue
+			return fmt.Errorf("fed: means from %s: %w", mc.Name(), cerr)
 		}
-		allMeans[s] = means
-		counts[s] = n
-		ok[s] = true
-		stats.BytesUp += bytesOfVecs(means) + 8
+		allMeans[i], counts[i] = means, n
+		return nil
+	})
+	if err := st.failSlots(idx, errs); err != nil {
+		return nil, nil, err
 	}
 	layers := -1
-	for s := range idx {
-		if !ok[s] {
-			continue
-		}
+	for _, i := range st.aliveOf(idx) {
+		stats.BytesUp += bytesOfVecs(allMeans[i]) + 8
 		if layers < 0 {
-			layers = len(allMeans[s])
-			continue
-		}
-		if len(allMeans[s]) != layers {
-			mismatch := fmt.Errorf("fed: client %s reports %d layers, want %d", st.clients[idx[s]].Name(), len(allMeans[s]), layers)
-			if ferr := st.fail(idx[s], mismatch); ferr != nil {
+			layers = len(allMeans[i])
+		} else if len(allMeans[i]) != layers {
+			mismatch := fmt.Errorf("fed: client %s reports %d layers, want %d", st.clients[i].Name(), len(allMeans[i]), layers)
+			if ferr := st.fail(i, mismatch); ferr != nil {
 				return nil, nil, ferr
 			}
-			ok[s] = false
 		}
 	}
 	if layers < 0 {
 		return nil, nil, nil // no party survived the first stage
 	}
+	live := st.aliveOf(idx)
 	globalMeans := make([]*mat.Dense, layers)
-	for l := 0; l < layers; l++ {
-		var layerMeans []*mat.Dense
-		var cnt []int
-		for s := range idx {
-			if ok[s] {
-				layerMeans = append(layerMeans, allMeans[s][l])
-				cnt = append(cnt, counts[s])
-			}
+	for l := range globalMeans {
+		layerMeans := make([]*mat.Dense, len(live))
+		for k, i := range live {
+			layerMeans[k] = allMeans[i][l]
 		}
-		gm, err := moments.AggregateMeans(layerMeans, cnt)
+		gm, err := moments.AggregateMeans(layerMeans, countsOf(live, counts))
 		if err != nil {
 			return nil, nil, fmt.Errorf("fed: aggregating layer %d means: %w", l, err)
 		}
 		globalMeans[l] = gm
 	}
 	// Download global means, upload moments centred on them.
-	allMoms := make([][][]*mat.Dense, m) // [slot][layer][order]
-	for s, i := range idx {
-		if !ok[s] {
-			continue
-		}
-		c := st.clients[i]
-		mc := c.(MomentClient)
-		stats.BytesDown += bytesOfVecs(globalMeans)
+	errs = st.fanOut(live, func(_, i int) error {
+		mc := st.clients[i].(MomentClient)
 		var moms [][]*mat.Dense
 		var n int
-		cerr := st.call(i, func() error {
-			var e error
+		cerr := st.call(i, func() (e error) {
 			moms, n, e = mc.CentralAroundGlobal(globalMeans)
 			return e
 		})
@@ -976,72 +967,56 @@ func (st *runState) momentExchange(parent obs.SpanContext, round int, idx []int,
 			cerr = ErrNonFinite
 		}
 		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: moments from %s: %w", c.Name(), cerr)); ferr != nil {
-				return nil, nil, ferr
-			}
-			ok[s] = false
-			continue
+			return fmt.Errorf("fed: moments from %s: %w", mc.Name(), cerr)
 		}
-		allMoms[s] = moms
-		counts[s] = n
-		for _, layer := range moms {
+		allMoms[i], counts[i] = moms, n
+		return nil
+	})
+	if err := st.failSlots(live, errs); err != nil {
+		return nil, nil, err
+	}
+	stats.BytesDown += int64(len(live)) * bytesOfVecs(globalMeans)
+	for _, i := range st.aliveOf(live) {
+		for _, layer := range allMoms[i] {
 			stats.BytesUp += bytesOfVecs(layer)
 		}
 		stats.BytesUp += 8
-	}
-	for s := range idx {
-		if !ok[s] {
-			continue
-		}
-		if len(allMoms[s]) != layers {
-			mismatch := fmt.Errorf("fed: client %s moment layers %d, want %d", st.clients[idx[s]].Name(), len(allMoms[s]), layers)
-			if ferr := st.fail(idx[s], mismatch); ferr != nil {
+		if len(allMoms[i]) != layers {
+			mismatch := fmt.Errorf("fed: client %s moment layers %d, want %d", st.clients[i].Name(), len(allMoms[i]), layers)
+			if ferr := st.fail(i, mismatch); ferr != nil {
 				return nil, nil, ferr
 			}
-			ok[s] = false
 		}
 	}
-	survivors := 0
-	for s := range idx {
-		if ok[s] {
-			survivors++
-		}
-	}
-	if survivors == 0 {
+	if live = st.aliveOf(live); len(live) == 0 {
 		return globalMeans, nil, nil
 	}
 	globalCentral := make([][]*mat.Dense, layers)
-	for l := 0; l < layers; l++ {
-		perClient := make([][]*mat.Dense, 0, survivors)
-		cnt := make([]int, 0, survivors)
-		for s := range idx {
-			if ok[s] {
-				perClient = append(perClient, allMoms[s][l])
-				cnt = append(cnt, counts[s])
-			}
+	for l := range globalCentral {
+		perClient := make([][]*mat.Dense, len(live))
+		for k, i := range live {
+			perClient[k] = allMoms[i][l]
 		}
-		gc, err := moments.AggregateCentral(perClient, cnt)
+		gc, err := moments.AggregateCentral(perClient, countsOf(live, counts))
 		if err != nil {
 			return nil, nil, fmt.Errorf("fed: aggregating layer %d moments: %w", l, err)
 		}
 		globalCentral[l] = gc
 	}
-	for s, i := range idx {
-		if !ok[s] {
-			continue
-		}
-		c := st.clients[i]
-		mc := c.(MomentClient)
-		cerr := st.call(i, func() error {
+	errs = st.fanOut(live, func(_, i int) error {
+		mc := st.clients[i].(MomentClient)
+		if cerr := st.call(i, func() error {
 			mc.SetGlobalStats(globalMeans, globalCentral)
 			return nil
-		})
-		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: global stats to %s: %w", c.Name(), cerr)); ferr != nil {
-				return nil, nil, ferr
-			}
-			continue
+		}); cerr != nil {
+			return fmt.Errorf("fed: global stats to %s: %w", mc.Name(), cerr)
 		}
+		return nil
+	})
+	if err := st.failSlots(live, errs); err != nil {
+		return nil, nil, err
+	}
+	for range st.aliveOf(live) {
 		for _, layer := range globalCentral {
 			stats.BytesDown += bytesOfVecs(layer)
 		}
@@ -1049,17 +1024,24 @@ func (st *runState) momentExchange(parent obs.SpanContext, round int, idx []int,
 	return globalMeans, globalCentral, nil
 }
 
+// countsOf gathers the indexed parties' sample counts in order.
+func countsOf(idx []int, counts []int) []int {
+	out := make([]int, len(idx))
+	for k, i := range idx {
+		out[k] = counts[i]
+	}
+	return out
+}
+
 // auxExchange averages any auxiliary uploads from the indexed clients with
 // the FedAvg weights (NumSamples, at least 1) and redistributes them,
 // excluding parties the failure policy drops mid-phase.
 func (st *runState) auxExchange(idx []int, stats *RoundStats) error {
-	var auxSets []*nn.Params
-	var auxIdx []int
-	var auxWeights []float64
-	for _, i := range idx {
+	uploads := make([]*nn.Params, len(idx))
+	errs := st.fanOut(idx, func(s, i int) error {
 		ac, isAux := st.clients[i].(AuxClient)
 		if !isAux {
-			continue
+			return nil
 		}
 		var aux *nn.Params
 		cerr := st.call(i, func() error { aux = ac.UploadAux(); return nil })
@@ -1067,18 +1049,24 @@ func (st *runState) auxExchange(idx []int, stats *RoundStats) error {
 			cerr = ErrNonFinite
 		}
 		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: aux upload from %s: %w", ac.Name(), cerr)); ferr != nil {
-				return ferr
-			}
-			continue
+			return fmt.Errorf("fed: aux upload from %s: %w", ac.Name(), cerr)
 		}
-		if aux == nil {
-			continue
+		uploads[s] = aux
+		return nil
+	})
+	if err := st.failSlots(idx, errs); err != nil {
+		return err
+	}
+	var auxSets []*nn.Params
+	var auxIdx []int
+	var auxWeights []float64
+	for s, i := range idx {
+		if aux := uploads[s]; aux != nil {
+			auxSets = append(auxSets, aux)
+			auxIdx = append(auxIdx, i)
+			auxWeights = append(auxWeights, st.weights[i])
+			stats.BytesUp += int64(aux.Bytes())
 		}
-		auxSets = append(auxSets, aux)
-		auxIdx = append(auxIdx, i)
-		auxWeights = append(auxWeights, st.weights[i])
-		stats.BytesUp += int64(aux.Bytes())
 	}
 	if len(auxSets) == 0 {
 		return nil
@@ -1087,32 +1075,59 @@ func (st *runState) auxExchange(idx []int, stats *RoundStats) error {
 	if err != nil {
 		return fmt.Errorf("fed: aux aggregation: %w", err)
 	}
-	for _, i := range auxIdx {
+	errs = st.fanOut(auxIdx, func(_, i int) error {
 		ac := st.clients[i].(AuxClient)
-		cerr := st.call(i, func() error { return ac.DownloadAux(globalAux) })
-		if cerr != nil {
-			if ferr := st.fail(i, fmt.Errorf("fed: aux download to %s: %w", ac.Name(), cerr)); ferr != nil {
-				return ferr
-			}
+		if cerr := st.call(i, func() error { return ac.DownloadAux(globalAux) }); cerr != nil {
+			return fmt.Errorf("fed: aux download to %s: %w", ac.Name(), cerr)
+		}
+		return nil
+	})
+	for _, e := range errs {
+		if e == nil {
+			stats.BytesDown += int64(globalAux.Bytes())
+		}
+	}
+	return st.failSlots(auxIdx, errs)
+}
+
+// fanOut drives f(slot, party) over the indexed parties through
+// forEachClient: concurrently, or in slot order under Config.Sequential,
+// stopping there at the first failure under FailFast. f writes only its own
+// slot; the caller reduces the slots in order once the phase is over and
+// hands the errors to failSlots. Lenient phases never fail a slot
+// (evaluate), or call forEachClient without stopping early (async's
+// scoring installs).
+func (st *runState) fanOut(idx []int, f func(s, i int) error) []error {
+	return forEachClient(len(idx), st.cfg.Sequential, st.policy == FailFast, func(s int) error { return f(s, idx[s]) })
+}
+
+// failSlots hands a fanned-out phase's failures to the policy in slot
+// order: under FailFast it returns the lowest slot's error, otherwise it
+// drops each failing party and returns nil.
+func (st *runState) failSlots(idx []int, errs []error) error {
+	for s, e := range errs {
+		if e == nil {
 			continue
 		}
-		stats.BytesDown += int64(globalAux.Bytes())
+		if ferr := st.fail(idx[s], e); ferr != nil {
+			return ferr
+		}
 	}
 	return nil
 }
 
-// forEachClient runs f over clients, concurrently unless sequential, with at
-// most GOMAXPROCS workers. It returns one error slot per client so callers
-// can attribute each failure to the party that caused it (the DropRound and
-// Quarantine policies need the index, not just a joined error). In
-// sequential mode stopEarly short-circuits at the first failure — the
-// historical fail-fast order; concurrent mode always drives every client.
-func forEachClient(clients []Client, sequential, stopEarly bool, f func(int, Client) error) []error {
-	errs := make([]error, len(clients))
-	if sequential || len(clients) == 1 {
-		for i, c := range clients {
-			errs[i] = f(i, c)
-			if errs[i] != nil && stopEarly {
+// forEachClient runs f over the slots 0..n-1, concurrently unless
+// sequential, with at most GOMAXPROCS workers. It returns one error per slot
+// so callers can attribute each failure to the party that caused it (the
+// DropRound and Quarantine policies need the index, not just a joined
+// error). In sequential mode stopEarly short-circuits at the first failure
+// — the historical fail-fast order; concurrent mode always drives every
+// slot.
+func forEachClient(n int, sequential, stopEarly bool, f func(int) error) []error {
+	errs := make([]error, n)
+	if sequential || n == 1 {
+		for i := range errs {
+			if errs[i] = f(i); errs[i] != nil && stopEarly {
 				break
 			}
 		}
@@ -1120,14 +1135,14 @@ func forEachClient(clients []Client, sequential, stopEarly bool, f func(int, Cli
 	}
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for i, c := range clients {
+	for i := range errs {
 		wg.Add(1)
-		go func(i int, c Client) {
+		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			errs[i] = f(i, c)
-		}(i, c)
+			errs[i] = f(i)
+		}(i)
 	}
 	wg.Wait()
 	return errs

@@ -364,7 +364,11 @@ func (u *uploadLog) Params() *nn.Params {
 // An evicted async update resets the party's uplink residuals over TCP too:
 // the coordinator forgets its reference, its next broadcast to the party is
 // absolute, and the party's next uplink frame is exactly a fresh encoder's.
-// The test replays each connection's gob stream to find the frames.
+// The test replays each connection's gob stream to find the frames. Every
+// round waits at least the fast party's 1 ms, so 200 rounds outlast the
+// slow party's 50 ms job at least four times over: the run must see one of
+// its updates arrive stale and the next one uploaded after the re-sync,
+// however fast the coordinator's own phases are.
 func TestDistributedEvictionResetsUplink(t *testing.T) {
 	q8 := codec.Options{Kind: codec.Quant, Bits: 8}
 	parties := map[string]*uploadLog{}
@@ -393,7 +397,7 @@ func TestDistributedEvictionResetsUplink(t *testing.T) {
 		}(c)
 	}
 	agg := telemetry.NewAggregator()
-	_, err = RunDistributed(Config{Rounds: 40, Aggregation: AggAsync, BufferK: 1, MaxStaleness: 1,
+	_, err = RunDistributed(Config{Rounds: 200, Aggregation: AggAsync, BufferK: 1, MaxStaleness: 1,
 		Policy: DropRound, QuorumPolicy: QuorumSkip, Recorder: agg, Codec: q8}, tee, len(locals))
 	wg.Wait()
 	if err != nil {
